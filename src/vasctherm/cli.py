@@ -117,7 +117,10 @@ class ScenarioConfig:
             if group in data:
                 if not isinstance(data[group], dict):
                     raise ConfigError(f"config section {group!r} must be an object")
-                merged = dict(getattr(cfg, group))
+                if group == "layout" and "vertices" in data[group]:
+                    merged = {}  # a custom channel replaces the generated layout's defaults
+                else:
+                    merged = dict(getattr(cfg, group))
                 merged.update(data[group])
                 setattr(cfg, group, merged)
         if "margins" in cfg.layout:  # documented alias of margin

@@ -127,7 +127,7 @@ def linear_solve(system: DiscreteSystem, method: str = "direct") -> np.ndarray:
     rhs = -system.residual
     if method == "direct":
         try:
-            lu = spla.splu(J)
+            lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU reports exact singularity
             raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
         pivots = np.abs(lu.U.diagonal())
@@ -168,7 +168,10 @@ def solve_steady(
 
     The guess is first projected onto the constraints so every iterate
     satisfies them exactly and the logged norms are pure weak-form
-    residuals in watts.
+    residuals in watts. Line-search trials are assembled residual-only;
+    the Jacobian is assembled at an accepted iterate only when another
+    iteration follows. A trial whose residual is not finite counts as
+    failed, and Newton never accepts one.
     """
     settings = settings or NewtonSettings()
     if theta_guess is None:
@@ -185,22 +188,40 @@ def solve_steady(
     r0 = rnorm
     if log is not None:
         log.append(NewtonIteration(step_index, 0, rnorm, 0.0))
+    if not np.isfinite(rnorm):
+        raise NewtonError(
+            f"non-finite residual norm ({rnorm}) at the initial guess",
+            log=log, theta=theta, residual_norm=rnorm,
+        )
     if rnorm <= settings.abs_tol:
         return _accept(theta, time)
 
     for it in range(1, settings.max_iters + 1):
+        if it > 1:
+            system = apply_constraints(
+                assemble_raw(problem, theta, time=time, rate=rate, terms=terms)
+            )
         delta = linear_solve(system, method=linear_method)
         lam = settings.damping
         while True:
             trial = theta + lam * delta
             trial_system = apply_constraints(
-                assemble_raw(problem, trial, time=time, rate=rate, terms=terms)
+                assemble_raw(problem, trial, time=time, rate=rate, terms=terms, jacobian=False)
             )
             trial_norm = float(np.linalg.norm(trial_system.residual))
-            if not settings.line_search or trial_norm < rnorm or lam <= 1.0 / 64.0:
+            finite = bool(np.isfinite(trial_norm))
+            if finite and (not settings.line_search or trial_norm < rnorm):
+                break
+            if lam <= 1.0 / 64.0:
+                if not finite:
+                    raise NewtonError(
+                        f"non-finite residual norm ({trial_norm}) in Newton iteration {it} "
+                        f"even at damping {lam:g} (residual before it {rnorm:.3e} W)",
+                        log=log, theta=theta, residual_norm=rnorm,
+                    )
                 break
             lam *= 0.5
-        theta, system, rnorm = trial, trial_system, trial_norm
+        theta, rnorm = trial, trial_norm
         if log is not None:
             log.append(NewtonIteration(step_index, it, rnorm, lam))
         if rnorm <= settings.abs_tol or rnorm <= settings.rel_tol * r0:
@@ -254,6 +275,7 @@ def solve_transient(
             )
             guess = 2.0 * theta_prev - theta_prev2  # linear predictor
         step_log: list = [] if log is None else log
+        first = len(step_log)
         try:
             field_next = solve_steady(
                 problem,
@@ -270,7 +292,7 @@ def solve_transient(
                 f"time step {k + 1} (t={t_next:g} s) failed: {exc}",
                 series=series, cause=exc,
             ) from exc
-        own = [rec for rec in step_log if rec.step == k + 1]
+        own = step_log[first:]
         series.fields.append(field_next)
         series.newton_iters.append(max((rec.iteration for rec in own), default=0))
         series.residual_norms.append(own[-1].residual_norm if own else 0.0)

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -16,9 +19,18 @@ from vasctherm.assembly import (
     assemble_transient,
     channel_line_term,
     dump_system,
+    plan_for,
 )
-from vasctherm.geometry import Domain2D, VasculaturePath
-from vasctherm.materials import Coolant, PropertyCurve, SolidMaterial, constant_curve
+from vasctherm.elements import basis_for
+from vasctherm.geometry import Domain2D, LayoutParams, VasculaturePath, generate_layout
+from vasctherm.materials import (
+    Coolant,
+    PropertyCurve,
+    SolidMaterial,
+    constant_curve,
+    curve_derivative,
+    eval_curve,
+)
 from vasctherm.mesh import (
     DIRICHLET,
     NEUMANN,
@@ -29,7 +41,7 @@ from vasctherm.mesh import (
     tag_boundary,
 )
 from vasctherm.postprocess import energy_balance
-from vasctherm.verification import jacobian_check
+from vasctherm.verification import jacobian_check, toggle_masks
 
 
 def single_triangle_mesh(thickness=1.0):
@@ -301,3 +313,139 @@ def test_dump_system_matrix_market(tmp_path):
     assert J.shape == (prob.n_dofs, prob.n_dofs)
     R = np.asarray(mmread(rpath)).ravel()
     assert np.allclose(R, system.residual)
+
+
+def mixed_boundary_problem(order=1, n=4):
+    """Channel plus dirichlet left edge, flux elsewhere and a callable load."""
+    base = channel_problem(n=n, order=order)
+    mesh = tag_boundary(base.mesh, lambda x, y: DIRICHLET if x < 1e-12 else NEUMANN)
+    return ThermalProblem(
+        mesh=mesh, solid=wide_material(), coolant=base.coolant,
+        load=lambda x, y, t: 800.0 + 3000.0 * x * y, surface=base.surface,
+        bcs=BoundaryData(theta_inlet=296.42, theta_p=lambda x, y: 300.0 + 100.0 * y, q_p=1.5),
+    )
+
+
+def random_state(prob, rng, on_constraints):
+    theta = rng.uniform(300.0, 360.0, prob.n_dofs)
+    if on_constraints:
+        for node, value in prob.constrained_values().items():
+            theta[node] = value
+    return theta
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("transient", [False, True])
+@pytest.mark.parametrize("on_constraints", [True, False])
+def test_residual_only_matches_full_bitwise(order, transient, on_constraints, rng):
+    for prob in (channel_problem(n=4, order=order), mixed_boundary_problem(order=order)):
+        theta = random_state(prob, rng, on_constraints)
+        rate = None
+        if transient:
+            rate = RateWeights(coeff=1.5, rhs=-rng.uniform(300.0, 360.0, prob.n_dofs))
+        for mask in toggle_masks():
+            full = assemble_raw(prob, theta, time=2.0, rate=rate, terms=mask)
+            lean = assemble_raw(prob, theta, time=2.0, rate=rate, terms=mask, jacobian=False)
+            assert np.array_equal(lean.residual, full.residual)
+            assert (lean.jacobian is None) == on_constraints
+            assert np.array_equal(
+                apply_constraints(lean).residual, apply_constraints(full).residual)
+
+
+def dense_reference_jacobian(prob, theta, rate):
+    """Element-by-element accumulation of the exact linearization."""
+    mesh, solid, surf = prob.mesh, prob.solid, prob.surface
+    basis = basis_for(mesh)
+    d, es = mesh.domain.thickness, surf.emissivity * surf.sigma
+    J = np.zeros((prob.n_dofs, prob.n_dofs))
+    thdot = rate.coeff * theta + rate.rhs
+    for e, nodes in enumerate(mesh.triangles):
+        th_e, J_e = theta[nodes], np.zeros((len(nodes), len(nodes)))
+        for q, weight in enumerate(basis.qp_weights):
+            N, G = basis.qp_N[q], basis.qp_gradN[q, e]
+            w = weight * basis.areas[e]
+            th, thd = N @ th_e, N @ thdot[nodes]
+            gw = G @ (G.T @ th_e)
+            J_e += w * d * eval_curve(solid.conductivity, th) * (G @ G.T)
+            J_e += w * d * curve_derivative(solid.conductivity, th) * np.outer(gw, N)
+            J_e += w * (surf.h_T + 4.0 * es * th**3) * np.outer(N, N)
+            J_e += w * d * solid.density * (
+                eval_curve(solid.specific_heat, th) * rate.coeff
+                + curve_derivative(solid.specific_heat, th) * thd) * np.outer(N, N)
+        J[np.ix_(nodes, nodes)] += J_e
+    cn, _, cjac = channel_line_term(mesh, theta, prob.chi)
+    for nodes, block in zip(cn, cjac):
+        J[np.ix_(nodes, nodes)] += block
+    return J
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_jacobian_matches_dense_reference(order, rng):
+    prob = channel_problem(n=4, order=order, material=wide_material())
+    theta = rng.uniform(300.0, 360.0, prob.n_dofs)
+    rate = RateWeights(coeff=1.5, rhs=-rng.uniform(300.0, 360.0, prob.n_dofs))
+    J = assemble_raw(prob, theta, rate=rate).jacobian.toarray()
+    ref = dense_reference_jacobian(prob, theta, rate)
+    assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_csr_pattern_canonical_and_fixed(rng):
+    prob = mixed_boundary_problem(order=2)
+    rate = RateWeights(coeff=1.0, rhs=np.zeros(prob.n_dofs))
+    systems = [
+        assemble_raw(prob, random_state(prob, rng, True)),
+        assemble_raw(prob, random_state(prob, rng, False), rate=rate),
+        apply_constraints(assemble_raw(prob, random_state(prob, rng, True), rate=rate)),
+    ]
+    first = systems[0].jacobian
+    for J in (s.jacobian for s in systems):
+        for i in range(J.shape[0]):
+            row = J.indices[J.indptr[i]:J.indptr[i + 1]]
+            assert np.all(np.diff(row) > 0)  # sorted, no duplicates
+        assert np.array_equal(J.indptr, first.indptr)
+        assert np.array_equal(J.indices, first.indices)
+
+
+def test_cached_index_arrays_read_only(rng):
+    prob = mixed_boundary_problem()
+    system = apply_constraints(assemble_raw(prob, random_state(prob, rng, True)))
+    plan = system.plan
+    assert plan is plan_for(prob.mesh)
+    for arr in (plan.indptr, plan.indices, plan.tri_slots, plan.chan_slots, plan.diag_slots):
+        assert not arr.flags.writeable
+    J = system.jacobian
+    assert np.shares_memory(J.indices, plan.indices)
+    assert np.any(J.data == 0.0)  # constrained rows/columns hold explicit zeros
+    with pytest.raises(ValueError):
+        J.eliminate_zeros()
+    J.has_sorted_indices = False
+    with pytest.raises(ValueError):
+        J.sort_indices()
+    assert np.array_equal(
+        plan.indices, assemble_raw(prob, random_state(prob, rng, True)).jacobian.indices)
+
+
+def test_plan_shared_across_threads(rng):
+    grid = build_structured_mesh(Domain2D(), 8)
+    base = channel_problem(n=8)
+    thetas = [random_state(base, rng, True) for _ in range(16)]
+    serial = [apply_constraints(assemble_raw(base, th)) for th in thetas]
+    prob = ThermalProblem(  # fresh mesh: its plan is built under contention
+        mesh=embed_vasculature(grid, generate_layout(Domain2D(), LayoutParams())),
+        solid=base.solid, coolant=base.coolant, load=base.load, surface=base.surface,
+        bcs=base.bcs,
+    )
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda th: apply_constraints(assemble_raw(prob, th)), th)
+                       for th in thetas]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert len({id(s.plan) for s in threaded}) == 1
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a.residual, b.residual)
+        assert np.array_equal(a.jacobian.data, b.jacobian.data)
+        assert np.array_equal(a.jacobian.indices, b.jacobian.indices)

@@ -220,6 +220,40 @@ def test_main_solver_failure_exit_code(tmp_path):
     assert code == 3
 
 
+def test_main_non_finite_newton_exits_3(tmp_path, capsys):
+    with pytest.warns(RuntimeWarning):  # theta**4 overflows in the line-search trials
+        code = main(["solve", "--out", str(tmp_path / "inf"), "--steady-only",
+                     "--mesh-n", "4", "--flux", "1e120"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "non-finite residual" in err
+    assert "Traceback" not in err
+
+
+def test_custom_vertex_channel_runs(tmp_path):
+    cfg = tmp_path / "vertices.json"
+    cfg.write_text(json.dumps({
+        "layout": {"vertices": [[0.05, 0.1], [0.05, 0.05], [0.1, 0.05]]},
+        "mesh": {"n": 6},
+        "steady_only": True,
+    }))
+    out = tmp_path / "custom"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    echo = json.loads((out / "config_echo.json").read_text())
+    assert echo["layout"] == {"vertices": [[0.05, 0.1], [0.05, 0.05], [0.1, 0.05]]}
+
+
+def test_custom_vertex_channel_rejects_kind(tmp_path):
+    cfg = tmp_path / "mixed.json"
+    cfg.write_text(json.dumps({
+        "layout": {"vertices": [[0.05, 0.1], [0.05, 0.0]], "kind": "u_shape"},
+        "mesh": {"n": 6},
+        "steady_only": True,
+    }))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "mixed")])
+    assert code == EXIT_INVALID_INPUT
+
+
 def test_main_mesh_subcommand(tmp_path):
     out = tmp_path / "mesh"
     assert main(["mesh", "--out", str(out), "--mesh-n", "6"]) == EXIT_OK
@@ -279,6 +313,7 @@ def test_worker_count_env(monkeypatch):
 
 def test_threaded_experiment_matches_serial(tmp_path, monkeypatch):
     cfg = fast_config(transient={"t_end": 3.0})
+    monkeypatch.setenv("VASCTHERM_THREADS", "1")
     serial = flow_reversal_experiment(cfg, str(tmp_path / "serial"))
     monkeypatch.setenv("VASCTHERM_THREADS", "2")
     threaded = flow_reversal_experiment(cfg, str(tmp_path / "threaded"))
@@ -287,3 +322,14 @@ def test_threaded_experiment_matches_serial(tmp_path, monkeypatch):
         b1 = (tmp_path / "serial" / sub / "observables.csv").read_bytes()
         b2 = (tmp_path / "threaded" / sub / "observables.csv").read_bytes()
         assert b1 == b2
+    # every file either run wrote matches, bar the wall-clock time in the summaries
+    files = sorted(p.relative_to(tmp_path / "serial") for p in (tmp_path / "serial").rglob("*")
+                   if p.is_file())
+    assert len(files) > 10
+    for rel in files:
+        b1 = (tmp_path / "serial" / rel).read_bytes()
+        b2 = (tmp_path / "threaded" / rel).read_bytes()
+        if rel.name == "summary.json":
+            b1, b2 = (
+                {k: v for k, v in json.loads(b).items() if k != "wall_time_s"} for b in (b1, b2))
+        assert b1 == b2, rel

@@ -193,3 +193,35 @@ def test_solver_log_rows_have_step_and_damping():
     steps = {rec.step for rec in log}
     assert steps == {1, 2, 3}
     assert all(0.0 <= rec.damping <= 1.0 for rec in log)
+
+
+def test_non_finite_initial_residual_raises_newton_error():
+    base = channel_problem(n=4)
+    prob = ThermalProblem(
+        mesh=base.mesh, solid=base.solid, coolant=base.coolant, surface=base.surface,
+        bcs=base.bcs, load=lambda x, y, t: np.where(x > 0.05, np.nan, 1000.0),
+    )
+    with pytest.raises(NewtonError, match="non-finite"):
+        solve_steady(prob)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_trials_are_never_accepted():
+    # the first Newton step lands near 1e115 K, where theta^4 overflows at every damping
+    log = []
+    with pytest.raises(NewtonError, match="non-finite") as err:
+        solve_steady(channel_problem(n=4, f0=1e120), log=log)
+    assert all(np.isfinite(rec.residual_norm) for rec in log)
+    assert np.isfinite(err.value.residual_norm)
+
+
+def test_transient_series_ignores_earlier_log_records():
+    prob = channel_problem(n=5)
+    settings = TransientSettings(dt=1.0, t_end=4.0)
+    fresh = solve_transient(prob, settings)
+    log = []
+    solve_steady(prob, log=log)
+    assert log  # steady records, step 0, precede the transient ones
+    shared = solve_transient(prob, settings, log=log)
+    assert shared.newton_iters == fresh.newton_iters
+    assert shared.residual_norms == fresh.residual_norms
