@@ -21,8 +21,6 @@ from .assembly import (
     TermMask,
     ThermalProblem,
     apply_constraints,
-    assemble_steady,
-    assemble_transient,
     channel_line_term,
 )
 from .geometry import Domain2D, LayoutParams, VasculaturePath, arc_length, generate_layout, point_and_tangent_at
@@ -52,7 +50,6 @@ from .postprocess import (
     Observables,
     arc_length_profile,
     check_bounds,
-    efficiency,
     energy_balance,
     heat_flux_field,
     mean_surface_temperature,

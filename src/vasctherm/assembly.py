@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .elements import GAUSS_1D_1, GAUSS_1D_2, basis_for, edge_shape
 from .materials import Coolant, SolidMaterial, curve_derivative, eval_curve, heat_capacity_rate
-from .mesh import ChannelMesh
+from .mesh import NEUMANN, ChannelMesh
 
 STEFAN_BOLTZMANN = 5.67e-8  # W/(m^2 K^4)
 
@@ -112,10 +112,6 @@ class TemperatureField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("temperature field holds non-finite values")
 
-    @property
-    def kelvin_positive(self) -> bool:
-        return bool(np.all(self.values > 0.0))
-
 
 @dataclass(eq=False)
 class ThermalProblem:
@@ -148,10 +144,12 @@ class ThermalProblem:
     def n_dofs(self) -> int:
         return self.mesh.n_nodes
 
-    def load_at(self, x, y, t):
+    def load_at_qp(self, t) -> np.ndarray:
+        """f at the volume quadrature points of the assembly, (T, nq)."""
+        x, y = basis_for(self.mesh).qp_xy.T  # (T, nq) each
         if callable(self.load):
-            return np.broadcast_to(self.load(x, y, t), np.shape(x)).astype(float)
-        return np.full(np.shape(x), float(self.load))
+            return np.broadcast_to(self.load(x, y, t), x.shape).astype(float)
+        return np.full(x.shape, float(self.load))
 
     def qp_at(self, x, y, t):
         if callable(self.bcs.q_p):
@@ -170,35 +168,40 @@ class ThermalProblem:
             vals = np.full(self.mesh.n_nodes, float(self.theta_initial))
         return TemperatureField(vals, time=0.0)
 
-    def constrained_values(self) -> dict[int, float]:
-        """node id -> prescribed temperature (inlet plus Dirichlet trace).
+    def constrained_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, values): constrained node ids and their prescribed temperatures.
 
-        The inlet value is enforced only while coolant actually flows
-        (chi > 0); with the flow off there is no fluid entering whose
-        temperature could be prescribed, and the zero-flow limit must not
-        depend on the nominal flow direction.
+        The Dirichlet nodes come first, in ascending order, then the inlet
+        unless it is one of them. The inlet value is enforced only while
+        coolant actually flows (chi > 0); with the flow off there is no
+        fluid entering whose temperature could be prescribed, and the
+        zero-flow limit must not depend on the nominal flow direction.
         """
-        out: dict[int, float] = {}
         mesh = self.mesh
-        dirichlet = mesh.dirichlet_nodes()
-        if dirichlet.size:
+        ids = mesh.dirichlet_nodes()
+        vals = np.empty(0)
+        if ids.size:
             if self.bcs.theta_p is None:
                 raise ValueError("mesh has dirichlet edges but bcs.theta_p is unset")
             if callable(self.bcs.theta_p):
-                vals = self.bcs.theta_p(mesh.nodes[dirichlet, 0], mesh.nodes[dirichlet, 1])
-                vals = np.broadcast_to(vals, dirichlet.shape)
+                vals = self.bcs.theta_p(mesh.nodes[ids, 0], mesh.nodes[ids, 1])
+                vals = np.broadcast_to(vals, ids.shape).astype(float)
             else:
-                vals = np.full(dirichlet.shape, float(self.bcs.theta_p))
-            out.update({int(n): float(v) for n, v in zip(dirichlet, vals)})
+                vals = np.full(ids.shape, float(self.bcs.theta_p))
         if mesh.has_channel and self.chi > 0.0:
             inlet = int(mesh.inlet_node)
-            if inlet in out and abs(out[inlet] - self.bcs.theta_inlet) > 1e-9:
+            theta_inlet = float(self.bcs.theta_inlet)
+            at = np.flatnonzero(ids == inlet)
+            if at.size and abs(vals[at[0]] - theta_inlet) > 1e-9:
                 raise ValueError(
                     f"conflicting prescriptions at inlet node {inlet}: "
-                    f"theta_p={out[inlet]} vs theta_inlet={self.bcs.theta_inlet}"
+                    f"theta_p={vals[at[0]]} vs theta_inlet={theta_inlet}"
                 )
-            out[inlet] = float(self.bcs.theta_inlet)
-        return out
+            if at.size:
+                vals[at[0]] = theta_inlet
+            else:
+                ids, vals = np.append(ids, inlet), np.append(vals, theta_inlet)
+        return ids, vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,15 +320,15 @@ def plan_for(mesh: ChannelMesh) -> AssemblyPlan:
 class DiscreteSystem:
     """Assembled residual/Jacobian pair at a given state.
 
-    jacobian is None for a residual-only assembly; plan is the pattern
-    owner that apply_constraints uses to edit the Jacobian in place.
+    jacobian is None for a residual-only assembly; constraints is the
+    problem's (ids, values) pair; plan is the pattern owner that
+    apply_constraints uses to edit the Jacobian in place.
     """
 
     residual: np.ndarray
     jacobian: sp.csr_matrix | None
-    constrained_dofs: dict[int, float]
+    constraints: tuple[np.ndarray, np.ndarray] = field(repr=False)
     theta: np.ndarray = field(repr=False)
-    constrained: bool = False
     plan: AssemblyPlan | None = field(default=None, repr=False)
 
     @property
@@ -365,12 +368,6 @@ def channel_line_term(mesh: ChannelMesh, theta: np.ndarray, chi: float, jacobian
     return nodes, res, jac
 
 
-def _constraint_arrays(constraints: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.fromiter(constraints.keys(), dtype=int, count=len(constraints))
-    vals = np.fromiter((constraints[int(i)] for i in ids), dtype=float, count=len(ids))
-    return ids, vals
-
-
 def assemble_raw(
     problem: ThermalProblem,
     theta: np.ndarray,
@@ -390,9 +387,8 @@ def assemble_raw(
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (mesh.n_nodes,):
         raise ValueError(f"theta must have shape ({mesh.n_nodes},)")
-    constraints = problem.constrained_values()
-    if not jacobian and constraints:
-        ids, vals = _constraint_arrays(constraints)
+    constraints = ids, vals = problem.constrained_values()
+    if not jacobian and ids.size:
         jacobian = bool(np.any(theta[ids] != vals))
     basis = basis_for(mesh)
     plan = plan_for(mesh)
@@ -404,7 +400,7 @@ def assemble_raw(
 
     theta_e = theta[tri]  # (T, nen)
     th_q = theta_e @ N.T  # (T, nq)
-    w = basis.areas[:, None] * basis.qp_weights  # (T, nq)
+    w = basis.qp_dA  # (T, nq)
     # per-quadrature-point coefficients of N_i (residual) and N_i N_j (Jacobian)
     coef_N = np.zeros_like(th_q)
     coef_NN = np.zeros_like(th_q) if jacobian else None
@@ -458,7 +454,7 @@ def assemble_raw(
         if jacobian:
             coef_NN += w * es * 4.0 * th_q**3
 
-    coef_N -= w * problem.load_at(basis.qp_xy[..., 0], basis.qp_xy[..., 1], time).T
+    coef_N -= w * problem.load_at_qp(time)
 
     if rate is not None and terms.mass:
         c_q = eval_curve(problem.solid.specific_heat, th_q)
@@ -487,36 +483,38 @@ def assemble_raw(
 
     return DiscreteSystem(
         residual=R, jacobian=plan.matrix(data) if jacobian else None,
-        constrained_dofs=constraints, theta=theta.copy(), constrained=False, plan=plan,
+        constraints=constraints, theta=theta.copy(), plan=plan,
     )
+
+
+def neumann_quadrature(mesh: ChannelMesh):
+    """Two-point Gauss rule on the neumann edges.
+
+    Returns the points (2, E, 2), the weights (2, E) that carry the edge
+    length, and the edge node ids (E, k) in boundary_edges order.
+    """
+    edges = mesh.boundary_edges[mesh.boundary_tags == NEUMANN]
+    pa, pb = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
+    xi, wgt = GAUSS_1D_2
+    points = pa + (0.5 * (1.0 + xi))[:, None, None] * (pb - pa)
+    weights = (wgt * 0.5)[:, None] * np.linalg.norm(pb - pa, axis=1)
+    return points, weights, edges
 
 
 def _neumann_flux_vector(problem: ThermalProblem, time: float) -> np.ndarray:
     """int_Gq w_i q_p dGamma; zero fast path for the adiabatic default."""
     mesh = problem.mesh
-    out = np.zeros(mesh.n_nodes)
     if np.isscalar(problem.bcs.q_p) and float(problem.bcs.q_p) == 0.0:
-        return out
-    sel = mesh.boundary_tags == "neumann"
-    if not np.any(sel):
-        return out
-    edges = mesh.boundary_edges[sel]
-    pa, pb = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-    ell = np.linalg.norm(pb - pa, axis=1)
-    xi, wgt = GAUSS_1D_2
-    Nmat, _ = edge_shape(mesh.element_order, xi)
-    for g in range(len(xi)):
-        frac = 0.5 * (1.0 + xi[g])
-        xg = pa[:, 0] + frac * (pb[:, 0] - pa[:, 0])
-        yg = pa[:, 1] + frac * (pb[:, 1] - pa[:, 1])
-        qv = problem.qp_at(xg, yg, time)
-        scale = wgt[g] * 0.5 * ell * qv
-        for k in range(edges.shape[1]):
-            np.add.at(out, edges[:, k], scale * Nmat[g, k])
-    return out
+        return np.zeros(mesh.n_nodes)
+    points, weights, edges = neumann_quadrature(mesh)
+    N, _ = edge_shape(mesh.element_order, GAUSS_1D_2[0])  # (2, k)
+    scale = weights * problem.qp_at(points[..., 0], points[..., 1], time)  # (2, E)
+    contrib = scale[:, None, :] * N[:, :, None]  # (2, k, E)
+    nodes = np.broadcast_to(edges.T, contrib.shape)
+    return np.bincount(nodes.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
 
 
-def apply_constraints(system: DiscreteSystem, constraints: dict[int, float] | None = None) -> DiscreteSystem:
+def apply_constraints(system: DiscreteSystem) -> DiscreteSystem:
     """Replace constrained rows by theta_i - prescribed; fold columns into R.
 
     Folding keeps the sparsity pattern symmetric and, once the iterate
@@ -524,15 +522,13 @@ def apply_constraints(system: DiscreteSystem, constraints: dict[int, float] | No
     the constrained residual. The Jacobian keeps the plan's pattern: the
     constrained rows and columns hold explicit zeros and a unit diagonal.
     """
-    if constraints is None:
-        constraints = system.constrained_dofs
     plan, J = system.plan, system.jacobian
     if J is not None and plan is None:
         raise ValueError("apply_constraints needs a system assembled by assemble_raw")
+    ids, vals = system.constraints
     R = system.residual.copy()
     data = None if J is None else J.data.copy()
-    if constraints:
-        ids, vals = _constraint_arrays(constraints)
+    if ids.size:
         rc = np.zeros(system.n)
         rc[ids] = system.theta[ids] - vals
         if np.any(rc):
@@ -545,33 +541,8 @@ def apply_constraints(system: DiscreteSystem, constraints: dict[int, float] | No
             data[plan.diag_slots[ids]] = 1.0
     return DiscreteSystem(
         residual=R, jacobian=None if J is None else plan.matrix(data),
-        constrained_dofs=dict(constraints), theta=system.theta, constrained=True, plan=plan,
+        constraints=system.constraints, theta=system.theta, plan=plan,
     )
-
-
-def assemble_steady(
-    problem: ThermalProblem,
-    theta: np.ndarray,
-    time: float = 0.0,
-    terms: TermMask = ALL_TERMS,
-    constrained: bool = True,
-) -> DiscreteSystem:
-    """Steady residual/Jacobian at state theta (constraint rows applied)."""
-    system = assemble_raw(problem, theta, time=time, rate=None, terms=terms)
-    return apply_constraints(system) if constrained else system
-
-
-def assemble_transient(
-    problem: ThermalProblem,
-    theta: np.ndarray,
-    rate: RateWeights,
-    time: float = 0.0,
-    terms: TermMask = ALL_TERMS,
-    constrained: bool = True,
-) -> DiscreteSystem:
-    """Transient residual/Jacobian with the BDF mass term included."""
-    system = assemble_raw(problem, theta, time=time, rate=rate, terms=terms)
-    return apply_constraints(system) if constrained else system
 
 
 def dump_system(system: DiscreteSystem, path_prefix: str) -> tuple[str, str]:

@@ -84,10 +84,44 @@ def _json_safe(x):
     return x
 
 
-def _check_keys(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+_NUMBER = (int, float)
+_TEXT_OR_NULL = (str, type(None))
+_KIND_NAMES = {_NUMBER: "a number", int: "an integer", str: "a string", bool: "true or false",
+               list: "a list", _TEXT_OR_NULL: "a string or null"}
+
+# section -> key -> accepted JSON type; "config" is the top level. A bool is
+# never a number, and the integer fields reject 40.0 as well as "40".
+CONFIG_TYPES = {
+    "config": {"domain": dict, "layout": dict, "mesh": dict, "material": dict, "coolant": dict,
+               "load": dict, "surface": dict, "inlet": dict, "transient": dict,
+               "flow_direction": str, "steady_only": bool, "output_dir": _TEXT_OR_NULL},
+    "domain": {"width": _NUMBER, "height": _NUMBER, "thickness": _NUMBER},
+    "layout": {"kind": str, "spacing": _NUMBER, "margin": _NUMBER, "pass_count": int,
+               "offset": _NUMBER, "inlet_edge": str},
+    "vertex layout": {"vertices": list},
+    "mesh": {"n": int, "element_order": int},
+    "material": {"name": str, "mode": str, "file": _TEXT_OR_NULL},
+    "coolant": {"density": _NUMBER, "specific_heat": _NUMBER, "flow_rate_ml_per_min": _NUMBER},
+    "load": {"f0": _NUMBER},
+    "surface": {"h_T": _NUMBER, "emissivity": _NUMBER, "theta_amb": _NUMBER},
+    "inlet": {"theta_inlet": _NUMBER},
+    "transient": {"dt": _NUMBER, "t_end": _NUMBER, "bdf_order": int},
+}
+
+
+def _is_kind(value, kind) -> bool:
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _check_types(d: dict, where: str):
+    """Reject unknown keys and values of the wrong JSON type in one config section."""
+    spec = CONFIG_TYPES[where]
+    unknown = set(d) - set(spec)
     if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}; allowed: {sorted(spec)}")
+    for key, value in d.items():
+        if not _is_kind(value, spec[key]):
+            raise ConfigError(f"{where}.{key} must be {_KIND_NAMES[spec[key]]}, got {value!r}")
 
 
 @dataclass
@@ -110,13 +144,13 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        _check_keys(data, set(cls.__dataclass_fields__), "config")
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+        _check_types(data, "config")
         cfg = cls()
         for group in ("domain", "layout", "mesh", "material", "coolant", "load",
                       "surface", "inlet", "transient"):
             if group in data:
-                if not isinstance(data[group], dict):
-                    raise ConfigError(f"config section {group!r} must be an object")
                 if group == "layout" and "vertices" in data[group]:
                     merged = {}  # a custom channel replaces the generated layout's defaults
                 else:
@@ -128,28 +162,24 @@ class ScenarioConfig:
         if "flow_direction" in data:
             cfg.flow_direction = data["flow_direction"]
         if "steady_only" in data:
-            cfg.steady_only = bool(data["steady_only"])
+            cfg.steady_only = data["steady_only"]
         if "output_dir" in data:
             cfg.output_dir = data["output_dir"]
         cfg.validate()
         return cfg
 
     def validate(self):
-        _check_keys(self.domain, {"width", "height", "thickness"}, "domain")
+        for group in ("domain", "mesh", "material", "coolant", "load", "surface", "inlet", "transient"):
+            _check_types(getattr(self, group), group)
         if "vertices" in self.layout:
-            _check_keys(self.layout, {"vertices"}, "layout")
+            _check_types(self.layout, "vertex layout")
+            if not all(isinstance(v, list) and len(v) == 2 and all(_is_kind(c, _NUMBER) for c in v)
+                       for v in self.layout["vertices"]):
+                raise ConfigError("layout.vertices must be a list of [x, y] number pairs")
         else:
-            _check_keys(self.layout, {"kind", "spacing", "margin", "pass_count",
-                                      "offset", "inlet_edge"}, "layout")
+            _check_types(self.layout, "layout")
             if self.layout.get("kind", "u_shape") not in LAYOUT_KINDS:
                 raise ConfigError(f"layout.kind must be one of {LAYOUT_KINDS}")
-        _check_keys(self.mesh, {"n", "element_order"}, "mesh")
-        _check_keys(self.material, {"name", "mode", "file"}, "material")
-        _check_keys(self.coolant, {"density", "specific_heat", "flow_rate_ml_per_min"}, "coolant")
-        _check_keys(self.load, {"f0"}, "load")
-        _check_keys(self.surface, {"h_T", "emissivity", "theta_amb"}, "surface")
-        _check_keys(self.inlet, {"theta_inlet"}, "inlet")
-        _check_keys(self.transient, {"dt", "t_end", "bdf_order"}, "transient")
         if self.flow_direction not in ("forward", "reverse"):
             raise ConfigError("flow_direction must be 'forward' or 'reverse'")
         if self.mesh.get("n", 40) < 2:

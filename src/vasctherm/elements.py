@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mesh import triangle_areas
+
 # barycentric quadrature rules: (points (nq, 3), weights (nq,) summing to 1)
 TRI_RULE_DEG2 = (
     np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
@@ -62,6 +64,7 @@ class ElementBasis:
     areas: np.ndarray  # (T,)
     qp_weights: np.ndarray  # (nq,)
     qp_N: np.ndarray  # (nq, nen)
+    qp_dA: np.ndarray = field(repr=False)  # (T, nq): areas times rule weights
     qp_gradN: np.ndarray = field(repr=False)  # (nq, T, nen, 2)
     qp_xy: np.ndarray = field(repr=False)  # (nq, T, 2)
 
@@ -98,13 +101,9 @@ def grad_shape(order: int, lam_point, glam: np.ndarray) -> np.ndarray:
 
 def build_basis(mesh) -> ElementBasis:
     corners = mesh.nodes[mesh.triangles[:, :3]]
-    signed = 0.5 * (
-        (corners[:, 1, 0] - corners[:, 0, 0]) * (corners[:, 2, 1] - corners[:, 0, 1])
-        - (corners[:, 2, 0] - corners[:, 0, 0]) * (corners[:, 1, 1] - corners[:, 0, 1])
-    )
-    if np.any(signed <= 0):
+    areas = triangle_areas(mesh)
+    if np.any(areas <= 0):
         raise ValueError("triangles must be CCW with positive area")
-    areas = signed
     glam = _grad_lambda(corners, areas)
 
     lam, w = TRI_RULE_DEG2 if mesh.element_order == 1 else TRI_RULE_DEG4
@@ -119,7 +118,7 @@ def build_basis(mesh) -> ElementBasis:
         xy[q] = np.einsum("tic,i->tc", corners, lam[q])
     return ElementBasis(
         order=mesh.element_order, areas=areas, qp_weights=w,
-        qp_N=N, qp_gradN=gradN, qp_xy=xy,
+        qp_N=N, qp_dA=areas[:, None] * w, qp_gradN=gradN, qp_xy=xy,
     )
 
 
@@ -132,13 +131,3 @@ def basis_for(mesh) -> ElementBasis:
         basis = build_basis(mesh)
         _BASIS_CACHE[mesh] = basis
     return basis
-
-
-def integrate(mesh, nodal_values: np.ndarray) -> float:
-    """Quadrature of a finite element field over the domain."""
-    basis = basis_for(mesh)
-    vals_e = nodal_values[mesh.triangles]
-    total = 0.0
-    for q in range(len(basis.qp_weights)):
-        total += basis.qp_weights[q] * np.sum(basis.areas * (vals_e @ basis.qp_N[q]))
-    return float(total)

@@ -80,15 +80,6 @@ class ChannelMesh:
         return self.channel_nodes.size > 0
 
     @property
-    def channel_edges(self) -> list:
-        """(node_a, node_b, tangent, length) per chain edge, inlet to outlet."""
-        return [
-            (int(self.channel_nodes[k]), int(self.channel_nodes[k + 1]),
-             self.channel_tangents[k], float(self.channel_lengths[k]))
-            for k in range(len(self.channel_lengths))
-        ]
-
-    @property
     def channel_arc_length(self) -> float:
         return float(np.sum(self.channel_lengths))
 
@@ -308,8 +299,9 @@ def tag_boundary(mesh: ChannelMesh, spec=None) -> ChannelMesh:
 
 
 def triangle_areas(mesh) -> np.ndarray:
+    """Signed area of every triangle from its corners: positive when CCW."""
     p = mesh.nodes[mesh.triangles[:, :3]]
-    return 0.5 * np.abs(
+    return 0.5 * (
         (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
         - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
     )
@@ -326,7 +318,7 @@ def mesh_stats(mesh: ChannelMesh) -> MeshStats:
         n_nodes=mesh.n_nodes,
         n_triangles=len(mesh.triangles),
         h_max=float(edges.max()),
-        total_area=float(np.sum(triangle_areas(mesh))),
+        total_area=float(np.sum(np.abs(triangle_areas(mesh)))),
     )
 
 
@@ -370,12 +362,7 @@ def export_mesh_csv(mesh: ChannelMesh, outdir: str) -> list[str]:
 
 def validate_mesh(mesh: ChannelMesh) -> None:
     """Raise on violated structural invariants (positive areas, chain shape)."""
-    p = mesh.nodes[mesh.triangles[:, :3]]
-    signed = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
-    if np.any(signed <= 0):
+    if np.any(triangle_areas(mesh) <= 0):
         raise ValueError("mesh holds non-CCW or degenerate triangles")
     if mesh.has_channel:
         if mesh.channel_nodes[0] != mesh.inlet_node or mesh.channel_nodes[-1] != mesh.outlet_node:

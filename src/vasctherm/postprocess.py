@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import TemperatureField, ThermalProblem, _neumann_flux_vector
-from .elements import GAUSS_1D_2, _grad_lambda, basis_for, edge_shape, grad_shape, integrate, tri_shape
+from .assembly import TemperatureField, ThermalProblem, _neumann_flux_vector, neumann_quadrature
+from .elements import _grad_lambda, basis_for, edge_shape, grad_shape, tri_shape
 from .materials import eval_curve
 from .mesh import ChannelMesh
 
@@ -60,9 +60,15 @@ def _values(field) -> np.ndarray:
     return field.values if isinstance(field, TemperatureField) else np.asarray(field, float)
 
 
+def _at_qp(field, mesh: ChannelMesh) -> np.ndarray:
+    """The field at the assembly quadrature points, (T, nq)."""
+    return _values(field)[mesh.triangles] @ basis_for(mesh).qp_N.T
+
+
 def mean_surface_temperature(field, mesh: ChannelMesh) -> float:
     """Domain average of theta via element quadrature."""
-    return integrate(mesh, _values(field)) / float(np.sum(basis_for(mesh).areas))
+    basis = basis_for(mesh)
+    return float(np.sum(basis.qp_dA * _at_qp(field, mesh))) / float(np.sum(basis.areas))
 
 
 def outlet_temperature(field, mesh: ChannelMesh) -> float:
@@ -71,15 +77,8 @@ def outlet_temperature(field, mesh: ChannelMesh) -> float:
     return float(_values(field)[mesh.outlet_node])
 
 
-def efficiency(theta_outlet: float, theta_inlet: float, chi: float, f0: float, area: float) -> float:
-    """eta = chi (theta_outlet - theta_inlet) / (area f0) for a uniform load."""
-    if f0 == 0.0 or area <= 0.0:
-        raise ValueError("efficiency undefined: total supplied power is zero")
-    return chi * (theta_outlet - theta_inlet) / (area * f0)
-
-
 def efficiency_from_total(theta_outlet: float, theta_inlet: float, chi: float, total_load: float) -> float:
-    """General form using the integrated load (non-uniform f)."""
+    """eta = chi (theta_outlet - theta_inlet) / int_Omega f."""
     if total_load == 0.0:
         raise ValueError("efficiency undefined: total supplied power is zero")
     return chi * (theta_outlet - theta_inlet) / total_load
@@ -151,76 +150,49 @@ def energy_balance(field, problem: ThermalProblem, time: float | None = None) ->
                - chi (theta_outlet - theta_inlet) - int_Gq q_p
     computed with the assembly quadrature.
     """
-    mesh = problem.mesh
-    vals = _values(field)
     if time is None:
         time = field.time if isinstance(field, TemperatureField) else 0.0
-    basis = basis_for(mesh)
+    return _energy_balance(field, problem, time, total_load(problem, time))
+
+
+def _energy_balance(field, problem: ThermalProblem, time: float, supplied: float) -> float:
+    mesh = problem.mesh
     surf = problem.surface
-    theta_e = vals[mesh.triangles]
-    supplied = convected = radiated = 0.0
-    for q in range(len(basis.qp_weights)):
-        w = basis.qp_weights[q] * basis.areas
-        th_q = theta_e @ basis.qp_N[q]
-        supplied += np.sum(w * problem.load_at(basis.qp_xy[q, :, 0], basis.qp_xy[q, :, 1], time))
-        convected += np.sum(w * surf.h_T * (th_q - surf.theta_amb))
-        radiated += np.sum(w * surf.emissivity * surf.sigma * (th_q**4 - surf.theta_amb**4))
+    w = basis_for(mesh).qp_dA
+    th_q = _at_qp(field, mesh)
+    convected = np.sum(w * surf.h_T * (th_q - surf.theta_amb))
+    radiated = np.sum(w * surf.emissivity * surf.sigma * (th_q**4 - surf.theta_amb**4))
     extracted = 0.0
     if mesh.has_channel and problem.chi != 0.0:
-        extracted = problem.chi * (vals[mesh.outlet_node] - problem.bcs.theta_inlet)
+        extracted = problem.chi * (_values(field)[mesh.outlet_node] - problem.bcs.theta_inlet)
     boundary_out = float(np.sum(_neumann_flux_vector(problem, time)))
     return float(supplied - convected - radiated - extracted - boundary_out)
 
 
 def total_load(problem: ThermalProblem, time: float = 0.0) -> float:
     """int_Omega f dOmega with the assembly quadrature."""
-    basis = basis_for(problem.mesh)
-    out = 0.0
-    for q in range(len(basis.qp_weights)):
-        w = basis.qp_weights[q] * basis.areas
-        out += np.sum(w * problem.load_at(basis.qp_xy[q, :, 0], basis.qp_xy[q, :, 1], time))
-    return float(out)
+    return float(np.sum(basis_for(problem.mesh).qp_dA * problem.load_at_qp(time)))
 
 
 def _load_sign_range(problem: ThermalProblem, time: float) -> tuple[float, float]:
-    basis = basis_for(problem.mesh)
-    lo, hi = np.inf, -np.inf
-    for q in range(len(basis.qp_weights)):
-        f_q = problem.load_at(basis.qp_xy[q, :, 0], basis.qp_xy[q, :, 1], time)
-        lo, hi = min(lo, float(np.min(f_q))), max(hi, float(np.max(f_q)))
-    return lo, hi
+    f_q = problem.load_at_qp(time)
+    return float(np.min(f_q)), float(np.max(f_q))
 
 
 def _qp_sign_range(problem: ThermalProblem, time: float) -> tuple[float, float]:
-    mesh = problem.mesh
-    sel = mesh.boundary_tags == "neumann"
-    if not np.any(sel):
+    points, _, edges = neumann_quadrature(problem.mesh)
+    if not len(edges):
         return 0.0, 0.0
     if np.isscalar(problem.bcs.q_p):
         v = float(problem.bcs.q_p)
         return v, v
-    edges = mesh.boundary_edges[sel]
-    pa, pb = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-    xi, _ = GAUSS_1D_2
-    lo, hi = np.inf, -np.inf
-    for g in range(len(xi)):
-        frac = 0.5 * (1.0 + xi[g])
-        qv = problem.qp_at(pa[:, 0] + frac * (pb[:, 0] - pa[:, 0]),
-                           pa[:, 1] + frac * (pb[:, 1] - pa[:, 1]), time)
-        lo, hi = min(lo, float(np.min(qv))), max(hi, float(np.max(qv)))
-    return lo, hi
+    qv = problem.qp_at(points[..., 0], points[..., 1], time)
+    return float(np.min(qv)), float(np.max(qv))
 
 
 def bound_candidates(problem: ThermalProblem) -> list[float]:
-    """Ambient, inlet (when constrained), and the Dirichlet trace values."""
-    cands = [problem.surface.theta_amb]
-    if problem.mesh.has_channel and problem.chi > 0.0:
-        cands.append(problem.bcs.theta_inlet)
-    dirichlet = problem.mesh.dirichlet_nodes()
-    if dirichlet.size:
-        constrained = problem.constrained_values()
-        cands.extend(constrained[int(n)] for n in dirichlet)
-    return cands
+    """Ambient plus every constrained value: the inlet while coolant flows, and the Dirichlet trace."""
+    return [problem.surface.theta_amb, *problem.constrained_values()[1].tolist()]
 
 
 def check_bounds(field, problem: ThermalProblem, tol: float | None = None) -> BoundsReport:
@@ -274,7 +246,7 @@ def observables_for(problem: ThermalProblem, field, time: float | None = None) -
         mst=mean_surface_temperature(field, mesh),
         theta_outlet=theta_out,
         eta=eta,
-        energy_balance_residual=energy_balance(field, problem, time),
+        energy_balance_residual=_energy_balance(field, problem, time, supplied),
     )
 
 

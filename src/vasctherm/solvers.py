@@ -116,38 +116,19 @@ class SolutionSeries:
         return len(self.fields)
 
 
-def linear_solve(system: DiscreteSystem, method: str = "direct") -> np.ndarray:
-    """Newton update: solve J delta = -R.
-
-    direct uses a sparse LU factorization; iterative uses restarted GMRES
-    preconditioned with an incomplete LU. Both are deterministic for
-    fixed inputs.
-    """
-    J = system.jacobian.tocsc()
-    rhs = -system.residual
-    if method == "direct":
-        try:
-            lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU reports exact singularity
-            raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
-        pivots = np.abs(lu.U.diagonal())
-        if pivots.min() <= 1e-13 * pivots.max():
-            raise SingularSystemError(
-                "numerically singular system: pivot ratio "
-                f"{pivots.min():.3e} / {pivots.max():.3e}"
-            )
-        delta = lu.solve(rhs)
-    elif method == "iterative":
-        try:
-            ilu = spla.spilu(J, drop_tol=1e-6, fill_factor=20.0)
-        except RuntimeError as exc:
-            raise SingularSystemError(f"incomplete factorization failed: {exc}") from exc
-        M = spla.LinearOperator(J.shape, ilu.solve)
-        delta, info = spla.gmres(J, rhs, M=M, rtol=1e-12, atol=0.0, restart=60, maxiter=2000)
-        if info != 0:
-            raise SolverError(f"GMRES did not converge (info={info})")
-    else:
-        raise ValueError(f"unknown linear solver {method!r}")
+def linear_solve(system: DiscreteSystem) -> np.ndarray:
+    """Newton update: solve J delta = -R with a sparse LU factorization."""
+    try:
+        lu = spla.splu(system.jacobian.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # SuperLU reports exact singularity
+        raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.min() <= 1e-13 * pivots.max():
+        raise SingularSystemError(
+            "numerically singular system: pivot ratio "
+            f"{pivots.min():.3e} / {pivots.max():.3e}"
+        )
+    delta = lu.solve(-system.residual)
     if not np.all(np.isfinite(delta)):
         raise SingularSystemError("linear solve produced non-finite update (singular system?)")
     return delta
@@ -162,7 +143,6 @@ def solve_steady(
     terms: TermMask = ALL_TERMS,
     log: list | None = None,
     step_index: int = 0,
-    linear_method: str = "direct",
 ) -> TemperatureField:
     """Damped Newton on the (steady or, via rate, transient) residual.
 
@@ -178,10 +158,8 @@ def solve_steady(
         theta = np.full(problem.n_dofs, problem.surface.theta_amb)
     else:
         theta = np.array(theta_guess, dtype=float, copy=True)
-    constraints = problem.constrained_values()
-    if constraints:
-        ids = np.fromiter(constraints.keys(), dtype=int)
-        theta[ids] = np.fromiter((constraints[int(i)] for i in ids), dtype=float)
+    ids, vals = problem.constrained_values()
+    theta[ids] = vals
 
     system = apply_constraints(assemble_raw(problem, theta, time=time, rate=rate, terms=terms))
     rnorm = float(np.linalg.norm(system.residual))
@@ -201,7 +179,7 @@ def solve_steady(
             system = apply_constraints(
                 assemble_raw(problem, theta, time=time, rate=rate, terms=terms)
             )
-        delta = linear_solve(system, method=linear_method)
+        delta = linear_solve(system)
         lam = settings.damping
         while True:
             trial = theta + lam * delta
@@ -236,7 +214,7 @@ def solve_steady(
 
 def _accept(theta: np.ndarray, time: float) -> TemperatureField:
     field_out = TemperatureField(theta, time=time)
-    if not field_out.kelvin_positive:
+    if not np.all(field_out.values > 0.0):
         warnings.warn(
             "accepted solution violates kelvin positivity (theta <= 0 somewhere)",
             RuntimeWarning,
@@ -249,7 +227,6 @@ def solve_transient(
     tsettings: TransientSettings | None = None,
     nsettings: NewtonSettings | None = None,
     log: list | None = None,
-    linear_method: str = "direct",
 ) -> SolutionSeries:
     """Integrate from theta_initial with fixed-step BDF1/BDF2.
 
@@ -285,7 +262,6 @@ def solve_transient(
                 rate=rate,
                 log=step_log,
                 step_index=k + 1,
-                linear_method=linear_method,
             )
         except SolverError as exc:
             raise TransientError(

@@ -29,7 +29,14 @@ from .assembly import (
 from .elements import TRI_RULE_DEG4, tri_shape
 from .geometry import Domain2D, VasculaturePath
 from .materials import Coolant, PropertyCurve, SolidMaterial, constant_curve, water_coolant
-from .mesh import DIRICHLET, build_structured_mesh, embed_vasculature, mesh_without_channel, tag_boundary
+from .mesh import (
+    DIRICHLET,
+    build_structured_mesh,
+    embed_vasculature,
+    mesh_without_channel,
+    tag_boundary,
+    triangle_areas,
+)
 from .solvers import NewtonSettings, solve_steady
 
 
@@ -216,10 +223,7 @@ def _l2_and_max_error(mesh, theta_h: np.ndarray, exact) -> tuple[float, float]:
     lam, w = TRI_RULE_DEG4
     N = tri_shape(mesh.element_order, lam)  # (nq, nen)
     corners = mesh.nodes[mesh.triangles[:, :3]]
-    areas = 0.5 * np.abs(
-        (corners[:, 1, 0] - corners[:, 0, 0]) * (corners[:, 2, 1] - corners[:, 0, 1])
-        - (corners[:, 2, 0] - corners[:, 0, 0]) * (corners[:, 1, 1] - corners[:, 0, 1])
-    )
+    areas = np.abs(triangle_areas(mesh))
     vals_e = theta_h[mesh.triangles]
     acc = 0.0
     for q in range(len(w)):
@@ -270,9 +274,7 @@ def jacobian_check(
     """
     rng = np.random.default_rng(seed)
     n = problem.n_dofs
-    constraints = problem.constrained_values()
-    ids = np.fromiter(constraints.keys(), dtype=int) if constraints else np.empty(0, dtype=int)
-    vals = np.fromiter((constraints[int(i)] for i in ids), dtype=float) if constraints else np.empty(0)
+    ids, vals = problem.constrained_values()
     worst = 0.0
     for _ in range(trials):
         theta = rng.uniform(*theta_range, size=n)

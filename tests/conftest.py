@@ -4,7 +4,14 @@ import pytest
 from vasctherm.assembly import BoundaryData, SurfaceExchange, ThermalProblem
 from vasctherm.geometry import Domain2D, LayoutParams, VasculaturePath, generate_layout
 from vasctherm.materials import Coolant, PropertyCurve, SolidMaterial, builtin_material, water_coolant
-from vasctherm.mesh import build_structured_mesh, embed_vasculature, mesh_without_channel
+from vasctherm.mesh import (
+    DIRICHLET,
+    NEUMANN,
+    build_structured_mesh,
+    embed_vasculature,
+    mesh_without_channel,
+    tag_boundary,
+)
 
 WIDE = (200.0, 600.0)
 
@@ -45,6 +52,18 @@ def channel_problem(n=10, f0=1000.0, material=None, layout=None, order=1,
         load=f0,
         surface=SurfaceExchange(h_T=21.0, emissivity=emissivity, theta_amb=296.42),
         bcs=BoundaryData(theta_inlet=296.42),
+    )
+
+
+def mixed_boundary_problem(order=1, n=4):
+    """Channel plus dirichlet left edge, a callable flux elsewhere and a callable load."""
+    base = channel_problem(n=n, order=order)
+    mesh = tag_boundary(base.mesh, lambda x, y: DIRICHLET if x < 1e-12 else NEUMANN)
+    return ThermalProblem(
+        mesh=mesh, solid=wide_material(), coolant=base.coolant,
+        load=lambda x, y, t: 800.0 + 3000.0 * x * y + 500.0 * x, surface=base.surface,
+        bcs=BoundaryData(theta_inlet=296.42, theta_p=lambda x, y: 300.0 + 100.0 * y,
+                         q_p=lambda x, y, t: 1.5 + 40.0 * x * y + 5.0 * x - 0.01 * t),
     )
 
 

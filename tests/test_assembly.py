@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import WIDE, channel_problem, no_channel_problem, wide_material
+from conftest import WIDE, channel_problem, mixed_boundary_problem, no_channel_problem, wide_material
 from vasctherm.assembly import (
     BoundaryData,
     EllipticityError,
@@ -15,8 +15,6 @@ from vasctherm.assembly import (
     ThermalProblem,
     apply_constraints,
     assemble_raw,
-    assemble_steady,
-    assemble_transient,
     channel_line_term,
     dump_system,
     plan_for,
@@ -62,7 +60,7 @@ def single_triangle_mesh(thickness=1.0):
 def test_equilibrium_residual_vanishes():
     prob = channel_problem(n=10, f0=0.0)
     theta = np.full(prob.n_dofs, prob.surface.theta_amb)
-    system = assemble_steady(prob, theta)
+    system = apply_constraints(assemble_raw(prob, theta))
     assert np.max(np.abs(system.residual)) < 1e-12
 
 
@@ -94,9 +92,9 @@ def test_jacobian_matches_finite_differences_small_state():
 def test_transient_zero_rate_reduces_to_steady(rng):
     prob = channel_problem(n=6)
     theta = rng.uniform(300.0, 360.0, prob.n_dofs)
-    steady = assemble_steady(prob, theta)
+    steady = apply_constraints(assemble_raw(prob, theta))
     rate = RateWeights(coeff=0.0, rhs=np.zeros(prob.n_dofs))
-    trans = assemble_transient(prob, theta, rate)
+    trans = apply_constraints(assemble_raw(prob, theta, rate=rate))
     assert np.allclose(trans.residual, steady.residual, atol=1e-14)
     assert np.allclose((trans.jacobian - steady.jacobian).toarray(), 0.0, atol=1e-14)
 
@@ -157,14 +155,15 @@ def test_channel_term_orientation_flips_sign():
 
 def test_all_neumann_constrains_only_inlet():
     prob = channel_problem(n=6)
-    constraints = prob.constrained_values()
-    assert set(constraints) == {prob.mesh.inlet_node}
-    assert constraints[prob.mesh.inlet_node] == pytest.approx(296.42)
+    ids, vals = prob.constrained_values()
+    assert ids.tolist() == [prob.mesh.inlet_node]
+    assert vals[0] == pytest.approx(296.42)
 
 
 def test_zero_flow_removes_inlet_constraint():
     prob = channel_problem(n=6, flow_ml_per_min=0.0)
-    assert prob.constrained_values() == {}
+    ids, vals = prob.constrained_values()
+    assert ids.size == 0 and vals.size == 0
 
 
 def test_dirichlet_everywhere_constrained_count():
@@ -179,10 +178,10 @@ def test_dirichlet_everywhere_constrained_count():
         surface=prob.surface,
         bcs=BoundaryData(theta_inlet=296.42, theta_p=296.42),
     )
-    constraints = prob.constrained_values()
+    ids, vals = prob.constrained_values()
     boundary_nodes = 4 * 6  # boundary node count on an n=6 grid
     # inlet lies on the boundary, so it is already among the dirichlet nodes
-    assert len(constraints) == boundary_nodes
+    assert len(ids) == len(np.unique(ids)) == len(vals) == boundary_nodes
 
 
 def test_conflicting_inlet_prescription_rejected():
@@ -204,7 +203,7 @@ def test_conflicting_inlet_prescription_rejected():
 def test_constrained_row_is_identity_and_solution_exact(rng):
     prob = channel_problem(n=6)
     theta = rng.uniform(300.0, 340.0, prob.n_dofs)
-    system = assemble_steady(prob, theta)
+    system = apply_constraints(assemble_raw(prob, theta))
     inlet = prob.mesh.inlet_node
     row = system.jacobian.getrow(inlet).toarray().ravel()
     expected = np.zeros(prob.n_dofs)
@@ -217,7 +216,7 @@ def test_linear_case_matrix_symmetric_positive_definite():
     # eps = 0, chi = 0, constant k: steady operator is linear and SPD
     prob = no_channel_problem(n=5, emissivity=0.0)
     theta = np.full(prob.n_dofs, 310.0)
-    system = assemble_steady(prob, theta)
+    system = apply_constraints(assemble_raw(prob, theta))
     J = system.jacobian.toarray()
     assert np.allclose(J, J.T, atol=1e-14)
     assert np.min(np.linalg.eigvalsh(J)) > 0.0
@@ -278,7 +277,7 @@ def test_ellipticity_violation_raises():
     )
     theta = np.full(prob.n_dofs, 400.0)
     with pytest.raises(EllipticityError):
-        assemble_steady(prob, theta)
+        apply_constraints(assemble_raw(prob, theta))
 
 
 def test_region_scale_multiplies_conduction(rng):
@@ -297,7 +296,7 @@ def test_region_scale_multiplies_conduction(rng):
 def test_apply_constraints_preserves_symmetric_pattern(rng):
     prob = channel_problem(n=5)
     theta = rng.uniform(300.0, 340.0, prob.n_dofs)
-    system = assemble_steady(prob, theta)
+    system = apply_constraints(assemble_raw(prob, theta))
     pattern = (system.jacobian != 0).astype(int)
     assert (pattern != pattern.T).nnz == 0
 
@@ -305,7 +304,7 @@ def test_apply_constraints_preserves_symmetric_pattern(rng):
 def test_dump_system_matrix_market(tmp_path):
     prob = channel_problem(n=4)
     theta = np.full(prob.n_dofs, 300.0)
-    system = assemble_steady(prob, theta)
+    system = apply_constraints(assemble_raw(prob, theta))
     rpath, jpath = dump_system(system, str(tmp_path / "sys"))
     from scipy.io import mmread
 
@@ -315,22 +314,11 @@ def test_dump_system_matrix_market(tmp_path):
     assert np.allclose(R, system.residual)
 
 
-def mixed_boundary_problem(order=1, n=4):
-    """Channel plus dirichlet left edge, flux elsewhere and a callable load."""
-    base = channel_problem(n=n, order=order)
-    mesh = tag_boundary(base.mesh, lambda x, y: DIRICHLET if x < 1e-12 else NEUMANN)
-    return ThermalProblem(
-        mesh=mesh, solid=wide_material(), coolant=base.coolant,
-        load=lambda x, y, t: 800.0 + 3000.0 * x * y, surface=base.surface,
-        bcs=BoundaryData(theta_inlet=296.42, theta_p=lambda x, y: 300.0 + 100.0 * y, q_p=1.5),
-    )
-
-
 def random_state(prob, rng, on_constraints):
     theta = rng.uniform(300.0, 360.0, prob.n_dofs)
     if on_constraints:
-        for node, value in prob.constrained_values().items():
-            theta[node] = value
+        ids, vals = prob.constrained_values()
+        theta[ids] = vals
     return theta
 
 

@@ -230,6 +230,57 @@ def test_main_non_finite_newton_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+WRONG_TYPES = [
+    {"mesh": {"n": None}},
+    {"mesh": {"n": "40"}},
+    {"mesh": {"n": 40.0}},
+    {"mesh": {"element_order": True}},
+    {"coolant": {"flow_rate_ml_per_min": "1"}},
+    {"coolant": {"density": None}},
+    {"coolant": {"specific_heat": [4183.0]}},
+    {"surface": {"h_T": None}},
+    {"surface": {"emissivity": True}},
+    {"surface": {"theta_amb": "296"}},
+    {"domain": {"width": "a"}},
+    {"domain": {"height": None}},
+    {"domain": {"thickness": False}},
+    {"load": {"f0": "1000"}},
+    {"inlet": {"theta_inlet": None}},
+    {"transient": {"dt": "1"}},
+    {"transient": {"t_end": None}},
+    {"transient": {"bdf_order": 2.0}},
+    {"layout": {"kind": 3}},
+    {"layout": {"spacing": "0.03"}},
+    {"layout": {"margin": None}},
+    {"layout": {"pass_count": 4.5}},
+    {"layout": {"offset": True}},
+    {"layout": {"inlet_edge": None}},
+    {"layout": {"vertices": "0.05,0.1"}},
+    {"layout": {"vertices": [[0.05, {"y": 0.1}], [0.05, 0.0]]}},
+    {"material": {"name": 7}},
+    {"material": {"mode": None}},
+    {"material": {"file": 1}},
+    {"mesh": 40},
+    {"flow_direction": None},
+    {"steady_only": "yes"},
+    {"output_dir": 3},
+    [],
+    "solve",
+]
+
+
+@pytest.mark.parametrize("data", WRONG_TYPES, ids=json.dumps)
+def test_wrongly_typed_config_exits_2(data, tmp_path, capsys):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(data))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "--steady-only", "--mesh-n", "6"])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "invalid input" in err
+    assert "Traceback" not in err
+
+
 def test_custom_vertex_channel_runs(tmp_path):
     cfg = tmp_path / "vertices.json"
     cfg.write_text(json.dumps({

@@ -154,7 +154,7 @@ def test_p2_channel_carries_midside_nodes():
     grid = build_structured_mesh(DOM, 10, element_order=2)
     mesh = embed_vasculature(grid, VasculaturePath(np.array([[0.05, 0.1], [0.05, 0.0]])))
     assert len(mesh.channel_mids) == len(mesh.channel_lengths)
-    for (a, b, _, _), mid in zip(mesh.channel_edges, mesh.channel_mids):
+    for a, b, mid in zip(mesh.channel_nodes[:-1], mesh.channel_nodes[1:], mesh.channel_mids):
         assert np.allclose(mesh.nodes[mid], 0.5 * (mesh.nodes[a] + mesh.nodes[b]))
 
 

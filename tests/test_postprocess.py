@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import channel_problem, no_channel_problem, wide_material
+from conftest import channel_problem, mixed_boundary_problem, no_channel_problem, wide_material
 from vasctherm.assembly import SurfaceExchange, TemperatureField, ThermalProblem
 from vasctherm.materials import Coolant, water_coolant
-from vasctherm.mesh import build_structured_mesh, mesh_without_channel
+from vasctherm.elements import basis_for
+from vasctherm.mesh import NEUMANN, build_structured_mesh, mesh_without_channel
 from vasctherm.geometry import Domain2D
 from vasctherm.postprocess import (
+    _load_sign_range,
+    _qp_sign_range,
     arc_length_profile,
     channel_peclet,
     check_bounds,
-    efficiency,
     efficiency_from_total,
     energy_balance,
     heat_flux_field,
@@ -18,6 +20,7 @@ from vasctherm.postprocess import (
     observables_for,
     outlet_temperature,
     series_observables,
+    total_load,
 )
 from vasctherm.solvers import TransientSettings, solve_steady, solve_transient
 
@@ -53,21 +56,20 @@ def test_outlet_temperature_nodal():
 
 
 def test_efficiency_hand_value():
-    assert efficiency(306.42, 296.42, 0.0697, 1000.0, 0.01) == pytest.approx(0.0697, rel=1e-12)
-    assert efficiency(296.42, 296.42, 0.0697, 1000.0, 0.01) == 0.0
+    total = 0.01 * 1000.0  # area * f0 for a uniform load
+    assert efficiency_from_total(306.42, 296.42, 0.0697, total) == pytest.approx(0.0697, rel=1e-12)
+    assert efficiency_from_total(296.42, 296.42, 0.0697, total) == 0.0
 
 
 def test_efficiency_linear_in_delta_theta():
-    e1 = efficiency(300.0, 296.0, 0.07, 1000.0, 0.01)
-    e2 = efficiency(304.0, 296.0, 0.07, 1000.0, 0.01)
+    e1 = efficiency_from_total(300.0, 296.0, 0.07, 0.01 * 1000.0)
+    e2 = efficiency_from_total(304.0, 296.0, 0.07, 0.01 * 1000.0)
     assert e2 == pytest.approx(2.0 * e1)
 
 
 def test_efficiency_zero_load_raises():
     with pytest.raises(ValueError):
-        efficiency(300.0, 296.0, 0.07, 0.0, 0.01)
-    with pytest.raises(ValueError):
-        efficiency_from_total(300.0, 296.0, 0.07, 0.0)
+        efficiency_from_total(300.0, 296.0, 0.07, 0.01 * 0.0)
 
 
 def test_arc_profile_constant_field_flat():
@@ -118,8 +120,6 @@ def test_heat_flux_dissipative_orientation():
     prob = channel_problem(n=10)
     fld = solve_steady(prob)
     q = heat_flux_field(fld, prob)
-    from vasctherm.elements import basis_for
-
     basis = basis_for(prob.mesh)
     grad = np.einsum("tnc,tn->tc", basis.qp_gradN[0], fld.values[prob.mesh.triangles])
     assert np.all(np.einsum("tc,tc->t", q, grad) <= 1e-12)
@@ -225,3 +225,60 @@ def test_channel_peclet_small_at_desk_scale():
     pe = channel_peclet(prob)
     assert pe.shape == (len(prob.mesh.channel_lengths),)
     assert np.all(pe < 1.0)
+
+
+def per_point_reference(problem, theta, time):
+    """MST, supplied power, energy residual and sign ranges, one quadrature point at a time."""
+    mesh, surf = problem.mesh, problem.surface
+    basis = basis_for(mesh)
+    theta_e = theta[mesh.triangles]
+    integral = supplied = convected = radiated = 0.0
+    f_lo, f_hi = np.inf, -np.inf
+    for q in range(len(basis.qp_weights)):
+        w = basis.qp_weights[q] * basis.areas
+        th_q = theta_e @ basis.qp_N[q]
+        x, y = basis.qp_xy[q, :, 0], basis.qp_xy[q, :, 1]
+        f_q = np.broadcast_to(problem.load(x, y, time), x.shape)
+        integral += np.sum(w * th_q)
+        supplied += np.sum(w * f_q)
+        convected += np.sum(w * surf.h_T * (th_q - surf.theta_amb))
+        radiated += np.sum(w * surf.emissivity * surf.sigma * (th_q**4 - surf.theta_amb**4))
+        f_lo, f_hi = min(f_lo, np.min(f_q)), max(f_hi, np.max(f_q))
+    boundary = 0.0
+    q_lo, q_hi = np.inf, -np.inf
+    for edge, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        if tag != NEUMANN:
+            continue
+        pa, pb = mesh.nodes[edge[0]], mesh.nodes[edge[1]]
+        for xi in (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)):
+            x, y = pa + 0.5 * (1.0 + xi) * (pb - pa)
+            qv = problem.bcs.q_p(x, y, time)
+            boundary += 0.5 * np.linalg.norm(pb - pa) * qv  # the edge shapes sum to one
+            q_lo, q_hi = min(q_lo, qv), max(q_hi, qv)
+    extracted = problem.chi * (theta[mesh.outlet_node] - problem.bcs.theta_inlet)
+    return {
+        "mst": integral / np.sum(basis.areas),
+        "supplied": supplied,
+        "energy": supplied - convected - radiated - extracted - boundary,
+        "energy_scale": abs(supplied) + abs(convected) + abs(radiated) + abs(extracted) + abs(boundary),
+        "f_range": (f_lo, f_hi),
+        "q_range": (q_lo, q_hi),
+    }
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_quadrature_reductions_match_per_point_loops(order, rng):
+    prob = mixed_boundary_problem(order=order)
+    time = 3.0
+    for _ in range(3):
+        theta = rng.uniform(300.0, 360.0, prob.n_dofs)
+        ref = per_point_reference(prob, theta, time)
+        obs = observables_for(prob, TemperatureField(theta, time=time))
+        assert obs.mst == pytest.approx(ref["mst"], rel=1e-13)
+        assert total_load(prob, time) == pytest.approx(ref["supplied"], rel=1e-13)
+        eta = prob.chi * (theta[prob.mesh.outlet_node] - prob.bcs.theta_inlet) / ref["supplied"]
+        assert obs.eta == pytest.approx(eta, rel=1e-13)
+        for energy in (obs.energy_balance_residual, energy_balance(theta, prob, time)):
+            assert abs(energy - ref["energy"]) <= 1e-13 * ref["energy_scale"]
+        assert _load_sign_range(prob, time) == pytest.approx(ref["f_range"], rel=1e-13)
+        assert _qp_sign_range(prob, time) == pytest.approx(ref["q_range"], rel=1e-13)
