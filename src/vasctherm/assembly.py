@@ -124,13 +124,8 @@ class ThermalProblem:
     surface: SurfaceExchange = SurfaceExchange()
     bcs: BoundaryData = BoundaryData()
     theta_initial: object = None  # K, defaults to ambient
-    conductivity_scale: np.ndarray | None = None  # per-triangle multiplier
 
     def __post_init__(self):
-        if self.conductivity_scale is not None:
-            self.conductivity_scale = np.asarray(self.conductivity_scale, dtype=float)
-            if self.conductivity_scale.shape != (len(self.mesh.triangles),):
-                raise ValueError("conductivity_scale must hold one factor per triangle")
         if np.isscalar(self.load) and not np.isfinite(self.load):
             raise ValueError("load must be finite")
         if np.isscalar(self.bcs.q_p) and not np.isfinite(self.bcs.q_p):
@@ -406,12 +401,9 @@ def assemble_raw(
     coef_NN = np.zeros_like(th_q) if jacobian else None
     R_e = np.zeros_like(theta_e)
     J_e = np.zeros((T, nen, nen)) if jacobian else None
-    kscale = problem.conductivity_scale
 
     if terms.conduction:
         k_q = eval_curve(problem.solid.conductivity, th_q)
-        if kscale is not None:
-            k_q = k_q * kscale[:, None]
         if np.any(k_q <= 0.0):
             raise EllipticityError(
                 "conductivity non-positive at a quadrature point "
@@ -420,8 +412,6 @@ def assemble_raw(
         wdk = w * d * k_q
         if jacobian and terms.property_derivatives:
             kp_q = curve_derivative(problem.solid.conductivity, th_q)
-            if kscale is not None:
-                kp_q = kp_q * kscale[:, None]
             wdkp = w * d * kp_q
         if plan.p1_GGt is not None:
             GGt = plan.p1_GGt
@@ -543,13 +533,3 @@ def apply_constraints(system: DiscreteSystem) -> DiscreteSystem:
         residual=R, jacobian=None if J is None else plan.matrix(data),
         constraints=system.constraints, theta=system.theta, plan=plan,
     )
-
-
-def dump_system(system: DiscreteSystem, path_prefix: str) -> tuple[str, str]:
-    """Write residual and Jacobian in matrix-market text format."""
-    from scipy.io import mmwrite
-
-    rpath, jpath = f"{path_prefix}_residual.mtx", f"{path_prefix}_jacobian.mtx"
-    mmwrite(rpath, system.residual[:, None])
-    mmwrite(jpath, system.jacobian)
-    return rpath, jpath

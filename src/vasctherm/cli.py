@@ -54,23 +54,15 @@ from .verification import (
     toggle_masks,
 )
 
-# engineering thresholds for the reversal experiment; the theory gives exact
-# invariance, these bound the acceptable discrete gap at desk resolution
-REVERSAL_STEADY_TOL = 0.05  # K
-REVERSAL_TRANSIENT_TOL = 0.2  # K
+# engineering thresholds (K) for the reversal experiment; the theory gives
+# exact invariance, these bound the acceptable discrete gap at desk resolution
+REVERSAL_THRESHOLDS = {"steady": 0.05, "transient": 0.2}
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_INVALID_INPUT, EXIT_SOLVER_FAILURE = 0, 1, 2, 3
 
 
 class ConfigError(ValueError):
     pass
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("VASCTHERM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _fmt(x) -> str:
@@ -86,8 +78,8 @@ def _json_safe(x):
 
 _NUMBER = (int, float)
 _TEXT_OR_NULL = (str, type(None))
-_KIND_NAMES = {_NUMBER: "a number", int: "an integer", str: "a string", bool: "true or false",
-               list: "a list", _TEXT_OR_NULL: "a string or null"}
+_KIND_NAMES = {_NUMBER: "a finite number", int: "an integer", str: "a string",
+               bool: "true or false", list: "a list", _TEXT_OR_NULL: "a string or null"}
 
 # section -> key -> accepted JSON type; "config" is the top level. A bool is
 # never a number, and the integer fields reject 40.0 as well as "40".
@@ -110,7 +102,11 @@ CONFIG_TYPES = {
 
 
 def _is_kind(value, kind) -> bool:
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    if kind is bool:
+        return isinstance(value, bool)
+    if kind is _NUMBER and isinstance(value, _NUMBER) and not abs(value) <= sys.float_info.max:
+        return False  # NaN and Infinity, which json reads, and integers beyond float range
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_types(d: dict, where: str):
@@ -288,16 +284,6 @@ class RunResult:
     wall_time: float = 0.0
 
 
-@dataclass(eq=False)
-class ExperimentReport:
-    """Aggregate of one or more runs with cross-run deltas and echoes."""
-
-    kind: str
-    runs: dict
-    summary: dict
-    out_dir: str | None = None
-
-
 _NOTES = (
     "initial temperature not specified by the scenario source; ambient assumed",
     "flow-reversal gap thresholds (0.05 K steady, 0.2 K transient) are engineering choices",
@@ -432,99 +418,82 @@ def _write_run(run: RunResult, outdir: str) -> None:
         fh.write("\n")
 
 
-def run_scenario(config: ScenarioConfig, outdir: str) -> ExperimentReport:
-    run = execute_run(config)
-    _write_run(run, outdir)
-    return ExperimentReport(kind="solve", runs={"run": run}, summary={}, out_dir=outdir)
+def run_scenario(config: ScenarioConfig, outdir: str) -> None:
+    _write_run(execute_run(config), outdir)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _paired_runs(configs: dict[str, ScenarioConfig]) -> dict[str, RunResult]:
-    names = list(configs)
-    if worker_count() > 1:
-        with ThreadPoolExecutor(max_workers=min(worker_count(), len(names))) as pool:
-            futures = {name: pool.submit(execute_run, configs[name]) for name in names}
-            return {name: futures[name].result() for name in names}
-    return {name: execute_run(configs[name]) for name in names}
+    with ThreadPoolExecutor(max_workers=min(len(configs), _usable_cpus())) as pool:
+        futures = {name: pool.submit(execute_run, cfg) for name, cfg in configs.items()}
+        return {name: future.result() for name, future in futures.items()}
 
 
-def flow_reversal_experiment(config: ScenarioConfig, outdir: str) -> ExperimentReport:
+# Observables field -> its name in the deltas.csv and summary.json keys
+_DELTA_NAMES = {"mst": "dmst", "eta": "deta", "theta_outlet": "doutlet"}
+
+
+def _abs_delta(a: float, b: float) -> float:
+    return abs(a - b) if np.isfinite(a) and np.isfinite(b) else float("nan")
+
+
+def _paired_experiment(config: ScenarioConfig, outdir: str, configs: dict[str, ScenarioConfig],
+                       fields: tuple[str, ...], thresholds: dict | None = None) -> dict:
+    """Run a pair of scenarios, write each run, their |differences| and a summary.
+
+    With thresholds, the summary passes when every steady difference is
+    within thresholds["steady"] and every transient one within
+    thresholds["transient"]; non-finite differences are skipped in the
+    transient maxima.
+    """
+    runs = _paired_runs(configs)
+    os.makedirs(outdir, exist_ok=True)
+    for name, run in runs.items():
+        _write_run(run, os.path.join(outdir, name))
+    first, second = runs.values()
+    columns = {f: [_abs_delta(getattr(a, f), getattr(b, f))
+                   for a, b in zip(first.series_obs, second.series_obs)] for f in fields}
+    _write_csv(os.path.join(outdir, "deltas.csv"),
+               ["t"] + [f"abs_{_DELTA_NAMES[f]}" for f in fields],
+               [[_fmt(obs.t), *map(_fmt, ds)]
+                for obs, *ds in zip(first.series_obs, *columns.values())])
+    steady = {f: _abs_delta(getattr(first.steady_obs, f), getattr(second.steady_obs, f))
+              for f in fields}
+    transient = {f: max((d for d in columns[f] if np.isfinite(d)), default=0.0) for f in fields}
+    summary = {"config_echo": config.to_dict(), "versions": _versions(), "notes": list(_NOTES)}
+    for f in fields:
+        summary[f"steady_abs_{_DELTA_NAMES[f]}"] = _json_safe(steady[f])
+        summary[f"transient_max_abs_{_DELTA_NAMES[f]}"] = transient[f]
+    if thresholds is not None:
+        summary["thresholds"] = dict(thresholds)
+        summary["passed"] = all(steady[f] <= thresholds["steady"]
+                                and transient[f] <= thresholds["transient"] for f in fields)
+    with open(os.path.join(outdir, "summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return summary
+
+
+def flow_reversal_experiment(config: ScenarioConfig, outdir: str) -> dict:
     """Forward and reverse runs with identical everything else, plus deltas."""
-    runs = _paired_runs({
+    return _paired_experiment(config, outdir, {
         "forward": config.replace(flow_direction="forward"),
         "reverse": config.replace(flow_direction="reverse"),
-    })
-    os.makedirs(outdir, exist_ok=True)
-    for name, run in runs.items():
-        _write_run(run, os.path.join(outdir, name))
-
-    fwd, rev = runs["forward"], runs["reverse"]
-    steady_dmst = abs(fwd.steady_obs.mst - rev.steady_obs.mst)
-    steady_dout = abs(fwd.steady_obs.theta_outlet - rev.steady_obs.theta_outlet)
-    rows, max_dmst, max_dout = [], 0.0, 0.0
-    for of, orv in zip(fwd.series_obs, rev.series_obs):
-        dm, do = abs(of.mst - orv.mst), abs(of.theta_outlet - orv.theta_outlet)
-        max_dmst, max_dout = max(max_dmst, dm), max(max_dout, do)
-        rows.append([_fmt(of.t), _fmt(dm), _fmt(do)])
-    _write_csv(os.path.join(outdir, "deltas.csv"), ["t", "abs_dmst", "abs_doutlet"], rows)
-    passed = (
-        steady_dmst <= REVERSAL_STEADY_TOL
-        and steady_dout <= REVERSAL_STEADY_TOL
-        and max_dmst <= REVERSAL_TRANSIENT_TOL
-        and max_dout <= REVERSAL_TRANSIENT_TOL
-    )
-    summary = {
-        "steady_abs_dmst": steady_dmst,
-        "steady_abs_doutlet": steady_dout,
-        "transient_max_abs_dmst": max_dmst,
-        "transient_max_abs_doutlet": max_dout,
-        "thresholds": {"steady": REVERSAL_STEADY_TOL, "transient": REVERSAL_TRANSIENT_TOL},
-        "passed": passed,
-        "config_echo": config.to_dict(),
-        "versions": _versions(),
-        "notes": list(_NOTES),
-    }
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return ExperimentReport(kind="flow-reversal", runs=runs, summary=summary, out_dir=outdir)
+    }, ("mst", "theta_outlet"), REVERSAL_THRESHOLDS)
 
 
-def compare_cmp_tdmp(config: ScenarioConfig, outdir: str) -> ExperimentReport:
+def compare_cmp_tdmp(config: ScenarioConfig, outdir: str) -> dict:
     """Paired constant-vs-temperature-dependent property runs."""
-    runs = _paired_runs({
+    return _paired_experiment(config, outdir, {
         "cmp": config.replace(material={"mode": "CMP"}),
         "tdmp": config.replace(material={"mode": "TDMP"}),
-    })
-    os.makedirs(outdir, exist_ok=True)
-    for name, run in runs.items():
-        _write_run(run, os.path.join(outdir, name))
-    cmp_run, tdmp_run = runs["cmp"], runs["tdmp"]
-    rows, max_dmst, max_deta = [], 0.0, 0.0
-    for oc, ot in zip(cmp_run.series_obs, tdmp_run.series_obs):
-        dm = abs(oc.mst - ot.mst)
-        de = abs(oc.eta - ot.eta) if np.isfinite(oc.eta) and np.isfinite(ot.eta) else float("nan")
-        if np.isfinite(de):
-            max_deta = max(max_deta, de)
-        max_dmst = max(max_dmst, dm)
-        rows.append([_fmt(oc.t), _fmt(dm), _fmt(de),
-                     _fmt(abs(oc.theta_outlet - ot.theta_outlet))])
-    _write_csv(os.path.join(outdir, "deltas.csv"),
-               ["t", "abs_dmst", "abs_deta", "abs_doutlet"], rows)
-    summary = {
-        "steady_abs_dmst": abs(cmp_run.steady_obs.mst - tdmp_run.steady_obs.mst),
-        "steady_abs_deta": _json_safe(abs(cmp_run.steady_obs.eta - tdmp_run.steady_obs.eta)),
-        "steady_abs_doutlet": _json_safe(
-            abs(cmp_run.steady_obs.theta_outlet - tdmp_run.steady_obs.theta_outlet)),
-        "transient_max_abs_dmst": max_dmst,
-        "transient_max_abs_deta": max_deta,
-        "config_echo": config.to_dict(),
-        "versions": _versions(),
-        "notes": list(_NOTES),
-    }
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return ExperimentReport(kind="compare-props", runs=runs, summary=summary, out_dir=outdir)
+    }, ("mst", "eta", "theta_outlet"))
 
 
 def run_verify(outdir: str, full: bool = False, seed: int = 0) -> int:
@@ -685,13 +654,13 @@ def main(argv=None) -> int:
             run_scenario(config, args.out)
             return EXIT_OK
         if args.command == "flow-reversal":
-            report = flow_reversal_experiment(config, args.out)
-            return EXIT_OK if report.summary["passed"] else EXIT_CHECK_FAILED
+            summary = flow_reversal_experiment(config, args.out)
+            return EXIT_OK if summary["passed"] else EXIT_CHECK_FAILED
         if args.command == "compare-props":
             compare_cmp_tdmp(config, args.out)
             return EXIT_OK
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # ConfigError and JSONDecodeError included
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except SolverError as exc:

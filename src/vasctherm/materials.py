@@ -111,9 +111,6 @@ class Coolant:
 @dataclass(frozen=True)
 class EllipticityReport:
     k1: float  # W/(m*K), sampled lower bound of k_s
-    sampled_min: float
-    sampled_max: float
-    sample_count: int
     passed: bool
 
 
@@ -134,13 +131,7 @@ def check_ellipticity(material: SolidMaterial, samples: int = 101) -> Ellipticit
     theta = np.linspace(lo, hi, samples)
     values = eval_curve(material.conductivity, theta)
     k1 = float(np.min(values))
-    return EllipticityReport(
-        k1=k1,
-        sampled_min=k1,
-        sampled_max=float(np.max(values)),
-        sample_count=samples,
-        passed=k1 > 0.0,
-    )
+    return EllipticityReport(k1=k1, passed=k1 > 0.0)
 
 
 def _curve_from_dict(d: dict, unit_default: str = "") -> PropertyCurve:

@@ -322,13 +322,6 @@ def mesh_stats(mesh: ChannelMesh) -> MeshStats:
     )
 
 
-def snapped_path(mesh: ChannelMesh) -> VasculaturePath:
-    """The channel chain as a polyline (the geometry actually solved)."""
-    if not mesh.has_channel:
-        raise ValueError("mesh has no channel")
-    return VasculaturePath(mesh.nodes[mesh.channel_nodes].copy())
-
-
 def export_mesh_csv(mesh: ChannelMesh, outdir: str) -> list[str]:
     """Write nodes/triangles/boundary/channel CSVs; returns file paths."""
     os.makedirs(outdir, exist_ok=True)

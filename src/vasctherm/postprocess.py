@@ -123,8 +123,6 @@ def heat_flux_field(field, problem: ThermalProblem) -> np.ndarray:
         gradN = grad_shape(2, centroid, _grad_lambda(corners, basis.areas))
     grad_theta = np.einsum("tnc,tn->tc", gradN, theta_e)
     k = eval_curve(problem.solid.conductivity, theta_c)
-    if problem.conductivity_scale is not None:
-        k = k * problem.conductivity_scale
     return -k[:, None] * grad_theta
 
 

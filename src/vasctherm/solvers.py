@@ -54,16 +54,12 @@ class NewtonSettings:
     abs_tol: float = 1e-8  # residual 2-norm, W
     rel_tol: float = 1e-12  # reduction relative to the first residual
     max_iters: int = 25
-    damping: float = 1.0
-    line_search: bool = True
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -180,7 +176,7 @@ def solve_steady(
                 assemble_raw(problem, theta, time=time, rate=rate, terms=terms)
             )
         delta = linear_solve(system)
-        lam = settings.damping
+        lam = 1.0
         while True:
             trial = theta + lam * delta
             trial_system = apply_constraints(
@@ -188,7 +184,7 @@ def solve_steady(
             )
             trial_norm = float(np.linalg.norm(trial_system.residual))
             finite = bool(np.isfinite(trial_norm))
-            if finite and (not settings.line_search or trial_norm < rnorm):
+            if finite and trial_norm < rnorm:
                 break
             if lam <= 1.0 / 64.0:
                 if not finite:

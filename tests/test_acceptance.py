@@ -249,8 +249,7 @@ def test_criterion_08_flow_reversal_invariants(tmp_path_factory):
                 "transient": {"dt": 1.0, "t_end": 1500.0, "bdf_order": 2},
             })
             outdir = base / f"{lname}_{int(f0)}"
-            report = flow_reversal_experiment(cfg, str(outdir))
-            summaries[(lname, f0)] = report.summary
+            summaries[(lname, f0)] = flow_reversal_experiment(cfg, str(outdir))
             rows = (outdir / "forward" / "observables.csv").read_text().strip().splitlines()
             assert len(rows) == 1 + 1500  # one observable row per time step
     worst_steady = max(max(s["steady_abs_dmst"], s["steady_abs_doutlet"])

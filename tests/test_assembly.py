@@ -16,7 +16,6 @@ from vasctherm.assembly import (
     apply_constraints,
     assemble_raw,
     channel_line_term,
-    dump_system,
     plan_for,
 )
 from vasctherm.elements import basis_for
@@ -280,38 +279,12 @@ def test_ellipticity_violation_raises():
         apply_constraints(assemble_raw(prob, theta))
 
 
-def test_region_scale_multiplies_conduction(rng):
-    base = no_channel_problem(n=4, emissivity=0.0)
-    scaled = ThermalProblem(
-        mesh=base.mesh, solid=base.solid, coolant=base.coolant, load=base.load,
-        surface=base.surface, conductivity_scale=np.full(len(base.mesh.triangles), 2.0),
-    )
-    theta = rng.uniform(300.0, 340.0, base.n_dofs)
-    mask = TermMask(convection=False, radiation=False, channel=False)
-    j1 = assemble_raw(base, theta, terms=mask).jacobian.toarray()
-    j2 = assemble_raw(scaled, theta, terms=mask).jacobian.toarray()
-    assert np.allclose(j2, 2.0 * j1, atol=1e-13)
-
-
 def test_apply_constraints_preserves_symmetric_pattern(rng):
     prob = channel_problem(n=5)
     theta = rng.uniform(300.0, 340.0, prob.n_dofs)
     system = apply_constraints(assemble_raw(prob, theta))
     pattern = (system.jacobian != 0).astype(int)
     assert (pattern != pattern.T).nnz == 0
-
-
-def test_dump_system_matrix_market(tmp_path):
-    prob = channel_problem(n=4)
-    theta = np.full(prob.n_dofs, 300.0)
-    system = apply_constraints(assemble_raw(prob, theta))
-    rpath, jpath = dump_system(system, str(tmp_path / "sys"))
-    from scipy.io import mmread
-
-    J = mmread(jpath)
-    assert J.shape == (prob.n_dofs, prob.n_dofs)
-    R = np.asarray(mmread(rpath)).ravel()
-    assert np.allclose(R, system.residual)
 
 
 def random_state(prob, rng, on_constraints):

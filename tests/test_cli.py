@@ -1,9 +1,12 @@
 import json
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from vasctherm import cli
 from vasctherm.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID_INPUT,
@@ -17,7 +20,6 @@ from vasctherm.cli import (
     load_config,
     main,
     run_scenario,
-    worker_count,
 )
 
 FAST = {
@@ -35,6 +37,18 @@ def fast_config(**extra) -> ScenarioConfig:
         else:
             data[key] = val
     return ScenarioConfig.from_dict(data)
+
+
+def _files_match(dir1, dir2):
+    """Every file under dir1 equals its copy under dir2, bar summary wall times."""
+    files = sorted(p.relative_to(dir1) for p in dir1.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(dir2) for p in dir2.rglob("*") if p.is_file())
+    for rel in files:
+        b1, b2 = (dir1 / rel).read_bytes(), (dir2 / rel).read_bytes()
+        if rel.name == "summary.json":
+            b1, b2 = (
+                {k: v for k, v in json.loads(b).items() if k != "wall_time_s"} for b in (b1, b2))
+        assert b1 == b2, rel
 
 
 def test_defaults_are_table_values():
@@ -130,8 +144,8 @@ def test_zero_flow_forward_reverse_bitwise_identical():
 
 def test_flow_reversal_experiment_passes(tmp_path):
     out = tmp_path / "fr"
-    report = flow_reversal_experiment(fast_config(), str(out))
-    assert report.summary["passed"]
+    summary = flow_reversal_experiment(fast_config(), str(out))
+    assert summary["passed"]
     assert (out / "forward" / "observables.csv").exists()
     assert (out / "reverse" / "observables.csv").exists()
     deltas = (out / "deltas.csv").read_text().strip().splitlines()
@@ -140,9 +154,9 @@ def test_flow_reversal_experiment_passes(tmp_path):
 
 
 def test_flow_reversal_cmp_mode_also_invariant(tmp_path):
-    report = flow_reversal_experiment(
+    summary = flow_reversal_experiment(
         fast_config(material={"mode": "CMP"}), str(tmp_path / "fr_cmp"))
-    assert report.summary["passed"]
+    assert summary["passed"]
 
 
 def test_compare_props_control_is_zero_delta(tmp_path):
@@ -157,14 +171,14 @@ def test_compare_props_control_is_zero_delta(tmp_path):
     mat_file = tmp_path / "flat.json"
     mat_file.write_text(json.dumps(record))
     cfg = fast_config(material={"name": "flat", "mode": "TDMP", "file": str(mat_file)})
-    report = compare_cmp_tdmp(cfg, str(tmp_path / "cmp"))
-    assert report.summary["steady_abs_dmst"] == 0.0
-    assert report.summary["transient_max_abs_dmst"] == 0.0
+    summary = compare_cmp_tdmp(cfg, str(tmp_path / "cmp"))
+    assert summary["steady_abs_dmst"] == 0.0
+    assert summary["transient_max_abs_dmst"] == 0.0
 
 
 def test_compare_props_emits_deltas(tmp_path):
-    report = compare_cmp_tdmp(fast_config(), str(tmp_path / "props"))
-    assert np.isfinite(report.summary["steady_abs_dmst"])
+    summary = compare_cmp_tdmp(fast_config(), str(tmp_path / "props"))
+    assert np.isfinite(summary["steady_abs_dmst"])
     assert (tmp_path / "props" / "cmp" / "summary.json").exists()
     assert (tmp_path / "props" / "tdmp" / "summary.json").exists()
 
@@ -174,15 +188,7 @@ def test_rerun_from_echoed_config_is_byte_identical(tmp_path):
     run_scenario(fast_config(), str(out1))
     echoed = load_config(str(out1 / "config_echo.json"))
     run_scenario(echoed, str(out2))
-    for name in os.listdir(out1):
-        b1 = (out1 / name).read_bytes()
-        b2 = (out2 / name).read_bytes()
-        if name == "summary.json":  # wall time differs between runs
-            s1 = {k: v for k, v in json.loads(b1).items() if k != "wall_time_s"}
-            s2 = {k: v for k, v in json.loads(b2).items() if k != "wall_time_s"}
-            assert s1 == s2
-        else:
-            assert b1 == b2, name
+    _files_match(out1, out2)
 
 
 def test_main_exit_codes(tmp_path):
@@ -236,16 +242,20 @@ WRONG_TYPES = [
     {"mesh": {"n": 40.0}},
     {"mesh": {"element_order": True}},
     {"coolant": {"flow_rate_ml_per_min": "1"}},
+    {"coolant": {"flow_rate_ml_per_min": float("inf")}},
     {"coolant": {"density": None}},
     {"coolant": {"specific_heat": [4183.0]}},
     {"surface": {"h_T": None}},
+    {"surface": {"h_T": float("nan")}},
     {"surface": {"emissivity": True}},
     {"surface": {"theta_amb": "296"}},
     {"domain": {"width": "a"}},
     {"domain": {"height": None}},
     {"domain": {"thickness": False}},
     {"load": {"f0": "1000"}},
+    {"load": {"f0": 2**1024}},  # just beyond the float range
     {"inlet": {"theta_inlet": None}},
+    {"inlet": {"theta_inlet": float("nan")}},
     {"transient": {"dt": "1"}},
     {"transient": {"t_end": None}},
     {"transient": {"bdf_order": 2.0}},
@@ -353,34 +363,43 @@ def test_verify_subcommand(tmp_path):
     assert summary["failures"] == []
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("VASCTHERM_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("VASCTHERM_THREADS", "junk")
-    assert worker_count() == 1
-    monkeypatch.delenv("VASCTHERM_THREADS")
-    assert worker_count() == 1
-
-
-def test_threaded_experiment_matches_serial(tmp_path, monkeypatch):
+def test_paired_runs_match_runs_alone(tmp_path):
+    # the pair runs concurrently on up to as many CPUs as the process may use;
+    # each run's directory must equal the same config solved alone
     cfg = fast_config(transient={"t_end": 3.0})
-    monkeypatch.setenv("VASCTHERM_THREADS", "1")
-    serial = flow_reversal_experiment(cfg, str(tmp_path / "serial"))
-    monkeypatch.setenv("VASCTHERM_THREADS", "2")
-    threaded = flow_reversal_experiment(cfg, str(tmp_path / "threaded"))
-    assert serial.summary["steady_abs_dmst"] == threaded.summary["steady_abs_dmst"]
-    for sub in ("forward", "reverse"):
-        b1 = (tmp_path / "serial" / sub / "observables.csv").read_bytes()
-        b2 = (tmp_path / "threaded" / sub / "observables.csv").read_bytes()
-        assert b1 == b2
-    # every file either run wrote matches, bar the wall-clock time in the summaries
-    files = sorted(p.relative_to(tmp_path / "serial") for p in (tmp_path / "serial").rglob("*")
-                   if p.is_file())
-    assert len(files) > 10
-    for rel in files:
-        b1 = (tmp_path / "serial" / rel).read_bytes()
-        b2 = (tmp_path / "threaded" / rel).read_bytes()
-        if rel.name == "summary.json":
-            b1, b2 = (
-                {k: v for k, v in json.loads(b).items() if k != "wall_time_s"} for b in (b1, b2))
-        assert b1 == b2, rel
+    flow_reversal_experiment(cfg, str(tmp_path / "flow-reversal"))
+    compare_cmp_tdmp(cfg, str(tmp_path / "compare-props"))
+    alone = {
+        "flow-reversal/forward": cfg.replace(flow_direction="forward"),
+        "flow-reversal/reverse": cfg.replace(flow_direction="reverse"),
+        "compare-props/cmp": cfg.replace(material={"mode": "CMP"}),
+        "compare-props/tdmp": cfg.replace(material={"mode": "TDMP"}),
+    }
+    for sub, single in alone.items():
+        run_scenario(single, str(tmp_path / "alone" / sub))
+        _files_match(tmp_path / "alone" / sub, tmp_path / sub)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_paired_runs_use_one_thread_per_usable_cpu(cpus, monkeypatch):
+    pool_sizes = []
+    workers = min(cpus, 2)
+    barrier = threading.Barrier(workers, timeout=10.0)  # with two workers both runs are in flight
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    def fake_run(config):
+        barrier.wait()
+        return config
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "execute_run", fake_run)
+    cfg = fast_config()
+    runs = cli._paired_runs({"forward": cfg, "reverse": cfg.replace(flow_direction="reverse")})
+    assert pool_sizes == [workers]
+    assert list(runs) == ["forward", "reverse"]
+    assert runs["reverse"].flow_direction == "reverse"

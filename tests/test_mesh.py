@@ -10,7 +10,6 @@ from vasctherm.mesh import (
     export_mesh_csv,
     mesh_stats,
     mesh_without_channel,
-    snapped_path,
     tag_boundary,
     validate_mesh,
 )
@@ -59,7 +58,7 @@ def test_u_shape_snaps_exactly_on_n20():
     mesh = embed_vasculature(grid, path)
     assert mesh.snap_error == 0.0
     assert mesh.channel_arc_length == pytest.approx(0.19)
-    assert arc_length(snapped_path(mesh)) == pytest.approx(0.19)
+    assert arc_length(VasculaturePath(mesh.nodes[mesh.channel_nodes])) == pytest.approx(0.19)
 
 
 def test_snap_error_reported_within_half_cell():
@@ -74,7 +73,8 @@ def test_chain_lengths_sum_to_snapped_arclength():
     grid = build_structured_mesh(DOM, 20)
     path = generate_layout(DOM, LayoutParams(kind="serpentine", spacing=0.02, pass_count=4))
     mesh = embed_vasculature(grid, path)
-    assert mesh.channel_arc_length == pytest.approx(arc_length(snapped_path(mesh)))
+    assert mesh.channel_arc_length == pytest.approx(
+        arc_length(VasculaturePath(mesh.nodes[mesh.channel_nodes])))
     s = mesh.channel_arc_coords()
     assert s[0] == 0.0 and np.all(np.diff(s) > 0)
 

@@ -132,7 +132,7 @@ def test_transient_failure_carries_partial_series():
         solve_transient(
             prob,
             TransientSettings(dt=500.0, t_end=1500.0),
-            NewtonSettings(abs_tol=1e-14, rel_tol=1e-16, max_iters=1, line_search=False),
+            NewtonSettings(abs_tol=1e-14, rel_tol=1e-16, max_iters=1),
         )
     assert err.value.series is not None
     assert len(err.value.series) >= 1
