@@ -124,6 +124,7 @@ class ThermalProblem:
     surface: SurfaceExchange = SurfaceExchange()
     bcs: BoundaryData = BoundaryData()
     theta_initial: object = None  # K, defaults to ambient
+    _constraints: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if np.isscalar(self.load) and not np.isfinite(self.load):
@@ -171,7 +172,15 @@ class ThermalProblem:
         coolant actually flows (chi > 0); with the flow off there is no
         fluid entering whose temperature could be prescribed, and the
         zero-flow limit must not depend on the nominal flow direction.
+        The pair is built on the first call and cached as read-only
+        arrays; it depends only on the mesh, bcs and coolant.
         """
+        if self._constraints is None:
+            ids, vals = self._build_constraints()
+            self._constraints = _read_only(ids), _read_only(vals)
+        return self._constraints
+
+    def _build_constraints(self) -> tuple[np.ndarray, np.ndarray]:
         mesh = self.mesh
         ids = mesh.dirichlet_nodes()
         vals = np.empty(0)
@@ -210,7 +219,10 @@ class AssemblyPlan:
     P1 gradients are constant per triangle, so the plan also holds the
     per-triangle G G^T; P2 gradients are laid out triangle-major, so the
     conduction blocks of all quadrature points are one batched matmul.
-    N (x) N is tabulated per quadrature point.
+    N (x) N is tabulated per quadrature point. The chan_* tables hold
+    the channel chain's edge nodes and, per Gauss point g, the edge
+    shape values N_g, their arc-length derivatives dN/ds and the products
+    N_i dN_j/ds, so the channel term rebuilds none of them per call.
     """
 
     n: int
@@ -222,6 +234,11 @@ class AssemblyPlan:
     qp_NN: np.ndarray = field(repr=False)  # (nq, nen * nen)
     p1_GGt: np.ndarray | None = field(repr=False)  # (T, nen, nen), P1 only
     qp_grads: np.ndarray | None = field(repr=False)  # (T, nen, nq, 2), P2 only
+    chan_nodes: np.ndarray = field(repr=False)  # (E, k)
+    chan_N: np.ndarray = field(repr=False)  # (ng, k)
+    chan_dNds: np.ndarray = field(repr=False)  # (ng, E, k)
+    chan_NdNds: np.ndarray = field(repr=False)  # (ng, E, k, k)
+    chan_half_w: np.ndarray = field(repr=False)  # (ng,) Gauss weights / 2: dGamma = (ell / 2) dxi
     _constraint_slots: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -284,6 +301,11 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
         raise ValueError("mesh holds a node that belongs to no triangle")
     N, G = basis.qp_N, basis.qp_gradN  # (nq, nen), (nq, T, nen, 2)
     p1 = mesh.element_order == 1
+    xi, wgt = GAUSS_1D_1 if p1 else GAUSS_1D_2
+    chan_N, dNdxi = edge_shape(mesh.element_order, xi)  # (ng, k) each
+    with np.errstate(divide="ignore"):  # channel_line_term rejects zero-length edges
+        inv_half_ell = 2.0 / mesh.channel_lengths
+    chan_dNds = inv_half_ell[None, :, None] * dNdxi[:, None, :]  # (ng, E, k)
     return AssemblyPlan(
         n=n,
         indptr=_read_only(indptr),
@@ -294,6 +316,11 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
         qp_NN=_read_only(np.einsum("qi,qj->qij", N, N).reshape(len(N), -1)),
         p1_GGt=_read_only(np.einsum("tic,tjc->tij", G[0], G[0])) if p1 else None,
         qp_grads=None if p1 else _read_only(np.ascontiguousarray(G.transpose(1, 2, 0, 3))),
+        chan_nodes=_read_only(chan_nodes),
+        chan_N=_read_only(chan_N),
+        chan_dNds=_read_only(chan_dNds),
+        chan_NdNds=_read_only(chan_N[:, None, :, None] * chan_dNds[:, :, None, :]),
+        chan_half_w=_read_only(wgt * 0.5),
     )
 
 
@@ -337,7 +364,8 @@ def channel_line_term(mesh: ChannelMesh, theta: np.ndarray, chi: float, jacobian
     Returns (nodes, residual, jacobian) with shapes (E, k), (E, k) and
     (E, k, k), where k is 2 for linear and 3 for quadratic edges; the
     jacobian is None when not asked for. The one-point (P1) / two-point
-    (P2) Gauss rules integrate the edge terms.
+    (P2) Gauss rules integrate the edge terms; their tables live in the
+    mesh's assembly plan.
     """
     if not mesh.has_channel:
         empty = np.empty((0, 2))
@@ -345,21 +373,17 @@ def channel_line_term(mesh: ChannelMesh, theta: np.ndarray, chi: float, jacobian
     ell = mesh.channel_lengths
     if np.any(ell <= 0):
         raise ValueError("channel chain holds a zero-length edge")
-    nodes = _channel_edge_nodes(mesh)
-    xi, wgt = GAUSS_1D_1 if mesh.element_order == 1 else GAUSS_1D_2
+    plan = plan_for(mesh)
+    nodes = plan.chan_nodes
     theta_e = theta[nodes]  # (E, k)
-    E, k = nodes.shape
-    res = np.zeros((E, k))
-    jac = np.zeros((E, k, k)) if jacobian else None
-    for g in range(len(xi)):
-        N, dNdxi = edge_shape(mesh.element_order, xi[g:g + 1])
-        N, dNdxi = N[0], dNdxi[0]
-        dNds = (2.0 / ell)[:, None] * dNdxi  # (E, k)
-        dthds = np.einsum("ek,ek->e", dNds, theta_e)
-        scale = chi * wgt[g] * 0.5 * ell  # d(Gamma) = (ell/2) d(xi)
-        res += (scale * dthds)[:, None] * N
+    res = np.zeros(nodes.shape)
+    jac = np.zeros(plan.chan_NdNds.shape[1:]) if jacobian else None
+    for g, half_w in enumerate(plan.chan_half_w):
+        dthds = np.einsum("ek,ek->e", plan.chan_dNds[g], theta_e)
+        scale = chi * half_w * ell
+        res += (scale * dthds)[:, None] * plan.chan_N[g]
         if jacobian:
-            jac += scale[:, None, None] * np.einsum("i,ek->eik", N, dNds)
+            jac += scale[:, None, None] * plan.chan_NdNds[g]
     return nodes, res, jac
 
 
@@ -469,7 +493,8 @@ def assemble_raw(
         if jacobian:
             np.add.at(data, plan.chan_slots, cjac.ravel())
 
-    R += _neumann_flux_vector(problem, time)
+    if not _zero_flux(problem):
+        R += _neumann_flux_vector(problem, time)
 
     return DiscreteSystem(
         residual=R, jacobian=plan.matrix(data) if jacobian else None,
@@ -491,10 +516,15 @@ def neumann_quadrature(mesh: ChannelMesh):
     return points, weights, edges
 
 
+def _zero_flux(problem: ThermalProblem) -> bool:
+    """q_p is the constant zero (the adiabatic default)."""
+    return np.isscalar(problem.bcs.q_p) and float(problem.bcs.q_p) == 0.0
+
+
 def _neumann_flux_vector(problem: ThermalProblem, time: float) -> np.ndarray:
     """int_Gq w_i q_p dGamma; zero fast path for the adiabatic default."""
     mesh = problem.mesh
-    if np.isscalar(problem.bcs.q_p) and float(problem.bcs.q_p) == 0.0:
+    if _zero_flux(problem):
         return np.zeros(mesh.n_nodes)
     points, weights, edges = neumann_quadrature(mesh)
     N, _ = edge_shape(mesh.element_order, GAUSS_1D_2[0])  # (2, k)

@@ -381,8 +381,8 @@ def _write_run(run: RunResult, outdir: str) -> None:
     emit_plot_data(run, outdir)
     _write_csv(
         os.path.join(outdir, "solver_log.csv"),
-        ["step", "iteration", "residual_norm", "damping"],
-        [[rec.step, rec.iteration, _fmt(rec.residual_norm), _fmt(rec.damping)]
+        ["step", "iteration", "residual_norm", "damping", "factorized"],
+        [[rec.step, rec.iteration, _fmt(rec.residual_norm), _fmt(rec.damping), int(rec.factorized)]
          for rec in run.newton_log],
     )
     bounds_payload = {

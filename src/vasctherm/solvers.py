@@ -3,7 +3,9 @@
 Each implicit BDF step reuses the steady Newton machinery on the
 transient residual. Fixed order 1 or 2 with a constant step: a BDF1
 startup step followed by BDF2 keeps the integrator second order without
-variable-order bookkeeping.
+variable-order bookkeeping. BDF steps run chord Newton: one LU factor is
+reused across iterations and steps while it keeps contracting the
+residual (Hairer & Wanner, Solving ODEs II, IV.8).
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .assembly import (
     assemble_raw,
     apply_constraints,
 )
+
+
+# Chord Newton refactors once an accepted iterate cuts the residual by less than 1 / REFACTOR_RATIO.
+REFACTOR_RATIO = 0.2
 
 
 class SolverError(RuntimeError):
@@ -90,6 +96,7 @@ class NewtonIteration:
     iteration: int
     residual_norm: float
     damping: float
+    factorized: bool  # the step came from a fresh LU factor (False on the initial-residual row)
 
 
 @dataclass(eq=False)
@@ -112,10 +119,18 @@ class SolutionSeries:
         return len(self.fields)
 
 
-def linear_solve(system: DiscreteSystem) -> np.ndarray:
-    """Newton update: solve J delta = -R with a sparse LU factorization."""
+@dataclass(eq=False)
+class _ChordFactor:
+    """The LU factor that chord Newton reuses, keyed by the BDF coefficient."""
+
+    key: float | None = None
+    lu: spla.SuperLU | None = None
+
+
+def factorize(jacobian) -> spla.SuperLU:
+    """Sparse LU of a Newton matrix; a singular one raises SingularSystemError."""
     try:
-        lu = spla.splu(system.jacobian.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(jacobian.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # SuperLU reports exact singularity
         raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
     pivots = np.abs(lu.U.diagonal())
@@ -124,6 +139,17 @@ def linear_solve(system: DiscreteSystem) -> np.ndarray:
             "numerically singular system: pivot ratio "
             f"{pivots.min():.3e} / {pivots.max():.3e}"
         )
+    return lu
+
+
+def linear_solve(system: DiscreteSystem, lu: spla.SuperLU | None = None) -> np.ndarray:
+    """Newton update: solve J delta = -R by sparse LU.
+
+    lu is a factor to back-solve with; without one, system.jacobian is
+    factored first.
+    """
+    if lu is None:
+        lu = factorize(system.jacobian)
     delta = lu.solve(-system.residual)
     if not np.all(np.isfinite(delta)):
         raise SingularSystemError("linear solve produced non-finite update (singular system?)")
@@ -139,6 +165,7 @@ def solve_steady(
     terms: TermMask = ALL_TERMS,
     log: list | None = None,
     step_index: int = 0,
+    factors: _ChordFactor | None = None,
 ) -> TemperatureField:
     """Damped Newton on the (steady or, via rate, transient) residual.
 
@@ -146,8 +173,18 @@ def solve_steady(
     satisfies them exactly and the logged norms are pure weak-form
     residuals in watts. Line-search trials are assembled residual-only;
     the Jacobian is assembled at an accepted iterate only when another
-    iteration follows. A trial whose residual is not finite counts as
+    iteration factors it. A trial whose residual is not finite counts as
     failed, and Newton never accepts one.
+
+    Without factors every iteration factors a fresh Jacobian (full
+    Newton). With factors (chord Newton, passed by solve_transient) the
+    first residual is assembled residual-only and the stored factor is
+    reused; a fresh one is built when none exists for rate.coeff, when
+    the last accepted iterate cut the residual by less than
+    1 / REFACTOR_RATIO, or when a step with the stale factor does not
+    reduce the residual or is not finite. Such a step is never damped or
+    accepted: the iteration is redone from the same iterate with a fresh
+    factor.
     """
     settings = settings or NewtonSettings()
     if theta_guess is None:
@@ -157,11 +194,17 @@ def solve_steady(
     ids, vals = problem.constrained_values()
     theta[ids] = vals
 
-    system = apply_constraints(assemble_raw(problem, theta, time=time, rate=rate, terms=terms))
+    def assemble(state, jacobian=True):
+        return apply_constraints(
+            assemble_raw(problem, state, time=time, rate=rate, terms=terms, jacobian=jacobian)
+        )
+
+    chord = factors is not None
+    system = assemble(theta, jacobian=not chord)
     rnorm = float(np.linalg.norm(system.residual))
     r0 = rnorm
     if log is not None:
-        log.append(NewtonIteration(step_index, 0, rnorm, 0.0))
+        log.append(NewtonIteration(step_index, 0, rnorm, 0.0, False))
     if not np.isfinite(rnorm):
         raise NewtonError(
             f"non-finite residual norm ({rnorm}) at the initial guess",
@@ -170,36 +213,46 @@ def solve_steady(
     if rnorm <= settings.abs_tol:
         return _accept(theta, time)
 
+    key = None if rate is None else rate.coeff
+    fresh = not chord or factors.lu is None or factors.key != key
     for it in range(1, settings.max_iters + 1):
-        if it > 1:
-            system = apply_constraints(
-                assemble_raw(problem, theta, time=time, rate=rate, terms=terms)
-            )
-        delta = linear_solve(system)
-        lam = 1.0
-        while True:
-            trial = theta + lam * delta
-            trial_system = apply_constraints(
-                assemble_raw(problem, trial, time=time, rate=rate, terms=terms, jacobian=False)
-            )
+        if not fresh:
+            delta = linear_solve(system, factors.lu)
+            lam, trial = 1.0, theta + delta
+            trial_system = assemble(trial, jacobian=False)
             trial_norm = float(np.linalg.norm(trial_system.residual))
-            finite = bool(np.isfinite(trial_norm))
-            if finite and trial_norm < rnorm:
-                break
-            if lam <= 1.0 / 64.0:
-                if not finite:
-                    raise NewtonError(
-                        f"non-finite residual norm ({trial_norm}) in Newton iteration {it} "
-                        f"even at damping {lam:g} (residual before it {rnorm:.3e} W)",
-                        log=log, theta=theta, residual_norm=rnorm,
-                    )
-                break
-            lam *= 0.5
-        theta, rnorm = trial, trial_norm
+            fresh = not (np.isfinite(trial_norm) and trial_norm < rnorm)
+        if fresh:
+            if chord:
+                factors.lu = None  # free the stale factor before the Jacobian and its factor are built
+            if system.jacobian is None:
+                system = assemble(theta)
+            if chord:
+                factors.lu, factors.key = factorize(system.jacobian), key
+            delta = linear_solve(system, factors.lu if chord else None)  # full Newton: freed on return
+            lam = 1.0
+            while True:
+                trial = theta + lam * delta
+                trial_system = assemble(trial, jacobian=False)
+                trial_norm = float(np.linalg.norm(trial_system.residual))
+                finite = bool(np.isfinite(trial_norm))
+                if finite and trial_norm < rnorm:
+                    break
+                if lam <= 1.0 / 64.0:
+                    if not finite:
+                        raise NewtonError(
+                            f"non-finite residual norm ({trial_norm}) in Newton iteration {it} "
+                            f"even at damping {lam:g} (residual before it {rnorm:.3e} W)",
+                            log=log, theta=theta, residual_norm=rnorm,
+                        )
+                    break
+                lam *= 0.5
+        theta, system, rnorm_before, rnorm = trial, trial_system, rnorm, trial_norm
         if log is not None:
-            log.append(NewtonIteration(step_index, it, rnorm, lam))
+            log.append(NewtonIteration(step_index, it, rnorm, lam, fresh))
         if rnorm <= settings.abs_tol or rnorm <= settings.rel_tol * r0:
             return _accept(theta, time)
+        fresh = not chord or rnorm > REFACTOR_RATIO * rnorm_before
 
     raise NewtonError(
         f"Newton did not converge in {settings.max_iters} iterations "
@@ -226,7 +279,8 @@ def solve_transient(
 ) -> SolutionSeries:
     """Integrate from theta_initial with fixed-step BDF1/BDF2.
 
-    On a Newton failure the partial series is attached to the raised
+    The steps share one chord-Newton LU factor (see solve_steady). On a
+    Newton failure the partial series is attached to the raised
     TransientError.
     """
     tsettings = tsettings or TransientSettings()
@@ -234,6 +288,7 @@ def solve_transient(
     dt = tsettings.dt
     initial = problem.initial_field()
     series = SolutionSeries(fields=[initial], newton_iters=[0], residual_norms=[0.0])
+    factors = _ChordFactor()
     theta_prev = initial.values
     theta_prev2 = None
 
@@ -258,6 +313,7 @@ def solve_transient(
                 rate=rate,
                 log=step_log,
                 step_index=k + 1,
+                factors=factors,
             )
         except SolverError as exc:
             raise TransientError(

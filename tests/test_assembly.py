@@ -18,7 +18,7 @@ from vasctherm.assembly import (
     channel_line_term,
     plan_for,
 )
-from vasctherm.elements import basis_for
+from vasctherm.elements import GAUSS_1D_1, GAUSS_1D_2, basis_for, edge_shape
 from vasctherm.geometry import Domain2D, LayoutParams, VasculaturePath, generate_layout
 from vasctherm.materials import (
     Coolant,
@@ -150,6 +150,51 @@ def test_channel_term_orientation_flips_sign():
     _, rf, _ = channel_line_term(fwd, theta, 0.07)
     _, rr, _ = channel_line_term(rev, theta, 0.07)
     assert np.allclose(rr[::-1], -rf, atol=1e-14)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_channel_term_matches_per_call_tables(order, rng):
+    # reference: the edge tables rebuilt on every call, in the same arithmetic order
+    mesh = channel_problem(n=6, order=order).mesh
+    theta, chi = rng.uniform(300.0, 360.0, mesh.n_nodes), 0.0697
+    a, b = mesh.channel_nodes[:-1], mesh.channel_nodes[1:]
+    ref_nodes = np.column_stack([a, b] if order == 1 else [a, b, mesh.channel_mids])
+    ell = mesh.channel_lengths
+    ref_res, ref_jac = np.zeros(ref_nodes.shape), np.zeros(ref_nodes.shape + (ref_nodes.shape[1],))
+    xi, wgt = GAUSS_1D_1 if order == 1 else GAUSS_1D_2
+    for g in range(len(xi)):
+        N, dNdxi = edge_shape(order, xi[g:g + 1])
+        dNds = (2.0 / ell)[:, None] * dNdxi[0]
+        scale = chi * wgt[g] * 0.5 * ell
+        ref_res += (scale * np.einsum("ek,ek->e", dNds, theta[ref_nodes]))[:, None] * N[0]
+        ref_jac += scale[:, None, None] * np.einsum("i,ek->eik", N[0], dNds)
+    nodes, res, jac = channel_line_term(mesh, theta, chi)
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.array_equal(res, ref_res)
+    assert np.array_equal(jac, ref_jac)
+    _, lean, none = channel_line_term(mesh, theta, chi, jacobian=False)
+    assert np.array_equal(lean, ref_res) and none is None
+
+
+def test_constrained_values_built_once_and_read_only(rng):
+    base = mixed_boundary_problem()
+    calls = []
+
+    def theta_p(x, y):
+        calls.append(1)
+        return 300.0 + 100.0 * y
+
+    prob = ThermalProblem(
+        mesh=base.mesh, solid=base.solid, coolant=base.coolant, load=base.load,
+        surface=base.surface, bcs=BoundaryData(theta_inlet=296.42, theta_p=theta_p),
+    )
+    ids, vals = prob.constrained_values()
+    for _ in range(3):
+        apply_constraints(assemble_raw(prob, random_state(prob, rng, True), jacobian=False))
+    again = prob.constrained_values()
+    assert len(calls) == 1
+    assert again[0] is ids and again[1] is vals
+    assert not ids.flags.writeable and not vals.flags.writeable
 
 
 def test_all_neumann_constrains_only_inlet():

@@ -107,6 +107,10 @@ def test_run_scenario_artifacts(tmp_path):
     obs = (out / "observables.csv").read_text().strip().splitlines()
     assert obs[0] == "t,mst,theta_outlet,eta,energy_residual"
     assert len(obs) == 1 + 5  # one row per time step
+    log = [row.split(",") for row in (out / "solver_log.csv").read_text().strip().splitlines()]
+    assert log[0] == ["step", "iteration", "residual_norm", "damping", "factorized"]
+    assert {row[4] for row in log[1:]} == {"0", "1"}
+    assert all(row[4] == "0" for row in log[1:] if row[1] == "0")  # initial-residual rows
     snapshot = (out / "field_snapshot.csv").read_text().strip().splitlines()
     problem = build_problem(fast_config())
     assert len(snapshot) == 1 + problem.mesh.n_nodes

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import channel_problem, no_channel_problem, wide_material
 from vasctherm.assembly import (
     DiscreteSystem,
+    RateWeights,
     SurfaceExchange,
     ThermalProblem,
     apply_constraints,
@@ -222,3 +224,86 @@ def test_transient_series_ignores_earlier_log_records():
     shared = solve_transient(prob, settings, log=log)
     assert shared.newton_iters == fresh.newton_iters
     assert shared.residual_norms == fresh.residual_norms
+
+
+def _with_load(base, load):
+    return ThermalProblem(
+        mesh=base.mesh, solid=base.solid, coolant=base.coolant, surface=base.surface,
+        bcs=base.bcs, load=load,
+    )
+
+
+def _jump_load(t_jump, before, after):
+    return lambda x, y, t: np.full(np.shape(x), after if t >= t_jump else before)
+
+
+def _count_splu(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, order", [(10, 1), (6, 2)])
+def test_chord_steps_match_full_newton(n, order):
+    # each chord-Newton step against full Newton on the same step inputs
+    prob = channel_problem(n=n, order=order)
+    dt = 1.0
+    series = solve_transient(prob, TransientSettings(dt=dt, t_end=30.0))
+    fields = [f.values for f in series.fields]
+    for k in range(1, len(fields)):
+        if k == 1:
+            rate, guess = RateWeights(coeff=1.0 / dt, rhs=-fields[0] / dt), fields[0]
+        else:
+            rate = RateWeights(coeff=1.5 / dt, rhs=(-2.0 * fields[k - 1] + 0.5 * fields[k - 2]) / dt)
+            guess = 2.0 * fields[k - 1] - fields[k - 2]
+        oracle = solve_steady(prob, theta_guess=guess, time=k * dt, rate=rate)
+        assert np.max(np.abs(fields[k] - oracle.values)) <= 1e-7, f"step {k}"
+
+
+def test_chord_transient_reuses_one_factor_per_bdf_coefficient(monkeypatch):
+    calls = _count_splu(monkeypatch)
+    log = []
+    solve_transient(channel_problem(n=10), TransientSettings(dt=1.0, t_end=30.0), log=log)
+    # one factor for the BDF1 start-up step and one for the BDF2 steps
+    assert len(calls) == 2
+    assert [(rec.step, rec.iteration) for rec in log if rec.factorized] == [(1, 1), (2, 1)]
+    assert sum(1 for rec in log if rec.iteration > 0) > 30
+
+
+@pytest.mark.parametrize("after", [1e6, 1e8])
+def test_load_jump_forces_a_fresh_factor(after):
+    # at 1e6 W/m^2 the stale factor's contraction falls behind REFACTOR_RATIO; at 1e8 the
+    # first stale step raises the residual and is redone with a fresh factor
+    prob = _with_load(channel_problem(n=10), _jump_load(10.0, 1000.0, after))
+    settings = NewtonSettings()
+    log = []
+    series = solve_transient(prob, TransientSettings(dt=1.0, t_end=12.0), settings, log=log)
+    assert not {rec.step for rec in log if rec.factorized} & set(range(3, 10))
+    for before, rec in zip(log, log[1:]):
+        if rec.iteration > 0 and not rec.factorized:
+            assert rec.residual_norm < before.residual_norm  # a stale step is kept only if it reduces
+    jump = [rec for rec in log if rec.step == 10]
+    assert any(rec.factorized for rec in jump)
+    assert jump[-1].residual_norm <= max(settings.abs_tol, settings.rel_tol * jump[0].residual_norm)
+    assert len(series) == 13
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_stale_step_is_refactored_never_accepted(monkeypatch):
+    calls = _count_splu(monkeypatch)
+    prob = _with_load(channel_problem(n=4), _jump_load(5.0, 1000.0, 1e120))
+    log = []
+    with pytest.raises(TransientError) as err:
+        solve_transient(prob, TransientSettings(dt=1.0, t_end=10.0), log=log)
+    assert isinstance(err.value.cause, NewtonError)
+    assert len(err.value.series) == 5
+    assert all(np.isfinite(rec.residual_norm) for rec in log)
+    # the stale step of t = 5 s overflows; it is refactored (a third factor) and still fails
+    assert len(calls) == 3
+    assert [rec.iteration for rec in log if rec.step == 5] == [0]
