@@ -13,9 +13,9 @@ The nodal residual collects, per test function w_i:
 with material properties evaluated at quadrature-point temperatures. The
 Jacobian is the exact linearization, including the k_s' and c_s' terms
 from the temperature dependence. Dirichlet constraints (boundary
-temperatures plus the channel inlet) are realized by identity rows with
-the columns folded into the residual, which preserves a symmetric
-sparsity pattern.
+temperatures plus the channel inlet) are eliminated: callers set the
+constrained DOFs to their prescribed values, and apply_constraints keeps
+the rows and columns of the free DOFs, so Newton solves for those alone.
 
 The prescribed boundary flux q_p is stored already premultiplied by the
 thickness d (units W/m of boundary length), so no thickness factor is
@@ -209,6 +209,21 @@ class ThermalProblem:
 
 
 @dataclass(frozen=True, eq=False)
+class Restriction:
+    """A plan's CSR pattern restricted to the free DOFs of one constraint set.
+
+    free holds the unconstrained DOF ids in ascending order, and slots[k]
+    is the plan's data slot of entry k of the restricted pattern, so the
+    restricted Jacobian's data is J.data[slots]. The arrays are read-only.
+    """
+
+    free: np.ndarray = field(repr=False)
+    slots: np.ndarray = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
 class AssemblyPlan:
     """Fixed CSR pattern of one mesh and the maps that fill it.
 
@@ -217,12 +232,12 @@ class AssemblyPlan:
     edges), so a Jacobian's data array is one np.bincount per block. The
     index arrays are read-only: every Jacobian of the mesh shares them.
     P1 gradients are constant per triangle, so the plan also holds the
-    per-triangle G G^T; P2 gradients are laid out triangle-major, so the
-    conduction blocks of all quadrature points are one batched matmul.
-    N (x) N is tabulated per quadrature point. The chan_* tables hold
-    the channel chain's edge nodes and, per Gauss point g, the edge
-    shape values N_g, their arc-length derivatives dN/ds and the products
-    N_i dN_j/ds, so the channel term rebuilds none of them per call.
+    per-triangle G G^T. N (x) N is tabulated per quadrature point. The
+    chan_* tables hold the channel chain's edge nodes and, per Gauss
+    point g, the edge shape values N_g, their arc-length derivatives
+    dN/ds and the products N_i dN_j/ds, so the channel term rebuilds none
+    of them per call. The pattern restricted to the free DOFs is built
+    once per constraint set (restriction).
     """
 
     n: int
@@ -230,37 +245,43 @@ class AssemblyPlan:
     indices: np.ndarray = field(repr=False)
     tri_slots: np.ndarray = field(repr=False)
     chan_slots: np.ndarray = field(repr=False)
-    diag_slots: np.ndarray = field(repr=False)
     qp_NN: np.ndarray = field(repr=False)  # (nq, nen * nen)
     p1_GGt: np.ndarray | None = field(repr=False)  # (T, nen, nen), P1 only
-    qp_grads: np.ndarray | None = field(repr=False)  # (T, nen, nq, 2), P2 only
     chan_nodes: np.ndarray = field(repr=False)  # (E, k)
     chan_N: np.ndarray = field(repr=False)  # (ng, k)
     chan_dNds: np.ndarray = field(repr=False)  # (ng, E, k)
     chan_NdNds: np.ndarray = field(repr=False)  # (ng, E, k, k)
     chan_half_w: np.ndarray = field(repr=False)  # (ng,) Gauss weights / 2: dGamma = (ell / 2) dxi
-    _constraint_slots: dict = field(default_factory=dict, repr=False)
+    _restrictions: dict = field(default_factory=dict, repr=False)
 
     @property
     def nnz(self) -> int:
         return self.indices.shape[0]
 
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        J = sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-        J.has_canonical_format = True
-        return J
-
-    def constraint_slots(self, ids: np.ndarray) -> np.ndarray:
-        """Data slots in the rows or columns of the constrained DOFs ids."""
+    def restriction(self, ids: np.ndarray) -> Restriction:
+        """The pattern without the rows and columns of the constrained DOFs ids."""
         key = ids.tobytes()
-        slots = self._constraint_slots.get(key)
-        if slots is None:
-            hit = np.zeros(self.n, dtype=bool)
-            hit[ids] = True
-            in_row = np.repeat(hit, np.diff(self.indptr))
-            slots = _read_only(np.flatnonzero(in_row | hit[self.indices]))
-            self._constraint_slots[key] = slots
-        return slots
+        if key not in self._restrictions:
+            keep = np.ones(self.n, dtype=bool)
+            keep[ids] = False
+            row = np.repeat(np.arange(self.n), np.diff(self.indptr))
+            slots = np.flatnonzero(keep[row] & keep[self.indices])
+            renumber = np.cumsum(keep) - 1  # DOF id -> free DOF id
+            free = np.flatnonzero(keep)
+            indptr = np.zeros(free.size + 1, dtype=self.indptr.dtype)
+            np.cumsum(np.bincount(renumber[row[slots]], minlength=free.size), out=indptr[1:])
+            indices = renumber[self.indices[slots]].astype(self.indices.dtype)
+            cut = Restriction(*(_read_only(a) for a in (free, slots, indptr, indices)))
+            self._restrictions.setdefault(key, cut)  # threads that race here get the one stored first
+        return self._restrictions[key]
+
+
+def _csr(data: np.ndarray, pattern: AssemblyPlan | Restriction) -> sp.csr_matrix:
+    """A square CSR matrix on a fixed, canonical pattern; shares its index arrays."""
+    n = pattern.indptr.shape[0] - 1
+    J = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+    J.has_canonical_format = True
+    return J
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -299,7 +320,7 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
     diag = np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1))
     if keys.size == 0 or diag[-1] >= keys.size or np.any(keys[diag] != np.arange(n) * (n + 1)):
         raise ValueError("mesh holds a node that belongs to no triangle")
-    N, G = basis.qp_N, basis.qp_gradN  # (nq, nen), (nq, T, nen, 2)
+    N, G = basis.qp_N, basis.qp_gradN  # (nq, nen), (T, nen, nq, 2)
     p1 = mesh.element_order == 1
     xi, wgt = GAUSS_1D_1 if p1 else GAUSS_1D_2
     chan_N, dNdxi = edge_shape(mesh.element_order, xi)  # (ng, k) each
@@ -312,10 +333,8 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
         indices=_read_only(cols.astype(idx)),
         tri_slots=_read_only(slot_of[:tri_keys.size]),
         chan_slots=_read_only(slot_of[tri_keys.size:]),
-        diag_slots=_read_only(diag.astype(idx)),
         qp_NN=_read_only(np.einsum("qi,qj->qij", N, N).reshape(len(N), -1)),
-        p1_GGt=_read_only(np.einsum("tic,tjc->tij", G[0], G[0])) if p1 else None,
-        qp_grads=None if p1 else _read_only(np.ascontiguousarray(G.transpose(1, 2, 0, 3))),
+        p1_GGt=_read_only(np.einsum("tic,tjc->tij", G[:, :, 0], G[:, :, 0])) if p1 else None,
         chan_nodes=_read_only(chan_nodes),
         chan_N=_read_only(chan_N),
         chan_dNds=_read_only(chan_dNds),
@@ -342,20 +361,14 @@ def plan_for(mesh: ChannelMesh) -> AssemblyPlan:
 class DiscreteSystem:
     """Assembled residual/Jacobian pair at a given state.
 
-    jacobian is None for a residual-only assembly; constraints is the
-    problem's (ids, values) pair; plan is the pattern owner that
-    apply_constraints uses to edit the Jacobian in place.
+    assemble_raw fills the rows and columns of every DOF and apply_constraints
+    keeps those of restriction.free, the problem's free DOFs. jacobian is
+    None for a residual-only assembly.
     """
 
     residual: np.ndarray
     jacobian: sp.csr_matrix | None
-    constraints: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    theta: np.ndarray = field(repr=False)
-    plan: AssemblyPlan | None = field(default=None, repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.residual.shape[0]
+    restriction: Restriction | None = field(default=None, repr=False)
 
 
 def channel_line_term(mesh: ChannelMesh, theta: np.ndarray, chi: float, jacobian: bool = True):
@@ -395,20 +408,15 @@ def assemble_raw(
     terms: TermMask = ALL_TERMS,
     jacobian: bool = True,
 ) -> DiscreteSystem:
-    """Assemble residual and (unless jacobian=False) Jacobian without constraint rows.
+    """Assemble residual and (unless jacobian=False) Jacobian of every DOF.
 
     Both modes compute the residual with the same operations, so they
-    agree bitwise. A residual-only call still assembles the Jacobian when
-    theta is off the constraints: folding the constrained columns into
-    the residual needs them.
+    agree bitwise.
     """
     mesh = problem.mesh
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (mesh.n_nodes,):
         raise ValueError(f"theta must have shape ({mesh.n_nodes},)")
-    constraints = ids, vals = problem.constrained_values()
-    if not jacobian and ids.size:
-        jacobian = bool(np.any(theta[ids] != vals))
     basis = basis_for(mesh)
     plan = plan_for(mesh)
     tri = mesh.triangles
@@ -447,7 +455,7 @@ def assemble_raw(
                 if terms.property_derivatives:
                     J_e += gw[:, :, None] * (wdkp @ N)[:, None, :]
         else:
-            G = plan.qp_grads  # (T, nen, nq, 2)
+            G = basis.qp_gradN  # (T, nen, nq, 2)
             Gs = G.reshape(T, nen, -1)
             grad = (theta_e[:, None, :] @ Gs).reshape(T, 1, -1, 2)  # grad theta per point
             gw = G[..., 0] * grad[..., 0] + G[..., 1] * grad[..., 1]  # (T, nen, nq)
@@ -497,8 +505,8 @@ def assemble_raw(
         R += _neumann_flux_vector(problem, time)
 
     return DiscreteSystem(
-        residual=R, jacobian=plan.matrix(data) if jacobian else None,
-        constraints=constraints, theta=theta.copy(), plan=plan,
+        residual=R, jacobian=_csr(data, plan) if jacobian else None,
+        restriction=plan.restriction(problem.constrained_values()[0]),
     )
 
 
@@ -535,31 +543,15 @@ def _neumann_flux_vector(problem: ThermalProblem, time: float) -> np.ndarray:
 
 
 def apply_constraints(system: DiscreteSystem) -> DiscreteSystem:
-    """Replace constrained rows by theta_i - prescribed; fold columns into R.
+    """Restrict a system from assemble_raw to the rows and columns of the free DOFs.
 
-    Folding keeps the sparsity pattern symmetric and, once the iterate
-    satisfies the constraints, leaves the Jacobian an exact derivative of
-    the constrained residual. The Jacobian keeps the plan's pattern: the
-    constrained rows and columns hold explicit zeros and a unit diagonal.
+    This is the Newton system of the constrained problem at a state that
+    satisfies the constraints: the constrained DOFs are fixed at their
+    values, so their equations and their columns drop out.
     """
-    plan, J = system.plan, system.jacobian
-    if J is not None and plan is None:
-        raise ValueError("apply_constraints needs a system assembled by assemble_raw")
-    ids, vals = system.constraints
-    R = system.residual.copy()
-    data = None if J is None else J.data.copy()
-    if ids.size:
-        rc = np.zeros(system.n)
-        rc[ids] = system.theta[ids] - vals
-        if np.any(rc):
-            if J is None:
-                raise ValueError("folding an off-constraint state needs the Jacobian")
-            R -= J @ rc
-        R[ids] = rc[ids]
-        if J is not None:
-            data[plan.constraint_slots(ids)] = 0.0
-            data[plan.diag_slots[ids]] = 1.0
+    cut, J = system.restriction, system.jacobian
     return DiscreteSystem(
-        residual=R, jacobian=None if J is None else plan.matrix(data),
-        constraints=system.constraints, theta=system.theta, plan=plan,
+        residual=system.residual[cut.free],
+        jacobian=None if J is None else _csr(J.data[cut.slots], cut),
+        restriction=cut,
     )

@@ -65,12 +65,8 @@ class ElementBasis:
     qp_weights: np.ndarray  # (nq,)
     qp_N: np.ndarray  # (nq, nen)
     qp_dA: np.ndarray = field(repr=False)  # (T, nq): areas times rule weights
-    qp_gradN: np.ndarray = field(repr=False)  # (nq, T, nen, 2)
+    qp_gradN: np.ndarray = field(repr=False)  # (T, nen, nq, 2), triangle-major
     qp_xy: np.ndarray = field(repr=False)  # (nq, T, 2)
-
-    @property
-    def nen(self) -> int:
-        return self.qp_N.shape[1]
 
 
 def _grad_lambda(corners: np.ndarray, areas: np.ndarray) -> np.ndarray:
@@ -111,10 +107,10 @@ def build_basis(mesh) -> ElementBasis:
     N = tri_shape(mesh.element_order, lam)
     T = len(mesh.triangles)
     nen = N.shape[1]
-    gradN = np.empty((nq, T, nen, 2))
+    gradN = np.empty((T, nen, nq, 2))
     xy = np.empty((nq, T, 2))
     for q in range(nq):
-        gradN[q] = grad_shape(mesh.element_order, lam[q], glam)
+        gradN[:, :, q] = grad_shape(mesh.element_order, lam[q], glam)
         xy[q] = np.einsum("tic,i->tc", corners, lam[q])
     return ElementBasis(
         order=mesh.element_order, areas=areas, qp_weights=w,

@@ -118,7 +118,7 @@ def heat_flux_field(field, problem: ThermalProblem) -> np.ndarray:
     theta_e = vals[mesh.triangles]
     theta_c = theta_e @ N
     if mesh.element_order == 1:
-        gradN = basis.qp_gradN[0]  # P1 gradients are constant per element
+        gradN = basis.qp_gradN[:, :, 0]  # P1 gradients are constant per element
     else:
         gradN = grad_shape(2, centroid, _grad_lambda(corners, basis.areas))
     grad_theta = np.einsum("tnc,tn->tc", gradN, theta_e)
@@ -126,18 +126,16 @@ def heat_flux_field(field, problem: ThermalProblem) -> np.ndarray:
     return -k[:, None] * grad_theta
 
 
-def channel_peclet(problem: ThermalProblem, theta: float | None = None) -> np.ndarray:
-    """Per-edge advection/conduction ratio chi * ell / (2 d k_s(theta)).
+def channel_peclet(problem: ThermalProblem) -> np.ndarray:
+    """Per-edge advection/conduction ratio chi * ell / (2 d k_s(theta_amb)).
 
     Small values justify the unstabilized Galerkin channel term; the
-    conductivity is sampled at ambient unless a temperature is given.
+    conductivity is sampled at ambient.
     """
     mesh = problem.mesh
     if not mesh.has_channel:
         return np.empty(0)
-    if theta is None:
-        theta = problem.surface.theta_amb
-    k = eval_curve(problem.solid.conductivity, float(theta))
+    k = eval_curve(problem.solid.conductivity, float(problem.surface.theta_amb))
     return problem.chi * mesh.channel_lengths / (2.0 * mesh.domain.thickness * k)
 
 

@@ -169,12 +169,13 @@ def solve_steady(
 ) -> TemperatureField:
     """Damped Newton on the (steady or, via rate, transient) residual.
 
-    The guess is first projected onto the constraints so every iterate
-    satisfies them exactly and the logged norms are pure weak-form
-    residuals in watts. Line-search trials are assembled residual-only;
-    the Jacobian is assembled at an accepted iterate only when another
-    iteration factors it. A trial whose residual is not finite counts as
-    failed, and Newton never accepts one.
+    The guess is first projected onto the constraints and Newton moves
+    only the free DOFs, so every iterate satisfies the constraints exactly
+    and the logged norms are pure weak-form residuals in watts.
+    Line-search trials are assembled residual-only; the Jacobian is
+    assembled at an accepted iterate only when another iteration factors
+    it. A trial whose residual is not finite counts as failed, and Newton
+    never accepts one.
 
     Without factors every iteration factors a fresh Jacobian (full
     Newton). With factors (chord Newton, passed by solve_transient) the
@@ -201,6 +202,7 @@ def solve_steady(
 
     chord = factors is not None
     system = assemble(theta, jacobian=not chord)
+    free = system.restriction.free
     rnorm = float(np.linalg.norm(system.residual))
     r0 = rnorm
     if log is not None:
@@ -218,7 +220,8 @@ def solve_steady(
     for it in range(1, settings.max_iters + 1):
         if not fresh:
             delta = linear_solve(system, factors.lu)
-            lam, trial = 1.0, theta + delta
+            lam, trial = 1.0, theta.copy()
+            trial[free] += delta
             trial_system = assemble(trial, jacobian=False)
             trial_norm = float(np.linalg.norm(trial_system.residual))
             fresh = not (np.isfinite(trial_norm) and trial_norm < rnorm)
@@ -232,7 +235,8 @@ def solve_steady(
             delta = linear_solve(system, factors.lu if chord else None)  # full Newton: freed on return
             lam = 1.0
             while True:
-                trial = theta + lam * delta
+                trial = theta.copy()
+                trial[free] += lam * delta
                 trial_system = assemble(trial, jacobian=False)
                 trial_norm = float(np.linalg.norm(trial_system.residual))
                 finite = bool(np.isfinite(trial_norm))

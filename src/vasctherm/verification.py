@@ -40,6 +40,12 @@ from .mesh import (
 from .solvers import NewtonSettings, solve_steady
 
 
+FD_THETA_RANGE = (290.0, 420.0)  # K, the Jacobian check's random states
+FD_RATE_DT = 1.0  # s, BDF1 step of the Jacobian check's mass-term rate
+FD_STEP = 1e-4  # central-difference step relative to max(1, |theta_j|)
+SCALAR_SAMPLE_DT = 1.0  # s, spacing of the scalar reference's stored samples
+
+
 @dataclass(frozen=True, eq=False)
 class MMSCase:
     """Manufactured steady solution with its hand-derived source."""
@@ -262,33 +268,31 @@ def jacobian_check(
     trials: int = 5,
     terms: TermMask = ALL_TERMS,
     seed: int = 0,
-    rate_dt: float = 1.0,
-    theta_range: tuple[float, float] = (290.0, 420.0),
-    fd_step: float = 1e-4,
 ) -> float:
     """Max relative Frobenius gap between assembled and FD Jacobians.
 
-    Random states are projected onto the constraints first so the folded
-    constraint columns stay exact derivatives. The mass term is probed
-    with a backward-difference rate built from a second random state.
+    Random states are projected onto the constraints, and the free DOFs
+    are differenced against the Jacobian restricted to them: the matrix
+    that Newton factors. The mass term is probed with a
+    backward-difference rate built from a second random state.
     """
     rng = np.random.default_rng(seed)
     n = problem.n_dofs
     ids, vals = problem.constrained_values()
     worst = 0.0
     for _ in range(trials):
-        theta = rng.uniform(*theta_range, size=n)
+        theta = rng.uniform(*FD_THETA_RANGE, size=n)
         theta[ids] = vals
         if terms.mass:
-            prev = rng.uniform(*theta_range, size=n)
-            rate = RateWeights(coeff=1.0 / rate_dt, rhs=-prev / rate_dt)
+            prev = rng.uniform(*FD_THETA_RANGE, size=n)
+            rate = RateWeights(coeff=1.0 / FD_RATE_DT, rhs=-prev / FD_RATE_DT)
         else:
             rate = None
         base = apply_constraints(assemble_raw(problem, theta, rate=rate, terms=terms))
         J = base.jacobian.toarray()
         J_fd = np.empty_like(J)
-        for j in range(n):
-            h = fd_step * max(1.0, abs(theta[j]))
+        for col, j in enumerate(base.restriction.free):
+            h = FD_STEP * max(1.0, abs(theta[j]))
             tp, tm = theta.copy(), theta.copy()
             tp[j] += h
             tm[j] -= h
@@ -298,7 +302,7 @@ def jacobian_check(
                 ).residual
                 for state in (tp, tm)
             )
-            J_fd[:, j] = (rp - rm) / (2.0 * h)
+            J_fd[:, col] = (rp - rm) / (2.0 * h)
         denom = np.linalg.norm(J)
         gap = np.linalg.norm(J_fd - J) / denom if denom > 0 else np.linalg.norm(J_fd)
         worst = max(worst, float(gap))
@@ -353,7 +357,6 @@ def scalar_reference(
     problem: ThermalProblem,
     t_end: float = 1500.0,
     dt: float = 0.01,
-    sample_dt: float = 1.0,
 ) -> ScalarReference:
     """RK4 integration of d rho_s c_s(theta) dtheta/dt = f0 - sinks.
 
@@ -391,7 +394,7 @@ def scalar_reference(
         return (f0 - h_T * (u - amb) - es * (u**4 - amb4)) / (drho * c)
 
     n_steps = int(round(t_end / dt))
-    stride = max(1, int(round(sample_dt / dt)))
+    stride = max(1, int(round(SCALAR_SAMPLE_DT / dt)))
     u = float(theta0[0])
     times = [0.0]
     values = [u]

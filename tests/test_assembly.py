@@ -38,6 +38,7 @@ from vasctherm.mesh import (
     tag_boundary,
 )
 from vasctherm.postprocess import energy_balance
+from vasctherm.solvers import solve_steady
 from vasctherm.verification import jacobian_check, toggle_masks
 
 
@@ -244,16 +245,16 @@ def test_conflicting_inlet_prescription_rejected():
         prob.constrained_values()
 
 
-def test_constrained_row_is_identity_and_solution_exact(rng):
+def test_constrained_dof_eliminated_and_solution_exact(rng):
     prob = channel_problem(n=6)
     theta = rng.uniform(300.0, 340.0, prob.n_dofs)
-    system = apply_constraints(assemble_raw(prob, theta))
+    raw = assemble_raw(prob, theta)
+    system = apply_constraints(raw)
     inlet = prob.mesh.inlet_node
-    row = system.jacobian.getrow(inlet).toarray().ravel()
-    expected = np.zeros(prob.n_dofs)
-    expected[inlet] = 1.0
-    assert np.allclose(row, expected)
-    assert system.residual[inlet] == pytest.approx(theta[inlet] - 296.42)
+    free = np.delete(np.arange(prob.n_dofs), inlet)
+    assert system.jacobian.shape == (free.size, free.size)
+    assert np.array_equal(system.residual, raw.residual[free])
+    assert solve_steady(prob).values[inlet] == 296.42
 
 
 def test_linear_case_matrix_symmetric_positive_definite():
@@ -353,7 +354,7 @@ def test_residual_only_matches_full_bitwise(order, transient, on_constraints, rn
             full = assemble_raw(prob, theta, time=2.0, rate=rate, terms=mask)
             lean = assemble_raw(prob, theta, time=2.0, rate=rate, terms=mask, jacobian=False)
             assert np.array_equal(lean.residual, full.residual)
-            assert (lean.jacobian is None) == on_constraints
+            assert lean.jacobian is None
             assert np.array_equal(
                 apply_constraints(lean).residual, apply_constraints(full).residual)
 
@@ -368,7 +369,7 @@ def dense_reference_jacobian(prob, theta, rate):
     for e, nodes in enumerate(mesh.triangles):
         th_e, J_e = theta[nodes], np.zeros((len(nodes), len(nodes)))
         for q, weight in enumerate(basis.qp_weights):
-            N, G = basis.qp_N[q], basis.qp_gradN[q, e]
+            N, G = basis.qp_N[q], basis.qp_gradN[e, :, q]
             w = weight * basis.areas[e]
             th, thd = N @ th_e, N @ thdot[nodes]
             gw = G @ (G.T @ th_e)
@@ -395,33 +396,54 @@ def test_jacobian_matches_dense_reference(order, rng):
     assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_restricted_jacobian_is_free_block_of_raw(order, rng):
+    prob = mixed_boundary_problem(order=order)
+    ids, _ = prob.constrained_values()
+    assert prob.mesh.inlet_node in ids and ids.size > 1  # the inlet and a dirichlet edge
+    free = np.delete(np.arange(prob.n_dofs), ids)
+    theta = random_state(prob, rng, True)
+    rate = RateWeights(coeff=1.5, rhs=-rng.uniform(300.0, 360.0, prob.n_dofs))
+    raw = assemble_raw(prob, theta, time=2.0, rate=rate)
+    system = apply_constraints(raw)
+    assert np.array_equal(system.jacobian.toarray(), raw.jacobian.toarray()[np.ix_(free, free)])
+    assert np.array_equal(system.residual, raw.residual[free])
+
+
 def test_csr_pattern_canonical_and_fixed(rng):
+    # raw Jacobians share the plan's pattern, restricted ones the restriction's
     prob = mixed_boundary_problem(order=2)
     rate = RateWeights(coeff=1.0, rhs=np.zeros(prob.n_dofs))
-    systems = [
+    raw = [
         assemble_raw(prob, random_state(prob, rng, True)),
         assemble_raw(prob, random_state(prob, rng, False), rate=rate),
-        apply_constraints(assemble_raw(prob, random_state(prob, rng, True), rate=rate)),
+        assemble_raw(prob, random_state(prob, rng, True), rate=rate),
     ]
-    first = systems[0].jacobian
-    for J in (s.jacobian for s in systems):
-        for i in range(J.shape[0]):
-            row = J.indices[J.indptr[i]:J.indptr[i + 1]]
-            assert np.all(np.diff(row) > 0)  # sorted, no duplicates
-        assert np.array_equal(J.indptr, first.indptr)
-        assert np.array_equal(J.indices, first.indices)
+    n_free = prob.n_dofs - prob.constrained_values()[0].size
+    for systems in (raw, [apply_constraints(s) for s in raw]):
+        first = systems[0].jacobian
+        for J in (s.jacobian for s in systems):
+            for i in range(J.shape[0]):
+                row = J.indices[J.indptr[i]:J.indptr[i + 1]]
+                assert np.all(np.diff(row) > 0)  # sorted, no duplicates
+            assert np.array_equal(J.indptr, first.indptr)
+            assert np.array_equal(J.indices, first.indices)
+    assert first.shape == (n_free, n_free)
 
 
 def test_cached_index_arrays_read_only(rng):
     prob = mixed_boundary_problem()
     system = apply_constraints(assemble_raw(prob, random_state(prob, rng, True)))
-    plan = system.plan
-    assert plan is plan_for(prob.mesh)
-    for arr in (plan.indptr, plan.indices, plan.tri_slots, plan.chan_slots, plan.diag_slots):
+    plan, cut = plan_for(prob.mesh), system.restriction
+    assert cut is plan.restriction(prob.constrained_values()[0].copy())  # cached per constraint set
+    for arr in (plan.indptr, plan.indices, plan.tri_slots, plan.chan_slots,
+                cut.free, cut.slots, cut.indptr, cut.indices):
         assert not arr.flags.writeable
     J = system.jacobian
-    assert np.shares_memory(J.indices, plan.indices)
-    assert np.any(J.data == 0.0)  # constrained rows/columns hold explicit zeros
+    assert np.shares_memory(J.indices, cut.indices)
+    assert J.indices.dtype == J.indptr.dtype == plan.indices.dtype
+    # the restricted pattern holds only the free DOFs' entries: no explicit zeros
+    assert J.nnz == cut.slots.size < plan.nnz and J.shape[0] == cut.free.size
     with pytest.raises(ValueError):
         J.eliminate_zeros()
     J.has_sorted_indices = False
@@ -450,7 +472,9 @@ def test_plan_shared_across_threads(rng):
             threaded = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(switch)
-    assert len({id(s.plan) for s in threaded}) == 1
+    # the plan and its restriction are built under contention; every thread gets the one stored
+    cut = plan_for(prob.mesh).restriction(prob.constrained_values()[0])
+    assert all(s.restriction is cut for s in threaded) and cut is not serial[0].restriction
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.residual, b.residual)
         assert np.array_equal(a.jacobian.data, b.jacobian.data)

@@ -50,9 +50,15 @@ def test_solver_sites_are_reached_through_their_modules(monkeypatch):
 
     monkeypatch.setattr(solvers, "solve_steady", counting("step", solvers.solve_steady))
     monkeypatch.setattr(solvers, "linear_solve", counting("linear", solvers.linear_solve))
+    monkeypatch.setattr(solvers, "assemble_raw", counting("assemble", solvers.assemble_raw))
+    monkeypatch.setattr(solvers, "apply_constraints", counting("constrain", solvers.apply_constraints))
     monkeypatch.setattr(spla, "splu", counting("splu", spla.splu))
     log = []
     solvers.solve_transient(channel_problem(n=6), solvers.TransientSettings(dt=1.0, t_end=3.0), log=log)
+    iterations = sum(1 for rec in log if rec.iteration > 0)
     assert counts["step"] == 3
-    assert counts["linear"] >= sum(1 for rec in log if rec.iteration > 0) > 3
+    assert counts["linear"] >= iterations > 3
     assert 0 < counts["splu"] < counts["linear"]
+    # every Newton iteration assembles and restricts at least its trial
+    assert counts["assemble"] >= iterations + counts["step"]
+    assert counts["constrain"] == counts["assemble"]

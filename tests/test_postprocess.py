@@ -121,7 +121,7 @@ def test_heat_flux_dissipative_orientation():
     fld = solve_steady(prob)
     q = heat_flux_field(fld, prob)
     basis = basis_for(prob.mesh)
-    grad = np.einsum("tnc,tn->tc", basis.qp_gradN[0], fld.values[prob.mesh.triangles])
+    grad = np.einsum("tnc,tn->tc", basis.qp_gradN[:, :, 0], fld.values[prob.mesh.triangles])
     assert np.all(np.einsum("tc,tc->t", q, grad) <= 1e-12)
 
 

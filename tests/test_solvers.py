@@ -148,10 +148,7 @@ def test_transient_requires_integer_step_count():
 def test_linear_solve_identity_jacobian(rng):
     n = 12
     residual = rng.normal(size=n)
-    system = DiscreteSystem(
-        residual=residual, jacobian=sp.identity(n, format="csr"),
-        constraints=(np.empty(0, dtype=int), np.empty(0)), theta=np.zeros(n),
-    )
+    system = DiscreteSystem(residual=residual, jacobian=sp.identity(n, format="csr"))
     assert np.allclose(linear_solve(system), -residual)
 
 
@@ -159,12 +156,11 @@ def test_linear_solve_permutation_invariance(rng):
     prob = no_channel_problem(n=5, emissivity=0.0)
     theta = rng.uniform(300.0, 340.0, prob.n_dofs)
     system = apply_constraints(assemble_raw(prob, theta))
-    n = system.n
+    n = system.residual.size
     perm = rng.permutation(n)
     P = sp.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
     permuted = DiscreteSystem(
         residual=P @ system.residual, jacobian=(P @ system.jacobian @ P.T).tocsr(),
-        constraints=system.constraints, theta=P @ system.theta,
     )
     d_perm = P.T @ linear_solve(permuted)
     assert np.allclose(d_perm, linear_solve(system), atol=1e-10)
