@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import GAUSS_1D_1, GAUSS_1D_2, basis_for, edge_shape
+from . import elements
+from .elements import GAUSS_1D_1, GAUSS_1D_2, ElementBasis, edge_shape
 from .materials import Coolant, SolidMaterial, curve_derivative, eval_curve, heat_capacity_rate
 from .mesh import NEUMANN, ChannelMesh
 
@@ -124,7 +125,7 @@ class ThermalProblem:
     surface: SurfaceExchange = SurfaceExchange()
     bcs: BoundaryData = BoundaryData()
     theta_initial: object = None  # K, defaults to ambient
-    _constraints: tuple | None = field(default=None, init=False, repr=False)
+    _constraints: Constraints | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if np.isscalar(self.load) and not np.isfinite(self.load):
@@ -142,7 +143,7 @@ class ThermalProblem:
 
     def load_at_qp(self, t) -> np.ndarray:
         """f at the volume quadrature points of the assembly, (T, nq)."""
-        x, y = basis_for(self.mesh).qp_xy.T  # (T, nq) each
+        x, y = plan_for(self.mesh).basis.qp_xy.T  # (T, nq) each
         if callable(self.load):
             return np.broadcast_to(self.load(x, y, t), x.shape).astype(float)
         return np.full(x.shape, float(self.load))
@@ -164,63 +165,78 @@ class ThermalProblem:
             vals = np.full(self.mesh.n_nodes, float(self.theta_initial))
         return TemperatureField(vals, time=0.0)
 
-    def constrained_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, values): constrained node ids and their prescribed temperatures.
+    @property
+    def constraints(self) -> Constraints:
+        """The problem's constraints, built on first use and shared by all callers.
 
-        The Dirichlet nodes come first, in ascending order, then the inlet
-        unless it is one of them. The inlet value is enforced only while
-        coolant actually flows (chi > 0); with the flow off there is no
-        fluid entering whose temperature could be prescribed, and the
-        zero-flow limit must not depend on the nominal flow direction.
-        The pair is built on the first call and cached as read-only
-        arrays; it depends only on the mesh, bcs and coolant.
+        They depend only on the mesh, bcs and coolant.
         """
-        if self._constraints is None:
-            ids, vals = self._build_constraints()
-            self._constraints = _read_only(ids), _read_only(vals)
+        with _CACHE_LOCK:
+            if self._constraints is None:
+                self._constraints = _build_constraints(self)
         return self._constraints
-
-    def _build_constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        mesh = self.mesh
-        ids = mesh.dirichlet_nodes()
-        vals = np.empty(0)
-        if ids.size:
-            if self.bcs.theta_p is None:
-                raise ValueError("mesh has dirichlet edges but bcs.theta_p is unset")
-            if callable(self.bcs.theta_p):
-                vals = self.bcs.theta_p(mesh.nodes[ids, 0], mesh.nodes[ids, 1])
-                vals = np.broadcast_to(vals, ids.shape).astype(float)
-            else:
-                vals = np.full(ids.shape, float(self.bcs.theta_p))
-        if mesh.has_channel and self.chi > 0.0:
-            inlet = int(mesh.inlet_node)
-            theta_inlet = float(self.bcs.theta_inlet)
-            at = np.flatnonzero(ids == inlet)
-            if at.size and abs(vals[at[0]] - theta_inlet) > 1e-9:
-                raise ValueError(
-                    f"conflicting prescriptions at inlet node {inlet}: "
-                    f"theta_p={vals[at[0]]} vs theta_inlet={theta_inlet}"
-                )
-            if at.size:
-                vals[at[0]] = theta_inlet
-            else:
-                ids, vals = np.append(ids, inlet), np.append(vals, theta_inlet)
-        return ids, vals
 
 
 @dataclass(frozen=True, eq=False)
-class Restriction:
-    """A plan's CSR pattern restricted to the free DOFs of one constraint set.
+class Constraints:
+    """A problem's constrained DOFs and its mesh's pattern restricted to the free ones.
 
-    free holds the unconstrained DOF ids in ascending order, and slots[k]
-    is the plan's data slot of entry k of the restricted pattern, so the
-    restricted Jacobian's data is J.data[slots]. The arrays are read-only.
+    ids holds the constrained node ids and values their prescribed
+    temperatures: the Dirichlet nodes first, in ascending order, then the
+    inlet unless it is one of them. The inlet value is enforced only while
+    coolant actually flows (chi > 0); with the flow off there is no fluid
+    entering whose temperature could be prescribed, and the zero-flow
+    limit must not depend on the nominal flow direction. free holds the
+    unconstrained DOF ids in ascending order, and slots[k] is the plan's
+    data slot of entry k of the restricted CSR pattern (indptr, indices),
+    so the restricted Jacobian's data is J.data[slots]. The arrays are
+    read-only.
     """
 
+    ids: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
     free: np.ndarray = field(repr=False)
     slots: np.ndarray = field(repr=False)
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
+
+
+def _build_constraints(problem: ThermalProblem) -> Constraints:
+    mesh = problem.mesh
+    ids = mesh.dirichlet_nodes()
+    vals = np.empty(0)
+    if ids.size:
+        if problem.bcs.theta_p is None:
+            raise ValueError("mesh has dirichlet edges but bcs.theta_p is unset")
+        if callable(problem.bcs.theta_p):
+            vals = problem.bcs.theta_p(mesh.nodes[ids, 0], mesh.nodes[ids, 1])
+            vals = np.broadcast_to(vals, ids.shape).astype(float)
+        else:
+            vals = np.full(ids.shape, float(problem.bcs.theta_p))
+    if mesh.has_channel and problem.chi > 0.0:
+        inlet = int(mesh.inlet_node)
+        theta_inlet = float(problem.bcs.theta_inlet)
+        at = np.flatnonzero(ids == inlet)
+        if at.size and abs(vals[at[0]] - theta_inlet) > 1e-9:
+            raise ValueError(
+                f"conflicting prescriptions at inlet node {inlet}: "
+                f"theta_p={vals[at[0]]} vs theta_inlet={theta_inlet}"
+            )
+        if at.size:
+            vals[at[0]] = theta_inlet
+        else:
+            ids, vals = np.append(ids, inlet), np.append(vals, theta_inlet)
+    plan = plan_for(mesh)
+    keep = np.ones(plan.n, dtype=bool)
+    keep[ids] = False
+    row = np.repeat(np.arange(plan.n), np.diff(plan.indptr))
+    slots = np.flatnonzero(keep[row] & keep[plan.indices])
+    renumber = np.cumsum(keep) - 1  # DOF id -> free DOF id
+    free = np.flatnonzero(keep)
+    indptr = np.zeros(free.size + 1, dtype=plan.indptr.dtype)
+    np.cumsum(np.bincount(renumber[row[slots]], minlength=free.size), out=indptr[1:])
+    indices = renumber[plan.indices[slots]].astype(plan.indices.dtype)
+    return Constraints(*(_read_only(a) for a in (ids, vals, free, slots, indptr, indices)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,11 +252,11 @@ class AssemblyPlan:
     chan_* tables hold the channel chain's edge nodes and, per Gauss
     point g, the edge shape values N_g, their arc-length derivatives
     dN/ds and the products N_i dN_j/ds, so the channel term rebuilds none
-    of them per call. The pattern restricted to the free DOFs is built
-    once per constraint set (restriction).
+    of them per call. basis is the mesh's element basis.
     """
 
     n: int
+    basis: ElementBasis = field(repr=False)
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
     tri_slots: np.ndarray = field(repr=False)
@@ -252,31 +268,13 @@ class AssemblyPlan:
     chan_dNds: np.ndarray = field(repr=False)  # (ng, E, k)
     chan_NdNds: np.ndarray = field(repr=False)  # (ng, E, k, k)
     chan_half_w: np.ndarray = field(repr=False)  # (ng,) Gauss weights / 2: dGamma = (ell / 2) dxi
-    _restrictions: dict = field(default_factory=dict, repr=False)
 
     @property
     def nnz(self) -> int:
         return self.indices.shape[0]
 
-    def restriction(self, ids: np.ndarray) -> Restriction:
-        """The pattern without the rows and columns of the constrained DOFs ids."""
-        key = ids.tobytes()
-        if key not in self._restrictions:
-            keep = np.ones(self.n, dtype=bool)
-            keep[ids] = False
-            row = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            slots = np.flatnonzero(keep[row] & keep[self.indices])
-            renumber = np.cumsum(keep) - 1  # DOF id -> free DOF id
-            free = np.flatnonzero(keep)
-            indptr = np.zeros(free.size + 1, dtype=self.indptr.dtype)
-            np.cumsum(np.bincount(renumber[row[slots]], minlength=free.size), out=indptr[1:])
-            indices = renumber[self.indices[slots]].astype(self.indices.dtype)
-            cut = Restriction(*(_read_only(a) for a in (free, slots, indptr, indices)))
-            self._restrictions.setdefault(key, cut)  # threads that race here get the one stored first
-        return self._restrictions[key]
 
-
-def _csr(data: np.ndarray, pattern: AssemblyPlan | Restriction) -> sp.csr_matrix:
+def _csr(data: np.ndarray, pattern: AssemblyPlan | Constraints) -> sp.csr_matrix:
     """A square CSR matrix on a fixed, canonical pattern; shares its index arrays."""
     n = pattern.indptr.shape[0] - 1
     J = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
@@ -307,7 +305,9 @@ def _entry_keys(nodes: np.ndarray, n: int) -> np.ndarray:
 
 def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
     n = mesh.n_nodes
-    basis = basis_for(mesh)
+    if np.any(mesh.channel_lengths <= 0):
+        raise ValueError("channel chain holds a zero-length edge")
+    basis = elements.build_basis(mesh)  # through the module, so a rebound build_basis is called
     tri_keys = _entry_keys(mesh.triangles, n)
     chan_nodes = _channel_edge_nodes(mesh) if mesh.has_channel else np.empty((0, 2), dtype=int)
     chan_keys = _entry_keys(chan_nodes, n)
@@ -324,11 +324,11 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
     p1 = mesh.element_order == 1
     xi, wgt = GAUSS_1D_1 if p1 else GAUSS_1D_2
     chan_N, dNdxi = edge_shape(mesh.element_order, xi)  # (ng, k) each
-    with np.errstate(divide="ignore"):  # channel_line_term rejects zero-length edges
-        inv_half_ell = 2.0 / mesh.channel_lengths
+    inv_half_ell = 2.0 / mesh.channel_lengths
     chan_dNds = inv_half_ell[None, :, None] * dNdxi[:, None, :]  # (ng, E, k)
     return AssemblyPlan(
         n=n,
+        basis=basis,
         indptr=_read_only(indptr),
         indices=_read_only(cols.astype(idx)),
         tri_slots=_read_only(slot_of[:tri_keys.size]),
@@ -344,12 +344,14 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
 
 
 _PLAN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_PLAN_LOCK = threading.Lock()
+# Guards _PLAN_CACHE and ThermalProblem.constraints; reentrant
+# because building a problem's constraints takes its mesh's plan.
+_CACHE_LOCK = threading.RLock()
 
 
 def plan_for(mesh: ChannelMesh) -> AssemblyPlan:
     """The mesh's assembly plan, built on first use and shared by all callers."""
-    with _PLAN_LOCK:
+    with _CACHE_LOCK:
         plan = _PLAN_CACHE.get(mesh)
         if plan is None:
             plan = _build_plan(mesh)
@@ -362,13 +364,13 @@ class DiscreteSystem:
     """Assembled residual/Jacobian pair at a given state.
 
     assemble_raw fills the rows and columns of every DOF and apply_constraints
-    keeps those of restriction.free, the problem's free DOFs. jacobian is
-    None for a residual-only assembly.
+    keeps those of restriction.free: restriction is the problem's
+    constraints. jacobian is None for a residual-only assembly.
     """
 
     residual: np.ndarray
     jacobian: sp.csr_matrix | None
-    restriction: Restriction | None = field(default=None, repr=False)
+    restriction: Constraints | None = field(default=None, repr=False)
 
 
 def channel_line_term(mesh: ChannelMesh, theta: np.ndarray, chi: float, jacobian: bool = True):
@@ -384,8 +386,6 @@ def channel_line_term(mesh: ChannelMesh, theta: np.ndarray, chi: float, jacobian
         empty = np.empty((0, 2))
         return np.empty((0, 2), dtype=int), empty, np.empty((0, 2, 2))
     ell = mesh.channel_lengths
-    if np.any(ell <= 0):
-        raise ValueError("channel chain holds a zero-length edge")
     plan = plan_for(mesh)
     nodes = plan.chan_nodes
     theta_e = theta[nodes]  # (E, k)
@@ -417,8 +417,8 @@ def assemble_raw(
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (mesh.n_nodes,):
         raise ValueError(f"theta must have shape ({mesh.n_nodes},)")
-    basis = basis_for(mesh)
     plan = plan_for(mesh)
+    basis = plan.basis
     tri = mesh.triangles
     d = mesh.domain.thickness
     surf = problem.surface
@@ -506,7 +506,7 @@ def assemble_raw(
 
     return DiscreteSystem(
         residual=R, jacobian=_csr(data, plan) if jacobian else None,
-        restriction=plan.restriction(problem.constrained_values()[0]),
+        restriction=problem.constraints,
     )
 
 

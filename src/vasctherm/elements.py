@@ -1,13 +1,13 @@
 """Lagrange triangle basis and quadrature shared by assembly and postprocessing.
 
 P1 uses the 3-point midpoint rule (degree 2), P2 the 6-point rule
-(degree 4). Per-mesh tabulated data is cached weakly so repeated
-assemblies reuse geometry factors.
+(degree 4). build_basis tabulates a mesh's basis at the quadrature
+points; it caches nothing, and the mesh's assembly plan
+(assembly.plan_for) holds the result.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,13 +117,3 @@ def build_basis(mesh) -> ElementBasis:
         qp_N=N, qp_dA=areas[:, None] * w, qp_gradN=gradN, qp_xy=xy,
     )
 
-
-_BASIS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def basis_for(mesh) -> ElementBasis:
-    basis = _BASIS_CACHE.get(mesh)
-    if basis is None:
-        basis = build_basis(mesh)
-        _BASIS_CACHE[mesh] = basis
-    return basis

@@ -13,8 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import TemperatureField, ThermalProblem, _neumann_flux_vector, neumann_quadrature
-from .elements import _grad_lambda, basis_for, edge_shape, grad_shape, tri_shape
+from .assembly import (
+    TemperatureField,
+    ThermalProblem,
+    _neumann_flux_vector,
+    neumann_quadrature,
+    plan_for,
+)
+from .elements import _grad_lambda, edge_shape, grad_shape, tri_shape
 from .materials import eval_curve
 from .mesh import ChannelMesh
 
@@ -62,12 +68,12 @@ def _values(field) -> np.ndarray:
 
 def _at_qp(field, mesh: ChannelMesh) -> np.ndarray:
     """The field at the assembly quadrature points, (T, nq)."""
-    return _values(field)[mesh.triangles] @ basis_for(mesh).qp_N.T
+    return _values(field)[mesh.triangles] @ plan_for(mesh).basis.qp_N.T
 
 
 def mean_surface_temperature(field, mesh: ChannelMesh) -> float:
     """Domain average of theta via element quadrature."""
-    basis = basis_for(mesh)
+    basis = plan_for(mesh).basis
     return float(np.sum(basis.qp_dA * _at_qp(field, mesh))) / float(np.sum(basis.areas))
 
 
@@ -111,7 +117,7 @@ def heat_flux_field(field, problem: ThermalProblem) -> np.ndarray:
     """q = -k_s(theta) grad theta per element at the centroid, (T, 2)."""
     mesh = problem.mesh
     vals = _values(field)
-    basis = basis_for(mesh)
+    basis = plan_for(mesh).basis
     corners = mesh.nodes[mesh.triangles[:, :3]]
     centroid = np.array([1.0, 1.0, 1.0]) / 3.0
     N = tri_shape(mesh.element_order, centroid[None, :])[0]
@@ -154,7 +160,7 @@ def energy_balance(field, problem: ThermalProblem, time: float | None = None) ->
 def _energy_balance(field, problem: ThermalProblem, time: float, supplied: float) -> float:
     mesh = problem.mesh
     surf = problem.surface
-    w = basis_for(mesh).qp_dA
+    w = plan_for(mesh).basis.qp_dA
     th_q = _at_qp(field, mesh)
     convected = np.sum(w * surf.h_T * (th_q - surf.theta_amb))
     radiated = np.sum(w * surf.emissivity * surf.sigma * (th_q**4 - surf.theta_amb**4))
@@ -167,7 +173,7 @@ def _energy_balance(field, problem: ThermalProblem, time: float, supplied: float
 
 def total_load(problem: ThermalProblem, time: float = 0.0) -> float:
     """int_Omega f dOmega with the assembly quadrature."""
-    return float(np.sum(basis_for(problem.mesh).qp_dA * problem.load_at_qp(time)))
+    return float(np.sum(plan_for(problem.mesh).basis.qp_dA * problem.load_at_qp(time)))
 
 
 def _load_sign_range(problem: ThermalProblem, time: float) -> tuple[float, float]:
@@ -188,7 +194,7 @@ def _qp_sign_range(problem: ThermalProblem, time: float) -> tuple[float, float]:
 
 def bound_candidates(problem: ThermalProblem) -> list[float]:
     """Ambient plus every constrained value: the inlet while coolant flows, and the Dirichlet trace."""
-    return [problem.surface.theta_amb, *problem.constrained_values()[1].tolist()]
+    return [problem.surface.theta_amb, *problem.constraints.values.tolist()]
 
 
 def check_bounds(field, problem: ThermalProblem, tol: float | None = None) -> BoundsReport:

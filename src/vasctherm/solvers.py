@@ -11,7 +11,7 @@ residual (Hairer & Wanner, Solving ODEs II, IV.8).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -104,8 +104,6 @@ class SolutionSeries:
     """Temperature history: fields[0] is the initial state at t = 0."""
 
     fields: list[TemperatureField]
-    newton_iters: list[int] = field(default_factory=list)
-    residual_norms: list[float] = field(default_factory=list)
 
     @property
     def times(self) -> np.ndarray:
@@ -192,8 +190,8 @@ def solve_steady(
         theta = np.full(problem.n_dofs, problem.surface.theta_amb)
     else:
         theta = np.array(theta_guess, dtype=float, copy=True)
-    ids, vals = problem.constrained_values()
-    theta[ids] = vals
+    constraints = problem.constraints
+    theta[constraints.ids] = constraints.values
 
     def assemble(state, jacobian=True):
         return apply_constraints(
@@ -202,7 +200,7 @@ def solve_steady(
 
     chord = factors is not None
     system = assemble(theta, jacobian=not chord)
-    free = system.restriction.free
+    free = constraints.free
     rnorm = float(np.linalg.norm(system.residual))
     r0 = rnorm
     if log is not None:
@@ -291,7 +289,7 @@ def solve_transient(
     nsettings = nsettings or NewtonSettings()
     dt = tsettings.dt
     initial = problem.initial_field()
-    series = SolutionSeries(fields=[initial], newton_iters=[0], residual_norms=[0.0])
+    series = SolutionSeries(fields=[initial])
     factors = _ChordFactor()
     theta_prev = initial.values
     theta_prev2 = None
@@ -306,8 +304,6 @@ def solve_transient(
                 coeff=1.5 / dt, rhs=(-2.0 * theta_prev + 0.5 * theta_prev2) / dt
             )
             guess = 2.0 * theta_prev - theta_prev2  # linear predictor
-        step_log: list = [] if log is None else log
-        first = len(step_log)
         try:
             field_next = solve_steady(
                 problem,
@@ -315,7 +311,7 @@ def solve_transient(
                 theta_guess=guess,
                 time=t_next,
                 rate=rate,
-                log=step_log,
+                log=log,
                 step_index=k + 1,
                 factors=factors,
             )
@@ -324,9 +320,6 @@ def solve_transient(
                 f"time step {k + 1} (t={t_next:g} s) failed: {exc}",
                 series=series, cause=exc,
             ) from exc
-        own = step_log[first:]
         series.fields.append(field_next)
-        series.newton_iters.append(max((rec.iteration for rec in own), default=0))
-        series.residual_norms.append(own[-1].residual_norm if own else 0.0)
         theta_prev2, theta_prev = theta_prev, field_next.values
     return series

@@ -44,6 +44,9 @@ FD_THETA_RANGE = (290.0, 420.0)  # K, the Jacobian check's random states
 FD_RATE_DT = 1.0  # s, BDF1 step of the Jacobian check's mass-term rate
 FD_STEP = 1e-4  # central-difference step relative to max(1, |theta_j|)
 SCALAR_SAMPLE_DT = 1.0  # s, spacing of the scalar reference's stored samples
+SCALAR_ROOT_TOL = 1e-10  # K, bisection bracket width of the scalar steady root
+MMS_H_T = 21.0  # W/(m^2 K), convection coefficient of every manufactured case
+MMS_THETA_AMB = 296.42  # K, ambient temperature of every manufactured case
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +57,6 @@ class MMSCase:
     theta_exact: object  # callable(x, y) -> K
     source: object  # callable(x, y) -> W/m^2
     conductivity: PropertyCurve
-    h_T: float = 21.0
-    theta_amb: float = 296.42
     with_channel: bool = False
     chi_flow_ml_per_min: float = 0.0
 
@@ -83,12 +84,13 @@ _D = _DOMAIN.thickness
 _WIDE = (250.0, 500.0)
 
 
-def mms_case_cmp(k: float = 2.0, b: float = 2000.0, theta_amb: float = 296.42, h_T: float = 21.0) -> MMSCase:
-    """Bilinear field with constant conductivity.
+def mms_case_cmp() -> MMSCase:
+    """Bilinear field with constant conductivity k = 2 W/(m K).
 
-    theta* = amb + b x y has zero Laplacian, so the source reduces to the
-    convection term alone: f* = h_T b x y.
+    theta* = amb + b x y (b = 2000 K/m^2) has zero Laplacian, so the
+    source reduces to the convection term alone: f* = h_T b x y.
     """
+    k, b, theta_amb, h_T = 2.0, 2000.0, MMS_THETA_AMB, MMS_H_T
 
     def theta_exact(x, y):
         return theta_amb + b * x * y
@@ -101,21 +103,18 @@ def mms_case_cmp(k: float = 2.0, b: float = 2000.0, theta_amb: float = 296.42, h
         theta_exact=theta_exact,
         source=source,
         conductivity=constant_curve(k, _WIDE, "W/(m*K)"),
-        h_T=h_T,
-        theta_amb=theta_amb,
     )
 
 
-def mms_case_tdmp(
-    k0: float = 5.0, k1: float = 0.01, b: float = 500.0,
-    theta_amb: float = 296.42, h_T: float = 21.0,
-) -> MMSCase:
+def mms_case_tdmp() -> MMSCase:
     """Quadratic field with conductivity linear in temperature.
 
-    For theta* = amb + b (x^2 + y^2) and k_s = k0 + k1 theta,
+    For theta* = amb + b (x^2 + y^2) and k_s = k0 + k1 theta
+    (b = 500 K/m^2, k0 = 5 W/(m K), k1 = 0.01 W/(m K^2)),
       div(k_s grad theta*) = 4 b (k0 + k1 amb) + 8 k1 b^2 (x^2 + y^2),
     so f* = -d [4 b (k0 + k1 amb) + 8 k1 b^2 r^2] + h_T b r^2.
     """
+    k0, k1, b, theta_amb, h_T = 5.0, 0.01, 500.0, MMS_THETA_AMB, MMS_H_T
 
     def theta_exact(x, y):
         return theta_amb + b * (x**2 + y**2)
@@ -129,22 +128,19 @@ def mms_case_tdmp(
         theta_exact=theta_exact,
         source=source,
         conductivity=PropertyCurve((k0, k1), _WIDE, "W/(m*K)"),
-        h_T=h_T,
-        theta_amb=theta_amb,
     )
 
 
-def mms_case_cubic(
-    k0: float = 5.0, k1: float = 0.01, b: float = 5.0e3,
-    theta_amb: float = 296.42, h_T: float = 21.0,
-) -> MMSCase:
+def mms_case_cubic() -> MMSCase:
     """Cubic field, outside the P2 space, for second-order-element rates.
 
-    For theta* = amb + b (x^3 + y^3) and k_s = k0 + k1 theta,
+    For theta* = amb + b (x^3 + y^3) and k_s = k0 + k1 theta
+    (b = 5000 K/m^3, k0 = 5 W/(m K), k1 = 0.01 W/(m K^2)),
       div(k_s grad theta*) = 6 b (x + y) k_s(theta*) + 9 k1 b^2 (x^4 + y^4),
     so f* = -d [6 b (x + y)(k0 + k1 theta*) + 9 k1 b^2 (x^4 + y^4)]
             + h_T b (x^3 + y^3).
     """
+    k0, k1, b, theta_amb, h_T = 5.0, 0.01, 5.0e3, MMS_THETA_AMB, MMS_H_T
 
     def theta_exact(x, y):
         return theta_amb + b * (x**3 + y**3)
@@ -159,21 +155,19 @@ def mms_case_cubic(
         theta_exact=theta_exact,
         source=source,
         conductivity=PropertyCurve((k0, k1), _WIDE, "W/(m*K)"),
-        h_T=h_T,
-        theta_amb=theta_amb,
     )
 
 
-def mms_case_channel(
-    k: float = 2.0, b: float = 2000.0, theta_amb: float = 296.42, h_T: float = 21.0
-) -> MMSCase:
+def mms_case_channel() -> MMSCase:
     """Straight mid-plane channel with a compatible exact field.
 
-    theta* = amb + b (x - 1/2 w)^2 is constant along the channel at
-    x = w/2, so grad theta* . t_hat = 0 there and the advective jump
-    vanishes for the exact solution while the discrete channel machinery
-    stays fully engaged. f* = -2 d k b + h_T b (x - w/2)^2.
+    theta* = amb + b (x - 1/2 w)^2 (b = 2000 K/m^2) is constant along the
+    channel at x = w/2, so grad theta* . t_hat = 0 there and the advective
+    jump vanishes for the exact solution while the discrete channel
+    machinery stays fully engaged. f* = -2 d k b + h_T b (x - w/2)^2 with
+    k = 2 W/(m K).
     """
+    k, b, theta_amb, h_T = 2.0, 2000.0, MMS_THETA_AMB, MMS_H_T
     xc = 0.5 * _DOMAIN.width
 
     def theta_exact(x, y):
@@ -187,8 +181,6 @@ def mms_case_channel(
         theta_exact=theta_exact,
         source=source,
         conductivity=constant_curve(k, _WIDE, "W/(m*K)"),
-        h_T=h_T,
-        theta_amb=theta_amb,
         with_channel=True,
         chi_flow_ml_per_min=1.0,
     )
@@ -219,8 +211,8 @@ def _mms_problem(case: MMSCase, n: int, element_order: int) -> ThermalProblem:
         solid=solid,
         coolant=coolant,
         load=lambda x, y, t: case.source(x, y),
-        surface=SurfaceExchange(h_T=case.h_T, emissivity=0.0, theta_amb=case.theta_amb),
-        bcs=BoundaryData(theta_inlet=case.theta_amb, theta_p=case.theta_exact, q_p=0.0),
+        surface=SurfaceExchange(h_T=MMS_H_T, emissivity=0.0, theta_amb=MMS_THETA_AMB),
+        bcs=BoundaryData(theta_inlet=MMS_THETA_AMB, theta_p=case.theta_exact, q_p=0.0),
     )
 
 
@@ -278,11 +270,11 @@ def jacobian_check(
     """
     rng = np.random.default_rng(seed)
     n = problem.n_dofs
-    ids, vals = problem.constrained_values()
+    constraints = problem.constraints
     worst = 0.0
     for _ in range(trials):
         theta = rng.uniform(*FD_THETA_RANGE, size=n)
-        theta[ids] = vals
+        theta[constraints.ids] = constraints.values
         if terms.mass:
             prev = rng.uniform(*FD_THETA_RANGE, size=n)
             rate = RateWeights(coeff=1.0 / FD_RATE_DT, rhs=-prev / FD_RATE_DT)
@@ -291,7 +283,7 @@ def jacobian_check(
         base = apply_constraints(assemble_raw(problem, theta, rate=rate, terms=terms))
         J = base.jacobian.toarray()
         J_fd = np.empty_like(J)
-        for col, j in enumerate(base.restriction.free):
+        for col, j in enumerate(constraints.free):
             h = FD_STEP * max(1.0, abs(theta[j]))
             tp, tm = theta.copy(), theta.copy()
             tp[j] += h
@@ -323,8 +315,7 @@ class ScalarReference:
 
 
 def scalar_steady_root(
-    f0: float, h_T: float, emissivity: float, theta_amb: float,
-    sigma: float = 5.67e-8, tol: float = 1e-10,
+    f0: float, h_T: float, emissivity: float, theta_amb: float, sigma: float = 5.67e-8,
 ) -> float:
     """Bisection root of f0 = h_T (u - amb) + eps sigma (u^4 - amb^4)."""
     if h_T <= 0.0 and emissivity <= 0.0:
@@ -344,7 +335,7 @@ def scalar_steady_root(
         step *= 2.0
         if lo <= 1e-12:
             break
-    while hi - lo > tol:
+    while hi - lo > SCALAR_ROOT_TOL:
         mid = 0.5 * (lo + hi)
         if g(mid) >= 0.0:
             lo = mid

@@ -1,4 +1,6 @@
+import dataclasses
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,7 +20,8 @@ from vasctherm.assembly import (
     channel_line_term,
     plan_for,
 )
-from vasctherm.elements import GAUSS_1D_1, GAUSS_1D_2, basis_for, edge_shape
+from vasctherm import assembly, elements
+from vasctherm.elements import GAUSS_1D_1, GAUSS_1D_2, edge_shape
 from vasctherm.geometry import Domain2D, LayoutParams, VasculaturePath, generate_layout
 from vasctherm.materials import (
     Coolant,
@@ -177,7 +180,7 @@ def test_channel_term_matches_per_call_tables(order, rng):
     assert np.array_equal(lean, ref_res) and none is None
 
 
-def test_constrained_values_built_once_and_read_only(rng):
+def test_constraints_built_once_and_read_only(rng):
     base = mixed_boundary_problem()
     calls = []
 
@@ -189,26 +192,29 @@ def test_constrained_values_built_once_and_read_only(rng):
         mesh=base.mesh, solid=base.solid, coolant=base.coolant, load=base.load,
         surface=base.surface, bcs=BoundaryData(theta_inlet=296.42, theta_p=theta_p),
     )
-    ids, vals = prob.constrained_values()
+    constraints = prob.constraints
     for _ in range(3):
-        apply_constraints(assemble_raw(prob, random_state(prob, rng, True), jacobian=False))
-    again = prob.constrained_values()
+        system = apply_constraints(assemble_raw(prob, random_state(prob, rng, True), jacobian=False))
+        assert system.restriction is constraints
     assert len(calls) == 1
-    assert again[0] is ids and again[1] is vals
-    assert not ids.flags.writeable and not vals.flags.writeable
+    assert prob.constraints is constraints
+    for arr in (constraints.ids, constraints.values, constraints.free,
+                constraints.slots, constraints.indptr, constraints.indices):
+        assert not arr.flags.writeable
 
 
 def test_all_neumann_constrains_only_inlet():
     prob = channel_problem(n=6)
-    ids, vals = prob.constrained_values()
-    assert ids.tolist() == [prob.mesh.inlet_node]
-    assert vals[0] == pytest.approx(296.42)
+    constraints = prob.constraints
+    assert constraints.ids.tolist() == [prob.mesh.inlet_node]
+    assert constraints.values[0] == pytest.approx(296.42)
 
 
 def test_zero_flow_removes_inlet_constraint():
     prob = channel_problem(n=6, flow_ml_per_min=0.0)
-    ids, vals = prob.constrained_values()
-    assert ids.size == 0 and vals.size == 0
+    constraints = prob.constraints
+    assert constraints.ids.size == 0 and constraints.values.size == 0
+    assert constraints.free.size == prob.n_dofs
 
 
 def test_dirichlet_everywhere_constrained_count():
@@ -223,7 +229,7 @@ def test_dirichlet_everywhere_constrained_count():
         surface=prob.surface,
         bcs=BoundaryData(theta_inlet=296.42, theta_p=296.42),
     )
-    ids, vals = prob.constrained_values()
+    ids, vals = prob.constraints.ids, prob.constraints.values
     boundary_nodes = 4 * 6  # boundary node count on an n=6 grid
     # inlet lies on the boundary, so it is already among the dirichlet nodes
     assert len(ids) == len(np.unique(ids)) == len(vals) == boundary_nodes
@@ -242,7 +248,7 @@ def test_conflicting_inlet_prescription_rejected():
         bcs=BoundaryData(theta_inlet=296.42, theta_p=350.0),
     )
     with pytest.raises(ValueError, match="conflicting"):
-        prob.constrained_values()
+        prob.constraints
 
 
 def test_constrained_dof_eliminated_and_solution_exact(rng):
@@ -336,8 +342,7 @@ def test_apply_constraints_preserves_symmetric_pattern(rng):
 def random_state(prob, rng, on_constraints):
     theta = rng.uniform(300.0, 360.0, prob.n_dofs)
     if on_constraints:
-        ids, vals = prob.constrained_values()
-        theta[ids] = vals
+        theta[prob.constraints.ids] = prob.constraints.values
     return theta
 
 
@@ -362,7 +367,7 @@ def test_residual_only_matches_full_bitwise(order, transient, on_constraints, rn
 def dense_reference_jacobian(prob, theta, rate):
     """Element-by-element accumulation of the exact linearization."""
     mesh, solid, surf = prob.mesh, prob.solid, prob.surface
-    basis = basis_for(mesh)
+    basis = plan_for(mesh).basis
     d, es = mesh.domain.thickness, surf.emissivity * surf.sigma
     J = np.zeros((prob.n_dofs, prob.n_dofs))
     thdot = rate.coeff * theta + rate.rhs
@@ -399,7 +404,7 @@ def test_jacobian_matches_dense_reference(order, rng):
 @pytest.mark.parametrize("order", [1, 2])
 def test_restricted_jacobian_is_free_block_of_raw(order, rng):
     prob = mixed_boundary_problem(order=order)
-    ids, _ = prob.constrained_values()
+    ids = prob.constraints.ids
     assert prob.mesh.inlet_node in ids and ids.size > 1  # the inlet and a dirichlet edge
     free = np.delete(np.arange(prob.n_dofs), ids)
     theta = random_state(prob, rng, True)
@@ -419,7 +424,7 @@ def test_csr_pattern_canonical_and_fixed(rng):
         assemble_raw(prob, random_state(prob, rng, False), rate=rate),
         assemble_raw(prob, random_state(prob, rng, True), rate=rate),
     ]
-    n_free = prob.n_dofs - prob.constrained_values()[0].size
+    n_free = prob.n_dofs - prob.constraints.ids.size
     for systems in (raw, [apply_constraints(s) for s in raw]):
         first = systems[0].jacobian
         for J in (s.jacobian for s in systems):
@@ -435,9 +440,8 @@ def test_cached_index_arrays_read_only(rng):
     prob = mixed_boundary_problem()
     system = apply_constraints(assemble_raw(prob, random_state(prob, rng, True)))
     plan, cut = plan_for(prob.mesh), system.restriction
-    assert cut is plan.restriction(prob.constrained_values()[0].copy())  # cached per constraint set
-    for arr in (plan.indptr, plan.indices, plan.tri_slots, plan.chan_slots,
-                cut.free, cut.slots, cut.indptr, cut.indices):
+    assert cut is prob.constraints
+    for arr in (plan.indptr, plan.indices, plan.tri_slots, plan.chan_slots):
         assert not arr.flags.writeable
     J = system.jacobian
     assert np.shares_memory(J.indices, cut.indices)
@@ -453,29 +457,61 @@ def test_cached_index_arrays_read_only(rng):
         plan.indices, assemble_raw(prob, random_state(prob, rng, True)).jacobian.indices)
 
 
-def test_plan_shared_across_threads(rng):
-    grid = build_structured_mesh(Domain2D(), 8)
+def _gated(fn, builds):
+    """fn behind a two-party barrier: two racing callers both pass it unless a lock holds one back."""
+    barrier = threading.Barrier(2, timeout=0.5)
+
+    def wrapper(*args):
+        builds.append(1)
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:  # the other caller never came: the lock held it back
+            pass
+        return fn(*args)
+    return wrapper
+
+
+def _race(fn):
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(fn) for _ in range(2)]
+        return [f.result(timeout=60) for f in futures]
+
+
+def test_plan_shared_across_threads(monkeypatch, rng):
     base = channel_problem(n=8)
-    thetas = [random_state(base, rng, True) for _ in range(16)]
-    serial = [apply_constraints(assemble_raw(base, th)) for th in thetas]
-    prob = ThermalProblem(  # fresh mesh: its plan is built under contention
+    grid = build_structured_mesh(Domain2D(), 8)
+    prob = ThermalProblem(  # fresh mesh: nothing is cached for it yet
         mesh=embed_vasculature(grid, generate_layout(Domain2D(), LayoutParams())),
         solid=base.solid, coolant=base.coolant, load=base.load, surface=base.surface,
         bcs=base.bcs,
     )
+    basis_builds, constraint_builds = [], []
+    monkeypatch.setattr(elements, "build_basis", _gated(elements.build_basis, basis_builds))
+    monkeypatch.setattr(assembly, "_build_constraints", _gated(assembly._build_constraints, constraint_builds))
+    plans = _race(lambda: plan_for(prob.mesh))
+    assert len(basis_builds) == 1 and plans[0] is plans[1]
+    constraints = _race(lambda: prob.constraints)
+    assert len(constraint_builds) == 1 and constraints[0] is constraints[1]
+
+    # assemblies running concurrently on the shared plan agree bitwise with serial ones
+    thetas = [random_state(base, rng, True) for _ in range(8)]
+    serial = [apply_constraints(assemble_raw(base, th)) for th in thetas]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda th: apply_constraints(assemble_raw(prob, th)), th)
-                       for th in thetas]
-            threaded = [f.result(timeout=60) for f in futures]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda th: apply_constraints(assemble_raw(base, th)), thetas))
     finally:
         sys.setswitchinterval(switch)
-    # the plan and its restriction are built under contention; every thread gets the one stored
-    cut = plan_for(prob.mesh).restriction(prob.constrained_values()[0])
-    assert all(s.restriction is cut for s in threaded) and cut is not serial[0].restriction
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.residual, b.residual)
         assert np.array_equal(a.jacobian.data, b.jacobian.data)
-        assert np.array_equal(a.jacobian.indices, b.jacobian.indices)
+        assert b.restriction is base.constraints
+
+
+def test_zero_length_channel_edge_rejected():
+    mesh = channel_problem(n=4).mesh
+    lengths = mesh.channel_lengths.copy()
+    lengths[1] = 0.0
+    with pytest.raises(ValueError, match="zero-length"):
+        plan_for(dataclasses.replace(mesh, channel_lengths=lengths))

@@ -5,6 +5,7 @@ the module, would silently remove a measured layer, so every site must
 still resolve and the solver sites must still be reached.
 """
 
+import functools
 import importlib
 import importlib.util
 import pathlib
@@ -13,8 +14,9 @@ from collections import Counter
 
 import scipy.sparse.linalg as spla
 
-from conftest import channel_problem
-from vasctherm import solvers
+from conftest import channel_problem, no_channel_problem
+from vasctherm import elements, solvers
+from vasctherm.postprocess import observables_for
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
 
@@ -39,15 +41,16 @@ def test_benchmark_layer_sites_resolve():
     assert not missing
 
 
+def _counting(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_solver_sites_are_reached_through_their_modules(monkeypatch):
     counts = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
+    counting = functools.partial(_counting, counts)
     monkeypatch.setattr(solvers, "solve_steady", counting("step", solvers.solve_steady))
     monkeypatch.setattr(solvers, "linear_solve", counting("linear", solvers.linear_solve))
     monkeypatch.setattr(solvers, "assemble_raw", counting("assemble", solvers.assemble_raw))
@@ -62,3 +65,11 @@ def test_solver_sites_are_reached_through_their_modules(monkeypatch):
     # every Newton iteration assembles and restricts at least its trial
     assert counts["assemble"] >= iterations + counts["step"]
     assert counts["constrain"] == counts["assemble"]
+
+
+def test_basis_built_once_per_mesh_through_its_module(monkeypatch):
+    counts = Counter()
+    monkeypatch.setattr(elements, "build_basis", _counting(counts, "basis", elements.build_basis))
+    for meshes, problem in enumerate((channel_problem(n=5), no_channel_problem(n=4, order=2)), 1):
+        observables_for(problem, solvers.solve_steady(problem))
+        assert counts["basis"] == meshes  # one per fresh mesh, through elements.build_basis

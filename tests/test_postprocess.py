@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import channel_problem, mixed_boundary_problem, no_channel_problem, wide_material
-from vasctherm.assembly import SurfaceExchange, TemperatureField, ThermalProblem
+from vasctherm.assembly import SurfaceExchange, TemperatureField, ThermalProblem, plan_for
 from vasctherm.materials import Coolant, water_coolant
-from vasctherm.elements import basis_for
 from vasctherm.mesh import NEUMANN, build_structured_mesh, mesh_without_channel
 from vasctherm.geometry import Domain2D
 from vasctherm.postprocess import (
@@ -120,7 +119,7 @@ def test_heat_flux_dissipative_orientation():
     prob = channel_problem(n=10)
     fld = solve_steady(prob)
     q = heat_flux_field(fld, prob)
-    basis = basis_for(prob.mesh)
+    basis = plan_for(prob.mesh).basis
     grad = np.einsum("tnc,tn->tc", basis.qp_gradN[:, :, 0], fld.values[prob.mesh.triangles])
     assert np.all(np.einsum("tc,tc->t", q, grad) <= 1e-12)
 
@@ -230,7 +229,7 @@ def test_channel_peclet_small_at_desk_scale():
 def per_point_reference(problem, theta, time):
     """MST, supplied power, energy residual and sign ranges, one quadrature point at a time."""
     mesh, surf = problem.mesh, problem.surface
-    basis = basis_for(mesh)
+    basis = plan_for(mesh).basis
     theta_e = theta[mesh.triangles]
     integral = supplied = convected = radiated = 0.0
     f_lo, f_hi = np.inf, -np.inf

@@ -217,9 +217,14 @@ def test_transient_series_ignores_earlier_log_records():
     log = []
     solve_steady(prob, log=log)
     assert log  # steady records, step 0, precede the transient ones
+    steady_records = len(log)
     shared = solve_transient(prob, settings, log=log)
-    assert shared.newton_iters == fresh.newton_iters
-    assert shared.residual_norms == fresh.residual_norms
+    assert [rec.step for rec in log[:steady_records]] == [0] * steady_records
+    assert {rec.step for rec in log[steady_records:]} == {1, 2, 3, 4}
+    assert len(shared) == len(fresh) == 5
+    for a, b in zip(shared.fields, fresh.fields):
+        assert a.time == b.time
+        assert np.array_equal(a.values, b.values)
 
 
 def _with_load(base, load):
