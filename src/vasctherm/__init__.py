@@ -23,7 +23,7 @@ from .assembly import (
     apply_constraints,
     channel_line_term,
 )
-from .geometry import Domain2D, LayoutParams, VasculaturePath, arc_length, generate_layout, point_and_tangent_at
+from .geometry import Domain2D, LayoutParams, VasculaturePath, arc_length, generate_layout
 from .materials import (
     Coolant,
     EllipticityReport,

@@ -50,7 +50,6 @@ class SurfaceExchange:
     h_T: float = 21.0  # W/(m^2 K)
     emissivity: float = 0.97
     theta_amb: float = 296.42  # K
-    sigma: float = STEFAN_BOLTZMANN
 
     def __post_init__(self):
         if self.theta_amb <= 0:
@@ -76,18 +75,13 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class TermMask:
-    """Toggles for individual residual terms (testing/diagnostics).
-
-    property_derivatives=False drops the k_s'/c_s' Jacobian blocks, which
-    deliberately breaks Newton consistency for mutation checks.
-    """
+    """Toggles for individual residual terms (testing/diagnostics)."""
 
     conduction: bool = True
     convection: bool = True
     radiation: bool = True
     channel: bool = True
     mass: bool = True
-    property_derivatives: bool = True
 
 
 ALL_TERMS = TermMask()
@@ -116,7 +110,7 @@ class TemperatureField:
 
 @dataclass(eq=False)
 class ThermalProblem:
-    """Full scenario: mesh, materials, coolant, loads, BCs, initial state."""
+    """Full scenario: mesh, materials, coolant, loads and BCs; it starts at ambient."""
 
     mesh: ChannelMesh
     solid: SolidMaterial
@@ -124,7 +118,6 @@ class ThermalProblem:
     load: object = 1000.0  # W/m^2, constant or callable(x, y, t)
     surface: SurfaceExchange = SurfaceExchange()
     bcs: BoundaryData = BoundaryData()
-    theta_initial: object = None  # K, defaults to ambient
     _constraints: Constraints | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -154,16 +147,7 @@ class ThermalProblem:
         return np.full(np.shape(x), float(self.bcs.q_p))
 
     def initial_field(self) -> TemperatureField:
-        if self.theta_initial is None:
-            vals = np.full(self.mesh.n_nodes, self.surface.theta_amb)
-        elif callable(self.theta_initial):
-            vals = np.asarray(
-                self.theta_initial(self.mesh.nodes[:, 0], self.mesh.nodes[:, 1]), dtype=float
-            )
-            vals = np.broadcast_to(vals, (self.mesh.n_nodes,)).copy()
-        else:
-            vals = np.full(self.mesh.n_nodes, float(self.theta_initial))
-        return TemperatureField(vals, time=0.0)
+        return TemperatureField(np.full(self.mesh.n_nodes, self.surface.theta_amb), time=0.0)
 
     @property
     def constraints(self) -> Constraints:
@@ -374,7 +358,7 @@ class DiscreteSystem:
 
 
 def channel_line_term(mesh: ChannelMesh, theta: np.ndarray, chi: float, jacobian: bool = True):
-    """Per-edge channel contributions chi * w * (grad theta . t_hat).
+    """Per-edge channel contributions chi * w * (grad theta . t_hat) of a channel mesh.
 
     Returns (nodes, residual, jacobian) with shapes (E, k), (E, k) and
     (E, k, k), where k is 2 for linear and 3 for quadratic edges; the
@@ -382,9 +366,6 @@ def channel_line_term(mesh: ChannelMesh, theta: np.ndarray, chi: float, jacobian
     (P2) Gauss rules integrate the edge terms; their tables live in the
     mesh's assembly plan.
     """
-    if not mesh.has_channel:
-        empty = np.empty((0, 2))
-        return np.empty((0, 2), dtype=int), empty, np.empty((0, 2, 2))
     ell = mesh.channel_lengths
     plan = plan_for(mesh)
     nodes = plan.chan_nodes
@@ -442,9 +423,8 @@ def assemble_raw(
                 f"(min {float(np.min(k_q)):.4g} W/(m*K))"
             )
         wdk = w * d * k_q
-        if jacobian and terms.property_derivatives:
-            kp_q = curve_derivative(problem.solid.conductivity, th_q)
-            wdkp = w * d * kp_q
+        if jacobian:
+            wdkp = w * d * curve_derivative(problem.solid.conductivity, th_q)
         if plan.p1_GGt is not None:
             GGt = plan.p1_GGt
             gw = np.einsum("tij,tj->ti", GGt, theta_e)  # grad N_i . grad theta
@@ -452,8 +432,7 @@ def assemble_raw(
             R_e += kbar[:, None] * gw
             if jacobian:
                 J_e += kbar[:, None, None] * GGt
-                if terms.property_derivatives:
-                    J_e += gw[:, :, None] * (wdkp @ N)[:, None, :]
+                J_e += gw[:, :, None] * (wdkp @ N)[:, None, :]
         else:
             G = basis.qp_gradN  # (T, nen, nq, 2)
             Gs = G.reshape(T, nen, -1)
@@ -462,8 +441,7 @@ def assemble_raw(
             R_e += (gw @ wdk[:, :, None])[:, :, 0]
             if jacobian:
                 J_e += (Gs * np.repeat(wdk, 2, axis=1)[:, None, :]) @ Gs.transpose(0, 2, 1)
-                if terms.property_derivatives:
-                    J_e += (gw * wdkp[:, None, :]) @ N
+                J_e += (gw * wdkp[:, None, :]) @ N
 
     if terms.convection and surf.h_T != 0.0:
         coef_N += w * surf.h_T * (th_q - surf.theta_amb)
@@ -471,7 +449,7 @@ def assemble_raw(
             coef_NN += w * surf.h_T
 
     if terms.radiation and surf.emissivity != 0.0:
-        es = surf.emissivity * surf.sigma
+        es = surf.emissivity * STEFAN_BOLTZMANN
         coef_N += w * es * (th_q**4 - surf.theta_amb**4)
         if jacobian:
             coef_NN += w * es * 4.0 * th_q**3
@@ -485,8 +463,7 @@ def assemble_raw(
         coef_N += coef * c_q * thdot_q
         if jacobian:
             coef_NN += coef * c_q * rate.coeff
-            if terms.property_derivatives:
-                coef_NN += coef * curve_derivative(problem.solid.specific_heat, th_q) * thdot_q
+            coef_NN += coef * curve_derivative(problem.solid.specific_heat, th_q) * thdot_q
 
     R_e += coef_N @ N
     R = np.bincount(tri.ravel(), weights=R_e.ravel(), minlength=mesh.n_nodes)

@@ -44,7 +44,7 @@ from .postprocess import (
     observables_for,
     series_observables,
 )
-from .solvers import NewtonSettings, SolverError, TransientSettings, solve_steady, solve_transient
+from .solvers import SolverError, TransientSettings, solve_steady, solve_transient
 from .verification import (
     jacobian_check,
     mms_case_cmp,
@@ -295,20 +295,23 @@ def _versions() -> dict:
 
 
 def execute_run(config: ScenarioConfig) -> RunResult:
-    """Solve one scenario (steady always; transient unless steady_only)."""
+    """Solve one scenario (steady always; transient unless steady_only).
+
+    The transient settings are checked before anything is solved.
+    """
     t0 = time.perf_counter()
+    ts = None if config.steady_only else TransientSettings(
+        dt=float(config.transient["dt"]),
+        t_end=float(config.transient["t_end"]),
+        bdf_order=int(config.transient.get("bdf_order", 2)),
+    )
     problem = build_problem(config)
     log: list = []
     steady = solve_steady(problem, log=log)
     bounds = check_bounds(steady, problem)
     series = None
     sobs: list = []
-    if not config.steady_only:
-        ts = TransientSettings(
-            dt=float(config.transient["dt"]),
-            t_end=float(config.transient["t_end"]),
-            bdf_order=int(config.transient.get("bdf_order", 2)),
-        )
+    if ts is not None:
         series = solve_transient(problem, ts, log=log)
         sobs = series_observables(problem, series)
     return RunResult(
@@ -324,40 +327,34 @@ def execute_run(config: ScenarioConfig) -> RunResult:
     )
 
 
-def _write_csv(path: str, header: list[str], rows) -> str:
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-    return path
 
 
-def emit_plot_data(run: RunResult, outdir: str) -> list[str]:
+def emit_plot_data(run: RunResult, outdir: str) -> None:
     """Figure-oriented CSVs: time series, arc-length profile, field snapshot."""
     os.makedirs(outdir, exist_ok=True)
-    written = []
     if run.series_obs:
         obs = run.series_obs
-        written.append(_write_csv(
+        _write_csv(
             os.path.join(outdir, "observables.csv"),
             ["t", "mst", "theta_outlet", "eta", "energy_residual"],
             [[_fmt(o.t), _fmt(o.mst), _fmt(o.theta_outlet), _fmt(o.eta),
               _fmt(o.energy_balance_residual)] for o in obs],
-        ))
-        written.append(_write_csv(
-            os.path.join(outdir, "mst_vs_time.csv"), ["t", "mst"],
-            [[_fmt(o.t), _fmt(o.mst)] for o in obs]))
-        written.append(_write_csv(
-            os.path.join(outdir, "outlet_vs_time.csv"), ["t", "theta_outlet"],
-            [[_fmt(o.t), _fmt(o.theta_outlet)] for o in obs]))
-        written.append(_write_csv(
-            os.path.join(outdir, "eta_vs_time.csv"), ["t", "eta"],
-            [[_fmt(o.t), _fmt(o.eta)] for o in obs]))
+        )
+        _write_csv(os.path.join(outdir, "mst_vs_time.csv"), ["t", "mst"],
+                   [[_fmt(o.t), _fmt(o.mst)] for o in obs])
+        _write_csv(os.path.join(outdir, "outlet_vs_time.csv"), ["t", "theta_outlet"],
+                   [[_fmt(o.t), _fmt(o.theta_outlet)] for o in obs])
+        _write_csv(os.path.join(outdir, "eta_vs_time.csv"), ["t", "eta"],
+                   [[_fmt(o.t), _fmt(o.eta)] for o in obs])
     mesh = run.problem.mesh
     profile = arc_length_profile(run.steady_field, mesh)
-    written.append(_write_csv(
-        os.path.join(outdir, "arclength_profile.csv"), ["s", "theta"],
-        [[_fmt(s), _fmt(v)] for s, v in profile]))
+    _write_csv(os.path.join(outdir, "arclength_profile.csv"), ["s", "theta"],
+               [[_fmt(s), _fmt(v)] for s, v in profile])
     flux = heat_flux_field(run.steady_field, run.problem)
     tri_flux = np.zeros((mesh.n_nodes, 2))
     counts = np.zeros(mesh.n_nodes)
@@ -366,11 +363,10 @@ def emit_plot_data(run: RunResult, outdir: str) -> list[str]:
         np.add.at(counts, mesh.triangles[:, k], 1.0)
     counts[counts == 0] = 1.0
     tri_flux /= counts[:, None]
-    written.append(_write_csv(
+    _write_csv(
         os.path.join(outdir, "field_snapshot.csv"), ["x", "y", "theta", "q_x", "q_y"],
         [[_fmt(x), _fmt(y), _fmt(v), _fmt(qx), _fmt(qy)]
-         for (x, y), v, (qx, qy) in zip(mesh.nodes, run.steady_field.values, tri_flux)]))
-    return written
+         for (x, y), v, (qx, qy) in zip(mesh.nodes, run.steady_field.values, tri_flux)])
 
 
 def _write_run(run: RunResult, outdir: str) -> None:

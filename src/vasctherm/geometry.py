@@ -27,10 +27,6 @@ class Domain2D:
         if min(self.width, self.height, self.thickness) <= 0:
             raise ValueError("domain dimensions must be positive")
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
 
 def _cross2(u, v) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
@@ -78,14 +74,6 @@ class VasculaturePath:
                     raise ValueError(f"path self-intersects (segments {i} and {j})")
         object.__setattr__(self, "vertices", v)
 
-    @property
-    def inlet(self) -> np.ndarray:
-        return self.vertices[0]
-
-    @property
-    def outlet(self) -> np.ndarray:
-        return self.vertices[-1]
-
     def reversed(self) -> "VasculaturePath":
         """Flow-reversal transform: swap inlet and outlet."""
         return VasculaturePath(self.vertices[::-1].copy())
@@ -117,11 +105,6 @@ class LayoutParams:
             raise ValueError("serpentine needs pass_count >= 1")
         if self.inlet_edge not in ("top", "bottom"):
             raise ValueError("inlet_edge must be 'top' or 'bottom'")
-
-
-def asymmetric_params(spacing: float = 0.05, margin: float = 0.02, offset: float = 0.005) -> LayoutParams:
-    """Default asymmetric U: legs at unequal offsets from the centerline."""
-    return LayoutParams(kind="asymmetric", spacing=spacing, margin=margin, offset=offset)
 
 
 def _check_inside(domain: Domain2D, verts: np.ndarray, kind: str):
@@ -188,29 +171,3 @@ def arc_length(path: VasculaturePath) -> float:
     """Total length of the polyline (m)."""
     seg = np.diff(path.vertices, axis=0)
     return float(np.sum(np.hypot(seg[:, 0], seg[:, 1])))
-
-
-def point_and_tangent_at(path: VasculaturePath, s: float):
-    """Point and unit tangent at arc-length s from the inlet.
-
-    At interior vertices the tangent of the succeeding segment is
-    returned; at s = L the final segment's tangent.
-    """
-    total = arc_length(path)
-    if s < -1e-12 or s > total + 1e-12:
-        raise ValueError(f"s={s} outside [0, {total}]")
-    s = min(max(s, 0.0), total)
-    v = path.vertices
-    seg = np.diff(v, axis=0)
-    lengths = np.hypot(seg[:, 0], seg[:, 1])
-    acc = 0.0
-    for i, ell in enumerate(lengths):
-        if s <= acc + ell or i == len(lengths) - 1:
-            local = (s - acc) / ell
-            if local >= 1.0 and i + 1 < len(lengths):
-                # exactly at an interior vertex: report downstream direction
-                return v[i + 1].copy(), seg[i + 1] / lengths[i + 1]
-            point = v[i] + local * seg[i]
-            return point, seg[i] / ell
-        acc += ell
-    raise AssertionError("unreachable")

@@ -16,6 +16,7 @@ import numpy as np
 
 MODES = ("CMP", "TDMP")
 REFERENCE_TEMPERATURE = 296.15  # K, room temperature at which CMP values are sampled
+ELLIPTICITY_SAMPLES = 101  # equispaced k_s samples over the fitted range
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,9 @@ class PropertyCurve:
             raise ValueError(f"valid_range must satisfy lo < hi, got ({lo}, {hi})")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         object.__setattr__(self, "valid_range", (float(lo), float(hi)))
+        if not np.all(np.isfinite(self.coefficients + self.valid_range)):
+            raise ValueError(f"coefficients and valid_range must be finite, got "
+                             f"{self.coefficients} on {self.valid_range}")
 
     @property
     def degree(self) -> int:
@@ -89,8 +93,8 @@ class SolidMaterial:
     conductivity: PropertyCurve  # W/(m*K), isotropic scalar
 
     def __post_init__(self):
-        if self.density <= 0:
-            raise ValueError(f"density must be positive, got {self.density}")
+        if not 0 < self.density < np.inf:
+            raise ValueError(f"density must be positive and finite, got {self.density}")
 
 
 @dataclass(frozen=True)
@@ -119,16 +123,14 @@ def heat_capacity_rate(coolant: Coolant) -> float:
     return coolant.density * coolant.flow_rate * coolant.specific_heat
 
 
-def check_ellipticity(material: SolidMaterial, samples: int = 101) -> EllipticityReport:
+def check_ellipticity(material: SolidMaterial) -> EllipticityReport:
     """Sample k_s over its fitted range and report the lower bound k1.
 
     passed is True iff k1 > 0. Non-positive minima produce a failing
     report rather than an exception, so invalid curves can be surfaced.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     lo, hi = material.conductivity.valid_range
-    theta = np.linspace(lo, hi, samples)
+    theta = np.linspace(lo, hi, ELLIPTICITY_SAMPLES)
     values = eval_curve(material.conductivity, theta)
     k1 = float(np.min(values))
     return EllipticityReport(k1=k1, passed=k1 > 0.0)
@@ -185,19 +187,22 @@ def builtin_names() -> list[str]:
 def load_material_file(path, name: str | None = None, mode: str = "TDMP") -> SolidMaterial:
     """Load a material from a user coefficients file (same schema as the
     shipped material_coefficients.json; a file holding a single record is
-    also accepted)."""
+    also accepted). A record or field of the wrong JSON type raises ValueError."""
     with open(path) as fh:
         data = json.load(fh)
-    if "materials" in data:
-        records = {rec["name"]: rec for rec in data["materials"]}
-        if name is None:
-            if len(records) != 1:
-                raise ValueError(f"file holds {sorted(records)}; pass name=")
-            name = next(iter(records))
-        if name not in records:
-            raise KeyError(f"material {name!r} not in file; found {sorted(records)}")
-        return material_from_dict(records[name], mode)
-    return material_from_dict(data, mode)
+    try:
+        if "materials" in data:
+            records = {rec["name"]: rec for rec in data["materials"]}
+            if name is None:
+                if len(records) != 1:
+                    raise ValueError(f"file holds {sorted(records)}; pass name=")
+                name = next(iter(records))
+            if name not in records:
+                raise KeyError(f"material {name!r} not in file; found {sorted(records)}")
+            return material_from_dict(records[name], mode)
+        return material_from_dict(data, mode)
+    except TypeError as exc:
+        raise ValueError(f"malformed material file {path}: {exc}") from exc
 
 
 def water_coolant(flow_rate_ml_per_min: float = 1.0) -> Coolant:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Domain2D, VasculaturePath, arc_length
+from .geometry import Domain2D, VasculaturePath
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -78,10 +78,6 @@ class ChannelMesh:
     @property
     def has_channel(self) -> bool:
         return self.channel_nodes.size > 0
-
-    @property
-    def channel_arc_length(self) -> float:
-        return float(np.sum(self.channel_lengths))
 
     def channel_arc_coords(self) -> np.ndarray:
         """Arc-length s of every chain node, starting at 0 at the inlet."""
@@ -351,16 +347,3 @@ def export_mesh_csv(mesh: ChannelMesh, outdir: str) -> list[str]:
         rows.append((int(node), repr(float(s_coords[k])), repr(float(tx)), repr(float(ty))))
     emit("channel_chain.csv", ["node_id", "s", "t_x", "t_y"], rows)
     return written
-
-
-def validate_mesh(mesh: ChannelMesh) -> None:
-    """Raise on violated structural invariants (positive areas, chain shape)."""
-    if np.any(triangle_areas(mesh) <= 0):
-        raise ValueError("mesh holds non-CCW or degenerate triangles")
-    if mesh.has_channel:
-        if mesh.channel_nodes[0] != mesh.inlet_node or mesh.channel_nodes[-1] != mesh.outlet_node:
-            raise ValueError("channel chain endpoints disagree with inlet/outlet")
-        if len(set(mesh.channel_nodes.tolist())) != len(mesh.channel_nodes):
-            raise ValueError("channel chain is not simple")
-    if len(mesh.boundary_tags) != len(mesh.boundary_edges):
-        raise ValueError("boundary tags do not cover the boundary exactly once")

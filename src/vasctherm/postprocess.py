@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import (
+    STEFAN_BOLTZMANN,
     TemperatureField,
     ThermalProblem,
     _neumann_flux_vector,
@@ -163,7 +164,7 @@ def _energy_balance(field, problem: ThermalProblem, time: float, supplied: float
     w = plan_for(mesh).basis.qp_dA
     th_q = _at_qp(field, mesh)
     convected = np.sum(w * surf.h_T * (th_q - surf.theta_amb))
-    radiated = np.sum(w * surf.emissivity * surf.sigma * (th_q**4 - surf.theta_amb**4))
+    radiated = np.sum(w * surf.emissivity * STEFAN_BOLTZMANN * (th_q**4 - surf.theta_amb**4))
     extracted = 0.0
     if mesh.has_channel and problem.chi != 0.0:
         extracted = problem.chi * (_values(field)[mesh.outlet_node] - problem.bcs.theta_inlet)
@@ -197,16 +198,15 @@ def bound_candidates(problem: ThermalProblem) -> list[float]:
     return [problem.surface.theta_amb, *problem.constraints.values.tolist()]
 
 
-def check_bounds(field, problem: ThermalProblem, tol: float | None = None) -> BoundsReport:
+def check_bounds(field, problem: ThermalProblem) -> BoundsReport:
     """Verify phi_min <= theta <= phi_max on the nodal field.
 
-    tol defaults to 1e-6 * theta_amb; small discrete violations (e.g.
+    The tolerance is 1e-6 * theta_amb; small discrete violations (e.g.
     from under-integrated radiation) are surfaced, not hidden.
     """
     vals = _values(field)
     time = field.time if isinstance(field, TemperatureField) else 0.0
-    if tol is None:
-        tol = 1e-6 * problem.surface.theta_amb
+    tol = 1e-6 * problem.surface.theta_amb
     cands = bound_candidates(problem)
     phi_min, phi_max = min(cands), max(cands)
     theta_min, theta_max = float(np.min(vals)), float(np.max(vals))

@@ -17,11 +17,9 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    ALL_TERMS,
     DiscreteSystem,
     RateWeights,
     TemperatureField,
-    TermMask,
     ThermalProblem,
     assemble_raw,
     apply_constraints,
@@ -81,13 +79,12 @@ class TransientSettings:
             raise ValueError("t_end must be at least one step")
         if self.bdf_order not in (1, 2):
             raise ValueError("bdf_order must be 1 or 2")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            raise ValueError("t_end must be an integer multiple of dt")
 
     @property
     def n_steps(self) -> int:
-        steps = round(self.t_end / self.dt)
-        if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError("t_end must be an integer multiple of dt")
-        return int(steps)
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,6 @@ def solve_steady(
     theta_guess: np.ndarray | None = None,
     time: float = 0.0,
     rate: RateWeights | None = None,
-    terms: TermMask = ALL_TERMS,
     log: list | None = None,
     step_index: int = 0,
     factors: _ChordFactor | None = None,
@@ -195,7 +191,7 @@ def solve_steady(
 
     def assemble(state, jacobian=True):
         return apply_constraints(
-            assemble_raw(problem, state, time=time, rate=rate, terms=terms, jacobian=jacobian)
+            assemble_raw(problem, state, time=time, rate=rate, jacobian=jacobian)
         )
 
     chord = factors is not None
@@ -279,7 +275,7 @@ def solve_transient(
     nsettings: NewtonSettings | None = None,
     log: list | None = None,
 ) -> SolutionSeries:
-    """Integrate from theta_initial with fixed-step BDF1/BDF2.
+    """Integrate from the ambient initial field with fixed-step BDF1/BDF2.
 
     The steps share one chord-Newton LU factor (see solve_steady). On a
     Newton failure the partial series is attached to the raised

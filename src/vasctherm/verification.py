@@ -12,12 +12,13 @@ docstrings so they can be audited without symbolic tooling.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import (
     ALL_TERMS,
+    STEFAN_BOLTZMANN,
     BoundaryData,
     RateWeights,
     SurfaceExchange,
@@ -308,21 +309,18 @@ class ScalarReference:
     times: np.ndarray
     values: np.ndarray
     steady_root: float
-    params: dict = field(default_factory=dict)
 
     def at(self, t) -> np.ndarray:
         return np.interp(t, self.times, self.values)
 
 
-def scalar_steady_root(
-    f0: float, h_T: float, emissivity: float, theta_amb: float, sigma: float = 5.67e-8,
-) -> float:
+def scalar_steady_root(f0: float, h_T: float, emissivity: float, theta_amb: float) -> float:
     """Bisection root of f0 = h_T (u - amb) + eps sigma (u^4 - amb^4)."""
     if h_T <= 0.0 and emissivity <= 0.0:
         raise ValueError("steady balance needs h_T > 0 or emissivity > 0")
 
     def g(u):
-        return f0 - h_T * (u - theta_amb) - emissivity * sigma * (u**4 - theta_amb**4)
+        return f0 - h_T * (u - theta_amb) - emissivity * STEFAN_BOLTZMANN * (u**4 - theta_amb**4)
 
     lo = hi = theta_amb
     step = 1.0
@@ -352,7 +350,8 @@ def scalar_reference(
     """RK4 integration of d rho_s c_s(theta) dtheta/dt = f0 - sinks.
 
     Valid for spatially uniform scenarios: constant load, no active
-    channel, adiabatic boundary, uniform initial state.
+    channel, all-neumann boundary and q_p = 0. The field starts uniform
+    at ambient.
     """
     if callable(problem.load):
         raise ValueError("scalar reference needs a constant load")
@@ -362,9 +361,6 @@ def scalar_reference(
         raise ValueError("scalar reference needs an all-neumann boundary")
     if not (np.isscalar(problem.bcs.q_p) and float(problem.bcs.q_p) == 0.0):
         raise ValueError("scalar reference needs q_p = 0")
-    theta0 = problem.initial_field().values
-    if np.ptp(theta0) != 0.0:
-        raise ValueError("scalar reference needs a uniform initial state")
 
     f0 = float(problem.load)
     surf = problem.surface
@@ -374,7 +370,7 @@ def scalar_reference(
     # plain-float Horner keeps the long RK4 loop cheap
     c_lo, c_hi = c_curve.valid_range
     c_coeffs = c_curve.coefficients[::-1]
-    h_T, es, amb4 = surf.h_T, surf.emissivity * surf.sigma, surf.theta_amb**4
+    h_T, es, amb4 = surf.h_T, surf.emissivity * STEFAN_BOLTZMANN, surf.theta_amb**4
     amb, drho = surf.theta_amb, d * rho
 
     def rhs(u):
@@ -386,7 +382,7 @@ def scalar_reference(
 
     n_steps = int(round(t_end / dt))
     stride = max(1, int(round(SCALAR_SAMPLE_DT / dt)))
-    u = float(theta0[0])
+    u = float(amb)
     times = [0.0]
     values = [u]
     for k in range(1, n_steps + 1):
@@ -398,11 +394,5 @@ def scalar_reference(
         if k % stride == 0:
             times.append(k * dt)
             values.append(u)
-    root = scalar_steady_root(f0, surf.h_T, surf.emissivity, surf.theta_amb, surf.sigma)
-    return ScalarReference(
-        times=np.array(times),
-        values=np.array(values),
-        steady_root=root,
-        params={"f0": f0, "h_T": surf.h_T, "emissivity": surf.emissivity,
-                "theta_amb": surf.theta_amb, "dt": dt},
-    )
+    root = scalar_steady_root(f0, surf.h_T, surf.emissivity, surf.theta_amb)
+    return ScalarReference(times=np.array(times), values=np.array(values), steady_root=root)

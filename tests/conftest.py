@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vasctherm.assembly import BoundaryData, SurfaceExchange, ThermalProblem
-from vasctherm.geometry import Domain2D, LayoutParams, VasculaturePath, generate_layout
+from vasctherm.geometry import Domain2D, LayoutParams, generate_layout
 from vasctherm.materials import Coolant, PropertyCurve, SolidMaterial, builtin_material, water_coolant
 from vasctherm.mesh import (
     DIRICHLET,

@@ -19,7 +19,7 @@ import pytest
 
 from vasctherm.assembly import BoundaryData, SurfaceExchange, ThermalProblem
 from vasctherm.cli import ScenarioConfig, flow_reversal_experiment, load_config, run_scenario
-from vasctherm.geometry import Domain2D, LayoutParams, VasculaturePath, asymmetric_params, generate_layout
+from vasctherm.geometry import Domain2D, LayoutParams, VasculaturePath, generate_layout
 from vasctherm.materials import (
     Coolant,
     PropertyCurve,
@@ -38,7 +38,6 @@ from vasctherm.mesh import (
 from vasctherm.postprocess import (
     energy_balance,
     mean_surface_temperature,
-    outlet_temperature,
     total_load,
 )
 from vasctherm.solvers import TransientSettings, solve_steady, solve_transient
@@ -58,7 +57,7 @@ DOM = Domain2D()
 LAYOUTS = {
     "u_shape": LayoutParams(kind="u_shape"),
     "serpentine": LayoutParams(kind="serpentine", spacing=0.02, pass_count=4),
-    "asymmetric": asymmetric_params(),
+    "asymmetric": LayoutParams(kind="asymmetric", spacing=0.05, offset=0.005),
 }
 MATERIALS = ("cfrp_like", "gfrp_like", "epoxy_like")
 FLUXES = (1000.0, 2000.0)

@@ -5,7 +5,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from conftest import WIDE, channel_problem, mixed_boundary_problem, no_channel_problem, wide_material
 from vasctherm.assembly import (
@@ -368,7 +367,7 @@ def dense_reference_jacobian(prob, theta, rate):
     """Element-by-element accumulation of the exact linearization."""
     mesh, solid, surf = prob.mesh, prob.solid, prob.surface
     basis = plan_for(mesh).basis
-    d, es = mesh.domain.thickness, surf.emissivity * surf.sigma
+    d, es = mesh.domain.thickness, surf.emissivity * assembly.STEFAN_BOLTZMANN
     J = np.zeros((prob.n_dofs, prob.n_dofs))
     thdot = rate.coeff * theta + rate.rhs
     for e, nodes in enumerate(mesh.triangles):

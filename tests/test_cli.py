@@ -8,7 +8,6 @@ import pytest
 
 from vasctherm import cli
 from vasctherm.cli import (
-    EXIT_CHECK_FAILED,
     EXIT_INVALID_INPUT,
     EXIT_OK,
     ConfigError,
@@ -293,6 +292,48 @@ def test_wrongly_typed_config_exits_2(data, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid input" in err
     assert "Traceback" not in err
+
+
+def _material_record(**fields):
+    record = {"name": "custom", "density": 1500.0,
+              "c_s": {"coeffs": [800.0, 0.5], "range": [280.0, 450.0]},
+              "k_s": {"coeffs": [1.25], "range": [280.0, 450.0]}}
+    record.update(fields)
+    return record
+
+
+MALFORMED_MATERIALS = [
+    _material_record(c_s={"coeffs": 5.0, "range": [280.0, 450.0]}),
+    _material_record(density=None),
+    _material_record(density=float("nan")),
+    _material_record(c_s={"coeffs": [float("nan")], "range": [280.0, 450.0]}),
+    _material_record(k_s={"coeffs": [5.0, float("inf")], "range": [280.0, 450.0]}),
+    {"materials": {"a": 1}},
+    [1, 2],
+]
+
+
+@pytest.mark.parametrize("record", MALFORMED_MATERIALS, ids=json.dumps)
+def test_malformed_material_file_exits_2(record, tmp_path, capsys):
+    mat_file = tmp_path / "mat.json"
+    mat_file.write_text(json.dumps(record))  # json writes NaN and Infinity, and reads them back
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"material": {"file": str(mat_file)}}))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "--steady-only", "--mesh-n", "6"])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "invalid input" in err
+    assert "Traceback" not in err
+
+
+def test_invalid_transient_block_rejected_before_the_steady_solve(tmp_path, monkeypatch, capsys):
+    argv = ["solve", "--out", str(tmp_path / "run"), "--mesh-n", "4", "--dt", "7", "--t-end", "100"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "solve_steady", lambda *a, **k: pytest.fail("steady solve started"))
+        assert main(argv) == EXIT_INVALID_INPUT
+    assert "integer multiple of dt" in capsys.readouterr().err
+    assert main(argv + ["--steady-only"]) == EXIT_OK  # a steady-only run ignores the block
 
 
 def test_custom_vertex_channel_runs(tmp_path):

@@ -109,11 +109,6 @@ def test_ellipticity_linear_minimum_at_low_end():
     assert rep.k1 == pytest.approx(7.9615, abs=1e-12)
 
 
-def test_ellipticity_requires_two_samples():
-    with pytest.raises(ValueError):
-        check_ellipticity(_mat(LINEAR), samples=1)
-
-
 def test_builtin_cmp_is_degree_zero():
     mat = builtin_material("cfrp_like", "CMP")
     assert mat.conductivity.degree == 0
@@ -162,11 +157,18 @@ def test_property_curve_validation():
         PropertyCurve((), (250.0, 500.0))
     with pytest.raises(ValueError):
         PropertyCurve((1.0,), (400.0, 300.0))
+    for coeffs, valid_range in (((np.nan,), (250.0, 500.0)), ((5.0, np.inf), (250.0, 500.0)),
+                                ((1.0,), (250.0, np.inf))):
+        with pytest.raises(ValueError, match="finite"):
+            PropertyCurve(coeffs, valid_range)
 
 
 def test_solid_material_validation():
     with pytest.raises(ValueError):
         SolidMaterial("bad", -1.0, constant_curve(900.0), constant_curve(1.0))
+    for density in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SolidMaterial("bad", density, constant_curve(900.0), constant_curve(1.0))
 
 
 def test_coolant_validation():
