@@ -44,7 +44,7 @@ from .postprocess import (
     observables_for,
     series_observables,
 )
-from .solvers import SolverError, TransientSettings, solve_steady, solve_transient
+from .solvers import ChordFactor, SolverError, TransientSettings, solve_steady, solve_transient
 from .verification import (
     jacobian_check,
     mms_case_cmp,
@@ -297,7 +297,8 @@ def _versions() -> dict:
 def execute_run(config: ScenarioConfig) -> RunResult:
     """Solve one scenario (steady always; transient unless steady_only).
 
-    The transient settings are checked before anything is solved.
+    The transient settings are checked before anything is solved. The
+    steady solve runs chord Newton, as the transient steps do.
     """
     t0 = time.perf_counter()
     ts = None if config.steady_only else TransientSettings(
@@ -307,7 +308,7 @@ def execute_run(config: ScenarioConfig) -> RunResult:
     )
     problem = build_problem(config)
     log: list = []
-    steady = solve_steady(problem, log=log)
+    steady = solve_steady(problem, log=log, factors=ChordFactor())
     bounds = check_bounds(steady, problem)
     series = None
     sobs: list = []

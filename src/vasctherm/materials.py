@@ -18,6 +18,17 @@ MODES = ("CMP", "TDMP")
 REFERENCE_TEMPERATURE = 296.15  # K, room temperature at which CMP values are sampled
 ELLIPTICITY_SAMPLES = 101  # equispaced k_s samples over the fitted range
 
+_NUMBER, _NUMBERS = (int, float), "numbers"
+_KIND_NAMES = {_NUMBER: "a number", _NUMBERS: "a list of numbers", str: "a string",
+               dict: "an object"}
+
+# record kind -> field -> accepted JSON type of a coefficients-file record. A
+# bool is never a number; a missing field raises KeyError where it is read.
+RECORD_TYPES = {
+    "material": {"name": str, "density": _NUMBER, "c_s": dict, "k_s": dict},
+    "curve": {"coeffs": _NUMBERS, "range": _NUMBERS, "unit": str},
+}
+
 
 @dataclass(frozen=True)
 class PropertyCurve:
@@ -136,7 +147,23 @@ def check_ellipticity(material: SolidMaterial) -> EllipticityReport:
     return EllipticityReport(k1=k1, passed=k1 > 0.0)
 
 
+def _is_kind(value, kind) -> bool:
+    if kind is _NUMBERS:
+        return isinstance(value, list) and all(_is_kind(v, _NUMBER) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_types(d, where: str):
+    """Reject a record that is not an object, or a field of the wrong JSON type."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} record must be an object, got {d!r}")
+    for key, kind in RECORD_TYPES[where].items():
+        if key in d and not _is_kind(d[key], kind):
+            raise ValueError(f"{where}.{key} must be {_KIND_NAMES[kind]}, got {d[key]!r}")
+
+
 def _curve_from_dict(d: dict, unit_default: str = "") -> PropertyCurve:
+    _check_types(d, "curve")
     return PropertyCurve(
         coefficients=tuple(d["coeffs"]),
         valid_range=tuple(d["range"]),
@@ -148,11 +175,13 @@ def material_from_dict(d: dict, mode: str = "TDMP") -> SolidMaterial:
     """Build a SolidMaterial from the coefficients-file record format.
 
     mode="CMP" collapses both curves to constants sampled at room
-    temperature (296.15 K), mode="TDMP" keeps the fitted polynomials.
+    temperature (296.15 K), mode="TDMP" keeps the fitted polynomials. A
+    field of the wrong JSON type (RECORD_TYPES) raises ValueError.
     """
     mode = mode.upper()
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_types(d, "material")
     c_s = _curve_from_dict(d["c_s"], "J/(kg*K)")
     k_s = _curve_from_dict(d["k_s"], "W/(m*K)")
     if mode == "CMP":

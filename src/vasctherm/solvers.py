@@ -3,9 +3,13 @@
 Each implicit BDF step reuses the steady Newton machinery on the
 transient residual. Fixed order 1 or 2 with a constant step: a BDF1
 startup step followed by BDF2 keeps the integrator second order without
-variable-order bookkeeping. BDF steps run chord Newton: one LU factor is
-reused across iterations and steps while it keeps contracting the
-residual (Hairer & Wanner, Solving ODEs II, IV.8).
+variable-order bookkeeping. A step starts from the polynomial through the
+last k+1 states for a formula of order k, as DASSL's predictor does
+(Brenan, Campbell & Petzold, ch. 5). BDF steps, and the steady solve of
+a scenario run, use chord Newton: one LU factor is reused across
+iterations and steps while it keeps contracting the residual fast enough
+(Hairer & Wanner, Solving ODEs II, IV.8). Full Newton, which factors at
+every iteration, stays the default of solve_steady.
 """
 
 from __future__ import annotations
@@ -26,8 +30,11 @@ from .assembly import (
 )
 
 
-# Chord Newton refactors once an accepted iterate cuts the residual by less than 1 / REFACTOR_RATIO.
+# Chord Newton refactors once an accepted iterate cuts the residual by less than
+# 1 / REFACTOR_RATIO, or when, at the rate it did cut it, reaching the tolerance
+# would take more than REFACTOR_ITERS further iterations.
 REFACTOR_RATIO = 0.2
+REFACTOR_ITERS = 8
 
 
 class SolverError(RuntimeError):
@@ -115,8 +122,12 @@ class SolutionSeries:
 
 
 @dataclass(eq=False)
-class _ChordFactor:
-    """The LU factor that chord Newton reuses, keyed by the BDF coefficient."""
+class ChordFactor:
+    """The LU factor that chord Newton reuses, keyed by the BDF coefficient.
+
+    Pass a fresh ChordFactor() as solve_steady's factors to run one steady
+    solve as chord Newton; solve_transient shares one across its steps.
+    """
 
     key: float | None = None
     lu: spla.SuperLU | None = None
@@ -159,7 +170,7 @@ def solve_steady(
     rate: RateWeights | None = None,
     log: list | None = None,
     step_index: int = 0,
-    factors: _ChordFactor | None = None,
+    factors: ChordFactor | None = None,
 ) -> TemperatureField:
     """Damped Newton on the (steady or, via rate, transient) residual.
 
@@ -172,14 +183,17 @@ def solve_steady(
     never accepts one.
 
     Without factors every iteration factors a fresh Jacobian (full
-    Newton). With factors (chord Newton, passed by solve_transient) the
-    first residual is assembled residual-only and the stored factor is
-    reused; a fresh one is built when none exists for rate.coeff, when
-    the last accepted iterate cut the residual by less than
-    1 / REFACTOR_RATIO, or when a step with the stale factor does not
-    reduce the residual or is not finite. Such a step is never damped or
-    accepted: the iteration is redone from the same iterate with a fresh
-    factor.
+    Newton). With factors (chord Newton: solve_transient's steps, and a
+    steady solve passed a fresh ChordFactor()) the first residual is
+    assembled residual-only and the stored factor is reused; a fresh one
+    is built when none exists for rate.coeff, when the last accepted
+    iterate cut the residual by a ratio rho above REFACTOR_RATIO, when
+    REFACTOR_ITERS more iterations at that rate would still leave the
+    residual above the tolerance (rnorm * rho**REFACTOR_ITERS > target,
+    the convergence-rate test of CVODE's nonlinear solver), or when a
+    step with the stale factor does not reduce the residual or is not
+    finite. Such a step is never damped or accepted: the iteration is
+    redone from the same iterate with a fresh factor.
     """
     settings = settings or NewtonSettings()
     if theta_guess is None:
@@ -208,6 +222,7 @@ def solve_steady(
         )
     if rnorm <= settings.abs_tol:
         return _accept(theta, time)
+    target = max(settings.abs_tol, settings.rel_tol * r0)
 
     key = None if rate is None else rate.coeff
     fresh = not chord or factors.lu is None or factors.key != key
@@ -248,9 +263,10 @@ def solve_steady(
         theta, system, rnorm_before, rnorm = trial, trial_system, rnorm, trial_norm
         if log is not None:
             log.append(NewtonIteration(step_index, it, rnorm, lam, fresh))
-        if rnorm <= settings.abs_tol or rnorm <= settings.rel_tol * r0:
+        if rnorm <= target:
             return _accept(theta, time)
-        fresh = not chord or rnorm > REFACTOR_RATIO * rnorm_before
+        ratio = rnorm / rnorm_before
+        fresh = not chord or ratio > REFACTOR_RATIO or rnorm * ratio**REFACTOR_ITERS > target
 
     raise NewtonError(
         f"Newton did not converge in {settings.max_iters} iterations "
@@ -277,6 +293,12 @@ def solve_transient(
 ) -> SolutionSeries:
     """Integrate from the ambient initial field with fixed-step BDF1/BDF2.
 
+    Newton starts each step from a predictor: the last state theta_n for
+    the BDF1 start-up step (and every step of bdf_order=1), the line
+    2 theta_n - theta_{n-1} for the first BDF2 step, and the quadratic
+    3 theta_n - 3 theta_{n-1} + theta_{n-2} through the last three states
+    from then on.
+
     The steps share one chord-Newton LU factor (see solve_steady). On a
     Newton failure the partial series is attached to the raised
     TransientError.
@@ -286,9 +308,9 @@ def solve_transient(
     dt = tsettings.dt
     initial = problem.initial_field()
     series = SolutionSeries(fields=[initial])
-    factors = _ChordFactor()
+    factors = ChordFactor()
     theta_prev = initial.values
-    theta_prev2 = None
+    theta_prev2 = theta_prev3 = None
 
     for k in range(tsettings.n_steps):
         t_next = (k + 1) * dt
@@ -299,7 +321,10 @@ def solve_transient(
             rate = RateWeights(
                 coeff=1.5 / dt, rhs=(-2.0 * theta_prev + 0.5 * theta_prev2) / dt
             )
-            guess = 2.0 * theta_prev - theta_prev2  # linear predictor
+            if theta_prev3 is None:
+                guess = 2.0 * theta_prev - theta_prev2  # line through the last two states
+            else:
+                guess = 3.0 * theta_prev - 3.0 * theta_prev2 + theta_prev3  # quadratic through three
         try:
             field_next = solve_steady(
                 problem,
@@ -317,5 +342,5 @@ def solve_transient(
                 series=series, cause=exc,
             ) from exc
         series.fields.append(field_next)
-        theta_prev2, theta_prev = theta_prev, field_next.values
+        theta_prev3, theta_prev2, theta_prev = theta_prev2, theta_prev, field_next.values
     return series

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from vasctherm import cli
 from vasctherm.cli import (
@@ -20,6 +21,7 @@ from vasctherm.cli import (
     main,
     run_scenario,
 )
+from vasctherm.solvers import solve_steady
 
 FAST = {
     "mesh": {"n": 8},
@@ -127,6 +129,18 @@ def test_zero_load_reports_nan_eta_and_ambient_mst(tmp_path):
         t, mst, outlet, eta, resid = row.split(",")
         assert float(mst) == pytest.approx(296.42, abs=1e-9)
         assert eta == "nan"
+
+
+def test_run_steady_solve_factors_once(monkeypatch):
+    # execute_run's steady solve is chord Newton; full Newton is the oracle
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    run = execute_run(fast_config(steady_only=True))
+    assert len(calls) == 1
+    assert sum(rec.factorized for rec in run.newton_log) == 1
+    oracle = solve_steady(run.problem)
+    assert np.max(np.abs(run.steady_field.values - oracle.values)) <= 1e-6
 
 
 def test_steady_only_skips_transient(tmp_path):
@@ -310,6 +324,15 @@ MALFORMED_MATERIALS = [
     _material_record(k_s={"coeffs": [5.0, float("inf")], "range": [280.0, 450.0]}),
     {"materials": {"a": 1}},
     [1, 2],
+    _material_record(density="1500"),
+    _material_record(density=True),
+    _material_record(name=7),
+    _material_record(c_s={"coeffs": ["800", True], "range": [280.0, 450.0]}),
+    _material_record(k_s={"coeffs": ["1.25"], "range": [280.0, 450.0]}),
+    _material_record(k_s={"coeffs": [1.25], "range": [280.0, "450"]}),
+    _material_record(k_s={"coeffs": [1.25], "range": [280.0, 450.0], "unit": 1}),
+    _material_record(c_s=[800.0, 0.5]),
+    {"materials": [_material_record(density=False)]},
 ]
 
 

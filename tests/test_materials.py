@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -144,6 +145,20 @@ def test_cmp_tdmp_agree_at_room_temperature(name):
         assert eval_curve(getattr(cmp_mat, attr), 296.15) == pytest.approx(
             eval_curve(getattr(tdmp_mat, attr), 296.15), abs=0.0
         )
+
+
+@pytest.mark.parametrize("name", ["cfrp_like", "gfrp_like", "epoxy_like"])
+def test_builtin_records_load_as_shipped(name):
+    shipped = resources.files("vasctherm.data").joinpath("material_coefficients.json")
+    record = {r["name"]: r for r in json.loads(shipped.read_text())["materials"]}[name]
+    mat = builtin_material(name, "TDMP")
+    assert mat.density == record["density"]
+    for curve, key in ((mat.specific_heat, "c_s"), (mat.conductivity, "k_s")):
+        assert curve.coefficients == tuple(record[key]["coeffs"])
+        assert curve.valid_range == tuple(record[key]["range"])
+        assert curve.unit == record[key]["unit"]
+    for mode in ("CMP", "TDMP"):
+        assert load_material_file(shipped, name, mode) == builtin_material(name, mode)
 
 
 def test_builtin_unknown_name():

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import channel_problem, no_channel_problem, wide_material
+from vasctherm import solvers
 from vasctherm.assembly import (
     DiscreteSystem,
     RateWeights,
@@ -250,6 +251,15 @@ def _count_splu(monkeypatch):
     return calls
 
 
+def _predictor(fields, k):
+    """The guess solve_transient starts BDF step k from, given the states before it."""
+    if k == 1:
+        return fields[0]
+    if k == 2:
+        return 2.0 * fields[1] - fields[0]
+    return 3.0 * fields[k - 1] - 3.0 * fields[k - 2] + fields[k - 3]
+
+
 @pytest.mark.parametrize("n, order", [(10, 1), (6, 2)])
 def test_chord_steps_match_full_newton(n, order):
     # each chord-Newton step against full Newton on the same step inputs
@@ -259,12 +269,39 @@ def test_chord_steps_match_full_newton(n, order):
     fields = [f.values for f in series.fields]
     for k in range(1, len(fields)):
         if k == 1:
-            rate, guess = RateWeights(coeff=1.0 / dt, rhs=-fields[0] / dt), fields[0]
+            rate = RateWeights(coeff=1.0 / dt, rhs=-fields[0] / dt)
         else:
             rate = RateWeights(coeff=1.5 / dt, rhs=(-2.0 * fields[k - 1] + 0.5 * fields[k - 2]) / dt)
-            guess = 2.0 * fields[k - 1] - fields[k - 2]
-        oracle = solve_steady(prob, theta_guess=guess, time=k * dt, rate=rate)
+        oracle = solve_steady(prob, theta_guess=_predictor(fields, k), time=k * dt, rate=rate)
         assert np.max(np.abs(fields[k] - oracle.values)) <= 1e-7, f"step {k}"
+
+
+def _capture_guesses(monkeypatch):
+    guesses = []
+    step = solvers.solve_steady
+
+    def capturing(*args, theta_guess=None, **kwargs):
+        guesses.append(np.array(theta_guess, copy=True))
+        return step(*args, theta_guess=theta_guess, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_steady", capturing)
+    return guesses
+
+
+def test_bdf2_steps_start_from_the_quadratic_predictor(monkeypatch):
+    guesses = _capture_guesses(monkeypatch)
+    series = solve_transient(channel_problem(n=6), TransientSettings(dt=1.0, t_end=8.0))
+    fields = [f.values for f in series.fields]
+    assert len(guesses) == len(fields) - 1 == 8
+    for k, guess in enumerate(guesses, 1):
+        assert np.array_equal(guess, _predictor(fields, k)), f"step {k}"
+
+
+def test_bdf1_steps_start_from_the_last_state(monkeypatch):
+    guesses = _capture_guesses(monkeypatch)
+    series = solve_transient(channel_problem(n=6), TransientSettings(dt=1.0, t_end=4.0, bdf_order=1))
+    for guess, before in zip(guesses, series.fields):
+        assert np.array_equal(guess, before.values)
 
 
 def test_chord_transient_reuses_one_factor_per_bdf_coefficient(monkeypatch):
@@ -293,6 +330,18 @@ def test_load_jump_forces_a_fresh_factor(after):
     assert any(rec.factorized for rec in jump)
     assert jump[-1].residual_norm <= max(settings.abs_tol, settings.rel_tol * jump[0].residual_norm)
     assert len(series) == 13
+
+
+@pytest.mark.parametrize("after", [2e6, 5e6, 1e7])
+def test_slowly_contracting_factor_is_replaced(after):
+    # after these jumps the stale factor cuts the residual by a steady 0.17-0.19 per iteration,
+    # inside REFACTOR_RATIO; the iterations it would still need at that rate force the refactor
+    prob = _with_load(channel_problem(n=10), _jump_load(10.0, 1000.0, after))
+    log = []
+    solve_transient(prob, TransientSettings(dt=1.0, t_end=11.0), log=log)
+    jump = [rec for rec in log if rec.step == 10 and rec.iteration > 0]
+    assert any(rec.factorized for rec in jump)
+    assert len(jump) <= 8
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
