@@ -21,7 +21,6 @@ from .assembly import (
     TermMask,
     ThermalProblem,
     apply_constraints,
-    channel_line_term,
 )
 from .geometry import Domain2D, LayoutParams, VasculaturePath, arc_length, generate_layout
 from .materials import (

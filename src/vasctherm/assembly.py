@@ -52,8 +52,8 @@ class SurfaceExchange:
     theta_amb: float = 296.42  # K
 
     def __post_init__(self):
-        if self.theta_amb <= 0:
-            raise ValueError("ambient temperature must be positive (kelvin)")
+        if not 0.0 < self.theta_amb <= np.finfo(float).max ** 0.25:  # radiation takes theta_amb**4
+            raise ValueError("ambient temperature must be positive (kelvin), with a finite fourth power")
         if self.h_T < 0:
             raise ValueError("heat transfer coefficient must be non-negative")
         if not 0.0 <= self.emissivity <= 1.0:
@@ -217,8 +217,7 @@ def _build_constraints(problem: ThermalProblem) -> Constraints:
     slots = np.flatnonzero(keep[row] & keep[plan.indices])
     renumber = np.cumsum(keep) - 1  # DOF id -> free DOF id
     free = np.flatnonzero(keep)
-    indptr = np.zeros(free.size + 1, dtype=plan.indptr.dtype)
-    np.cumsum(np.bincount(renumber[row[slots]], minlength=free.size), out=indptr[1:])
+    indptr = _row_pointer(renumber[row[slots]], free.size, plan.indptr.dtype)
     indices = renumber[plan.indices[slots]].astype(plan.indices.dtype)
     return Constraints(*(_read_only(a) for a in (ids, vals, free, slots, indptr, indices)))
 
@@ -228,15 +227,15 @@ class AssemblyPlan:
     """Fixed CSR pattern of one mesh and the maps that fill it.
 
     tri_slots[e * nen * nen + i * nen + j] is the CSR data slot of the
-    element-local entry (e, i, j) (chan_slots likewise for the channel
-    edges), so a Jacobian's data array is one np.bincount per block. The
-    index arrays are read-only: every Jacobian of the mesh shares them.
-    P1 gradients are constant per triangle, so the plan also holds the
-    per-triangle G G^T. N (x) N is tabulated per quadrature point. The
-    chan_* tables hold the channel chain's edge nodes and, per Gauss
-    point g, the edge shape values N_g, their arc-length derivatives
-    dN/ds and the products N_i dN_j/ds, so the channel term rebuilds none
-    of them per call. basis is the mesh's element basis.
+    element-local entry (e, i, j), so a Jacobian's data array is one
+    np.bincount over the triangles. P1 gradients are constant per
+    triangle, so the plan also holds the per-triangle G G^T. N (x) N is
+    tabulated per quadrature point. channel is the constant matrix of the
+    channel term int_Sigma w_i dtheta/ds, so that term is chi * channel @
+    theta; chan_slots[m] is the data slot of channel.data[m], one distinct
+    slot per entry. Every array, channel's included, is read-only: all
+    Jacobians and threads of the mesh share them. basis is the mesh's
+    element basis.
     """
 
     n: int
@@ -247,11 +246,7 @@ class AssemblyPlan:
     chan_slots: np.ndarray = field(repr=False)
     qp_NN: np.ndarray = field(repr=False)  # (nq, nen * nen)
     p1_GGt: np.ndarray | None = field(repr=False)  # (T, nen, nen), P1 only
-    chan_nodes: np.ndarray = field(repr=False)  # (E, k)
-    chan_N: np.ndarray = field(repr=False)  # (ng, k)
-    chan_dNds: np.ndarray = field(repr=False)  # (ng, E, k)
-    chan_NdNds: np.ndarray = field(repr=False)  # (ng, E, k, k)
-    chan_half_w: np.ndarray = field(repr=False)  # (ng,) Gauss weights / 2: dGamma = (ell / 2) dxi
+    channel: sp.csr_matrix = field(repr=False)  # (n, n)
 
     @property
     def nnz(self) -> int:
@@ -271,14 +266,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _channel_edge_nodes(mesh: ChannelMesh) -> np.ndarray:
-    """(E, k) node ids per chain edge: (a, b) for P1, (a, b, mid) for P2."""
-    a, b = mesh.channel_nodes[:-1], mesh.channel_nodes[1:]
-    if mesh.element_order == 1:
-        return np.column_stack([a, b])
-    return np.column_stack([a, b, mesh.channel_mids])
-
-
 def _entry_keys(nodes: np.ndarray, n: int) -> np.ndarray:
     """row * n + col of every element-local (e, i, j) entry, in ravel order."""
     k = nodes.shape[1]
@@ -287,43 +274,51 @@ def _entry_keys(nodes: np.ndarray, n: int) -> np.ndarray:
     return (rows * n + cols).ravel()
 
 
+def _row_pointer(rows: np.ndarray, n: int, dtype) -> np.ndarray:
+    """CSR indptr of n rows from the sorted row ids of the entries."""
+    indptr = np.zeros(n + 1, dtype=dtype)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
 def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
     n = mesh.n_nodes
     if np.any(mesh.channel_lengths <= 0):
         raise ValueError("channel chain holds a zero-length edge")
     basis = elements.build_basis(mesh)  # through the module, so a rebound build_basis is called
     tri_keys = _entry_keys(mesh.triangles, n)
-    chan_nodes = _channel_edge_nodes(mesh) if mesh.has_channel else np.empty((0, 2), dtype=int)
-    chan_keys = _entry_keys(chan_nodes, n)
+    edges = mesh.channel_edges()
+    chan_keys, chan_entry = np.unique(_entry_keys(edges, n), return_inverse=True)
     keys, inverse = np.unique(np.concatenate([tri_keys, chan_keys]), return_inverse=True)
     idx = np.int32 if max(n, keys.size) < np.iinfo(np.int32).max else np.int64
     rows, cols = np.divmod(keys, n)
-    indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     slot_of = inverse.astype(np.intp)  # np.bincount's index type: no per-call cast
     diag = np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1))
     if keys.size == 0 or diag[-1] >= keys.size or np.any(keys[diag] != np.arange(n) * (n + 1)):
         raise ValueError("mesh holds a node that belongs to no triangle")
     N, G = basis.qp_N, basis.qp_gradN  # (nq, nen), (T, nen, nq, 2)
     p1 = mesh.element_order == 1
+    # Every chain edge carries the block B_ij = sum_g w_g N_i dN_j/dxi: the edge
+    # length cancels (dGamma = (ell / 2) dxi, d/ds = (2 / ell) d/dxi), and the
+    # rule is exact for the integrand's degree (1 for P1, 3 for P2).
     xi, wgt = GAUSS_1D_1 if p1 else GAUSS_1D_2
-    chan_N, dNdxi = edge_shape(mesh.element_order, xi)  # (ng, k) each
-    inv_half_ell = 2.0 / mesh.channel_lengths
-    chan_dNds = inv_half_ell[None, :, None] * dNdxi[:, None, :]  # (ng, E, k)
+    block = np.einsum("g,gi,gj->ij", wgt, *edge_shape(mesh.element_order, xi))
+    chan_rows, chan_cols = np.divmod(chan_keys, n)
+    channel = sp.csr_matrix((
+        np.bincount(chan_entry, weights=np.tile(block.ravel(), len(edges)), minlength=chan_keys.size),
+        chan_cols.astype(idx), _row_pointer(chan_rows, n, idx)), shape=(n, n))
+    for a in (channel.data, channel.indices, channel.indptr):
+        _read_only(a)
     return AssemblyPlan(
         n=n,
         basis=basis,
-        indptr=_read_only(indptr),
+        indptr=_read_only(_row_pointer(rows, n, idx)),
         indices=_read_only(cols.astype(idx)),
         tri_slots=_read_only(slot_of[:tri_keys.size]),
         chan_slots=_read_only(slot_of[tri_keys.size:]),
         qp_NN=_read_only(np.einsum("qi,qj->qij", N, N).reshape(len(N), -1)),
         p1_GGt=_read_only(np.einsum("tic,tjc->tij", G[:, :, 0], G[:, :, 0])) if p1 else None,
-        chan_nodes=_read_only(chan_nodes),
-        chan_N=_read_only(chan_N),
-        chan_dNds=_read_only(chan_dNds),
-        chan_NdNds=_read_only(chan_N[:, None, :, None] * chan_dNds[:, :, None, :]),
-        chan_half_w=_read_only(wgt * 0.5),
+        channel=channel,
     )
 
 
@@ -355,30 +350,6 @@ class DiscreteSystem:
     residual: np.ndarray
     jacobian: sp.csr_matrix | None
     restriction: Constraints | None = field(default=None, repr=False)
-
-
-def channel_line_term(mesh: ChannelMesh, theta: np.ndarray, chi: float, jacobian: bool = True):
-    """Per-edge channel contributions chi * w * (grad theta . t_hat) of a channel mesh.
-
-    Returns (nodes, residual, jacobian) with shapes (E, k), (E, k) and
-    (E, k, k), where k is 2 for linear and 3 for quadratic edges; the
-    jacobian is None when not asked for. The one-point (P1) / two-point
-    (P2) Gauss rules integrate the edge terms; their tables live in the
-    mesh's assembly plan.
-    """
-    ell = mesh.channel_lengths
-    plan = plan_for(mesh)
-    nodes = plan.chan_nodes
-    theta_e = theta[nodes]  # (E, k)
-    res = np.zeros(nodes.shape)
-    jac = np.zeros(plan.chan_NdNds.shape[1:]) if jacobian else None
-    for g, half_w in enumerate(plan.chan_half_w):
-        dthds = np.einsum("ek,ek->e", plan.chan_dNds[g], theta_e)
-        scale = chi * half_w * ell
-        res += (scale * dthds)[:, None] * plan.chan_N[g]
-        if jacobian:
-            jac += scale[:, None, None] * plan.chan_NdNds[g]
-    return nodes, res, jac
 
 
 def assemble_raw(
@@ -472,11 +443,10 @@ def assemble_raw(
         data = np.bincount(plan.tri_slots, weights=J_e.ravel(), minlength=plan.nnz)
 
     chi = problem.chi
-    if terms.channel and mesh.has_channel and chi != 0.0:
-        cn, cres, cjac = channel_line_term(mesh, theta, chi, jacobian=jacobian)
-        R += np.bincount(cn.ravel(), weights=cres.ravel(), minlength=mesh.n_nodes)
+    if terms.channel and chi != 0.0:
+        R += chi * (plan.channel @ theta)
         if jacobian:
-            np.add.at(data, plan.chan_slots, cjac.ravel())
+            data[plan.chan_slots] += chi * plan.channel.data
 
     if not _zero_flux(problem):
         R += _neumann_flux_vector(problem, time)

@@ -83,6 +83,13 @@ class ChannelMesh:
         """Arc-length s of every chain node, starting at 0 at the inlet."""
         return np.concatenate([[0.0], np.cumsum(self.channel_lengths)])
 
+    def channel_edges(self) -> np.ndarray:
+        """(E, k) node ids per chain edge in flow order: (a, b) for P1, (a, b, mid) for P2."""
+        a, b = self.channel_nodes[:-1], self.channel_nodes[1:]
+        if self.element_order == 1:
+            return np.column_stack([a, b])
+        return np.column_stack([a, b, self.channel_mids])
+
     def dirichlet_nodes(self) -> np.ndarray:
         """Unique node ids on dirichlet-tagged boundary edges (midside included)."""
         sel = self.boundary_tags == DIRICHLET

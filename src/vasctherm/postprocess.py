@@ -95,23 +95,13 @@ def arc_length_profile(field, mesh: ChannelMesh, n_samples: int = 101) -> np.nda
     """(s, theta) rows at equispaced arc lengths along the snapped channel."""
     if not mesh.has_channel:
         raise ValueError("mesh has no channel to sample")
-    vals = _values(field)
     s_nodes = mesh.channel_arc_coords()
-    total = s_nodes[-1]
-    samples = np.linspace(0.0, total, n_samples)
-    out = np.empty((n_samples, 2))
-    edge_idx = np.clip(np.searchsorted(s_nodes, samples, side="right") - 1, 0, len(s_nodes) - 2)
-    for row, (s, k) in enumerate(zip(samples, edge_idx)):
-        ell = mesh.channel_lengths[k]
-        u = (s - s_nodes[k]) / ell
-        a, b = mesh.channel_nodes[k], mesh.channel_nodes[k + 1]
-        if mesh.element_order == 1:
-            theta = (1.0 - u) * vals[a] + u * vals[b]
-        else:
-            N, _ = edge_shape(2, np.array([2.0 * u - 1.0]))
-            theta = N[0] @ np.array([vals[a], vals[b], vals[mesh.channel_mids[k]]])
-        out[row] = (s, theta)
-    return out
+    samples = np.linspace(0.0, s_nodes[-1], n_samples)
+    k = np.clip(np.searchsorted(s_nodes, samples, side="right") - 1, 0, len(s_nodes) - 2)
+    u = (samples - s_nodes[k]) / mesh.channel_lengths[k]
+    N, _ = edge_shape(mesh.element_order, 2.0 * u - 1.0)  # (n_samples, nodes per edge)
+    theta = np.einsum("sk,sk->s", N, _values(field)[mesh.channel_edges()[k]])
+    return np.column_stack([samples, theta])
 
 
 def heat_flux_field(field, problem: ThermalProblem) -> np.ndarray:
@@ -124,10 +114,7 @@ def heat_flux_field(field, problem: ThermalProblem) -> np.ndarray:
     N = tri_shape(mesh.element_order, centroid[None, :])[0]
     theta_e = vals[mesh.triangles]
     theta_c = theta_e @ N
-    if mesh.element_order == 1:
-        gradN = basis.qp_gradN[:, :, 0]  # P1 gradients are constant per element
-    else:
-        gradN = grad_shape(2, centroid, _grad_lambda(corners, basis.areas))
+    gradN = grad_shape(mesh.element_order, centroid, _grad_lambda(corners, basis.areas))
     grad_theta = np.einsum("tnc,tn->tc", gradN, theta_e)
     k = eval_curve(problem.solid.conductivity, theta_c)
     return -k[:, None] * grad_theta

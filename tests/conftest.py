@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vasctherm.assembly import BoundaryData, SurfaceExchange, ThermalProblem
 from vasctherm.geometry import Domain2D, LayoutParams, generate_layout
@@ -12,6 +13,11 @@ from vasctherm.mesh import (
     mesh_without_channel,
     tag_boundary,
 )
+
+# Property tests draw the same examples on every run, so a tier-1 result
+# does not depend on the run; few examples keep the suite's time.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=25)
+settings.load_profile("tier1")
 
 WIDE = (200.0, 600.0)
 

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conftest import WIDE, channel_problem, mixed_boundary_problem, no_channel_problem, wide_material
 from vasctherm.assembly import (
@@ -16,12 +17,11 @@ from vasctherm.assembly import (
     ThermalProblem,
     apply_constraints,
     assemble_raw,
-    channel_line_term,
     plan_for,
 )
 from vasctherm import assembly, elements
 from vasctherm.elements import GAUSS_1D_1, GAUSS_1D_2, edge_shape
-from vasctherm.geometry import Domain2D, LayoutParams, VasculaturePath, generate_layout
+from vasctherm.geometry import LAYOUT_KINDS, Domain2D, LayoutParams, VasculaturePath, generate_layout
 from vasctherm.materials import (
     Coolant,
     PropertyCurve,
@@ -125,23 +125,40 @@ def test_mass_jacobian_matches_finite_differences():
     assert jacobian_check(prob, trials=2, terms=mask, seed=1) <= 1e-6
 
 
+CHANNEL_ONLY = TermMask(conduction=False, convection=False, radiation=False, mass=False)
+
+
+def per_edge_channel_matrix(mesh):
+    """Dense int_Sigma w_i dtheta/ds from a Gauss loop over the chain edges with their lengths."""
+    a, b = mesh.channel_nodes[:-1], mesh.channel_nodes[1:]
+    edges = np.column_stack([a, b] if mesh.element_order == 1 else [a, b, mesh.channel_mids])
+    xi, wgt = GAUSS_1D_1 if mesh.element_order == 1 else GAUSS_1D_2
+    C = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for nodes, ell in zip(edges, mesh.channel_lengths):
+        for g in range(len(xi)):
+            N, dNdxi = edge_shape(mesh.element_order, xi[g:g + 1])
+            C[np.ix_(nodes, nodes)] += wgt[g] * 0.5 * ell * np.outer(N[0], (2.0 / ell) * dNdxi[0])
+    return C
+
+
 def test_channel_term_uniform_field_vanishes():
-    prob = channel_problem(n=8)
+    prob = channel_problem(n=8, f0=0.0)
     theta = np.full(prob.n_dofs, 310.0)
-    _, res, _ = channel_line_term(prob.mesh, theta, prob.chi)
+    res = assemble_raw(prob, theta, terms=CHANNEL_ONLY).residual
     assert np.max(np.abs(res)) == 0.0
 
 
 def test_channel_term_single_edge_hand_value():
     grid = build_structured_mesh(Domain2D(), 2)
     mesh = embed_vasculature(grid, VasculaturePath(np.array([[0.05, 0.1], [0.05, 0.0]])))
-    theta = np.full(mesh.n_nodes, 300.0)
+    theta = np.full(mesh.n_nodes, 310.0)
     a, b = mesh.channel_nodes[0], mesh.channel_nodes[1]
-    theta[b] = 310.0
-    nodes, res, _ = channel_line_term(mesh, theta, 0.0697)
+    theta[a] = 300.0  # only the first edge sees a gradient
+    res = 0.0697 * (plan_for(mesh).channel @ theta)
     # first edge: chi (theta_b - theta_a) = 0.697 W split equally by the 1-point rule
-    assert res[0] == pytest.approx([0.3485, 0.3485], rel=1e-12)
-    assert np.sum(res[0]) == pytest.approx(0.697, rel=1e-12)
+    assert res[[a, b]] == pytest.approx([0.3485, 0.3485], rel=1e-12)
+    assert np.count_nonzero(res) == 2
+    assert np.sum(res) == pytest.approx(0.697, rel=1e-12)
 
 
 def test_channel_term_orientation_flips_sign():
@@ -150,33 +167,51 @@ def test_channel_term_orientation_flips_sign():
     fwd = embed_vasculature(grid, path)
     rev = embed_vasculature(grid, path.reversed())
     theta = np.linspace(300.0, 340.0, fwd.n_nodes)
-    _, rf, _ = channel_line_term(fwd, theta, 0.07)
-    _, rr, _ = channel_line_term(rev, theta, 0.07)
-    assert np.allclose(rr[::-1], -rf, atol=1e-14)
+    rf = 0.07 * (plan_for(fwd).channel @ theta)
+    rr = 0.07 * (plan_for(rev).channel @ theta)
+    assert np.max(np.abs(rf)) > 0.0
+    assert np.allclose(rr, -rf, atol=1e-14)
 
 
 @pytest.mark.parametrize("order", [1, 2])
-def test_channel_term_matches_per_call_tables(order, rng):
-    # reference: the edge tables rebuilt on every call, in the same arithmetic order
-    mesh = channel_problem(n=6, order=order).mesh
-    theta, chi = rng.uniform(300.0, 360.0, mesh.n_nodes), 0.0697
-    a, b = mesh.channel_nodes[:-1], mesh.channel_nodes[1:]
-    ref_nodes = np.column_stack([a, b] if order == 1 else [a, b, mesh.channel_mids])
-    ell = mesh.channel_lengths
-    ref_res, ref_jac = np.zeros(ref_nodes.shape), np.zeros(ref_nodes.shape + (ref_nodes.shape[1],))
-    xi, wgt = GAUSS_1D_1 if order == 1 else GAUSS_1D_2
-    for g in range(len(xi)):
-        N, dNdxi = edge_shape(order, xi[g:g + 1])
-        dNds = (2.0 / ell)[:, None] * dNdxi[0]
-        scale = chi * wgt[g] * 0.5 * ell
-        ref_res += (scale * np.einsum("ek,ek->e", dNds, theta[ref_nodes]))[:, None] * N[0]
-        ref_jac += scale[:, None, None] * np.einsum("i,ek->eik", N[0], dNds)
-    nodes, res, jac = channel_line_term(mesh, theta, chi)
-    assert np.array_equal(nodes, ref_nodes)
-    assert np.array_equal(res, ref_res)
-    assert np.array_equal(jac, ref_jac)
-    _, lean, none = channel_line_term(mesh, theta, chi, jacobian=False)
-    assert np.array_equal(lean, ref_res) and none is None
+def test_channel_operator_matches_per_edge_gauss_loop(order, rng):
+    prob = channel_problem(n=6, order=order, f0=0.0)
+    theta = rng.uniform(300.0, 360.0, prob.n_dofs)
+    ref = per_edge_channel_matrix(prob.mesh)
+    plan = plan_for(prob.mesh)
+    assert np.max(np.abs(plan.channel.toarray() - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.unique(plan.chan_slots).size == plan.chan_slots.size == plan.channel.nnz
+    full = assemble_raw(prob, theta, terms=CHANNEL_ONLY)
+    lean = assemble_raw(prob, theta, terms=CHANNEL_ONLY, jacobian=False)
+    scale = prob.chi * np.max(theta)
+    assert np.max(np.abs(full.residual - prob.chi * (ref @ theta))) <= 1e-14 * scale
+    assert np.array_equal(lean.residual, full.residual)
+    J = full.jacobian.toarray()
+    assert np.max(np.abs(J - prob.chi * ref)) <= 1e-15 * prob.chi * np.max(np.abs(ref))
+
+
+LAYOUTS = {  # the layouts that build_problem makes of each kind by default
+    "u_shape": LayoutParams(),
+    "serpentine": LayoutParams(kind="serpentine", spacing=0.02),
+    "asymmetric": LayoutParams(kind="asymmetric", spacing=0.05, offset=0.005),
+}
+
+
+@given(n=st.integers(2, 10), order=st.sampled_from([1, 2]), kind=st.sampled_from(LAYOUT_KINDS),
+       reverse=st.booleans())
+def test_channel_operator_conserves_energy(n, order, kind, reverse):
+    # column sums telescope along the chain to theta_out - theta_in; row sums vanish
+    path = generate_layout(Domain2D(), LAYOUTS[kind])
+    try:
+        mesh = embed_vasculature(build_structured_mesh(Domain2D(), n, order),
+                                 path.reversed() if reverse else path)
+    except ValueError:  # the layout does not fit this grid
+        assume(False)
+    channel = plan_for(mesh).channel
+    ends = np.zeros(mesh.n_nodes)
+    ends[mesh.outlet_node], ends[mesh.inlet_node] = 1.0, -1.0
+    assert np.max(np.abs(np.ones(mesh.n_nodes) @ channel - ends)) <= 1e-14
+    assert np.array_equal(channel @ np.ones(mesh.n_nodes), np.zeros(mesh.n_nodes))
 
 
 def test_constraints_built_once_and_read_only(rng):
@@ -384,10 +419,7 @@ def dense_reference_jacobian(prob, theta, rate):
                 eval_curve(solid.specific_heat, th) * rate.coeff
                 + curve_derivative(solid.specific_heat, th) * thd) * np.outer(N, N)
         J[np.ix_(nodes, nodes)] += J_e
-    cn, _, cjac = channel_line_term(mesh, theta, prob.chi)
-    for nodes, block in zip(cn, cjac):
-        J[np.ix_(nodes, nodes)] += block
-    return J
+    return J + prob.chi * per_edge_channel_matrix(mesh)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -440,7 +472,8 @@ def test_cached_index_arrays_read_only(rng):
     system = apply_constraints(assemble_raw(prob, random_state(prob, rng, True)))
     plan, cut = plan_for(prob.mesh), system.restriction
     assert cut is prob.constraints
-    for arr in (plan.indptr, plan.indices, plan.tri_slots, plan.chan_slots):
+    for arr in (plan.indptr, plan.indices, plan.tri_slots, plan.chan_slots,
+                plan.channel.data, plan.channel.indices, plan.channel.indptr):
         assert not arr.flags.writeable
     J = system.jacobian
     assert np.shares_memory(J.indices, cut.indices)

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, strategies as st
 
 from vasctherm import cli
 from vasctherm.cli import (
@@ -21,6 +25,8 @@ from vasctherm.cli import (
     main,
     run_scenario,
 )
+from vasctherm.geometry import LAYOUT_KINDS
+from vasctherm.materials import builtin_names
 from vasctherm.solvers import solve_steady
 
 FAST = {
@@ -306,6 +312,68 @@ def test_wrongly_typed_config_exits_2(data, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid input" in err
     assert "Traceback" not in err
+
+
+_PLAUSIBLE = {  # section -> key -> values a scenario might hold (mesh.n at most 10)
+    "domain": {"width": [0.1, 0.05], "height": [0.1, 0.08], "thickness": [0.005, 0.002]},
+    "layout": {"kind": list(LAYOUT_KINDS), "spacing": [0.03, 0.02], "margin": [0.02, 0.01],
+               "pass_count": [1, 2, 4], "offset": [0.0, 0.005], "inlet_edge": ["top", "bottom"]},
+    "mesh": {"n": [4, 6, 10], "element_order": [1, 2]},
+    "material": {"name": builtin_names(), "mode": ["CMP", "TDMP"]},
+    "coolant": {"density": [1000.0], "specific_heat": [4183.0], "flow_rate_ml_per_min": [0.0, 1.0, 5.0]},
+    "load": {"f0": [0.0, 1000.0, -500.0]},
+    "surface": {"h_T": [0.0, 21.0], "emissivity": [0.0, 0.97], "theta_amb": [296.42, 250.0]},
+    "inlet": {"theta_inlet": [296.42, 280.0]},
+    "transient": {"dt": [1.0], "t_end": [5.0], "bdf_order": [1, 2]},
+}
+# (section, key) a bad value may land on; section None is the top level
+_TARGETS = ([(sec, key) for sec, keys in _PLAUSIBLE.items() for key in [*keys, "bogus"]]
+            + [(None, sec) for sec in _PLAUSIBLE] + [(None, "flow_direction"), (None, "bogus")]
+            + [("layout", "vertices")])
+_BAD = st.one_of(  # integers stay small: mesh.n must not pass 10
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(-3, 10), st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -1.0, 5e-324, 1e300, -1e300, float("nan"), float("inf"), -float("inf")]),
+    st.lists(st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.2, float("nan")]), max_size=3), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+)
+
+
+@st.composite
+def _configs(draw):
+    """A plausible scenario with up to three values replaced by wrong types, non-finite numbers or junk."""
+    data = {}
+    for sec, keys in _PLAUSIBLE.items():
+        for key in draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=2)):
+            data.setdefault(sec, {})[key] = draw(st.sampled_from(keys[key]))
+    for sec, key in draw(st.lists(st.sampled_from(_TARGETS), max_size=3)):
+        where = data if sec is None else data.setdefault(sec, {})
+        if isinstance(where, dict):
+            where[key] = draw(_BAD)
+    if isinstance(data.get("mesh", {}), dict):
+        data.setdefault("mesh", {}).setdefault("n", 10)
+    return data
+
+
+@given(data=_configs())
+def test_arbitrary_config_ends_in_an_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(data, fh)  # json writes NaN and Infinity, and reads them back
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["solve", "--config", cfg, "--out", os.path.join(tmp, "run"), "--steady-only"])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_ambient_with_overflowing_fourth_power_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "hot.json"
+    cfg.write_text(json.dumps({"surface": {"theta_amb": 1e300}, "mesh": {"n": 4}}))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run"), "--steady-only"])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "fourth power" in err and "Traceback" not in err
 
 
 def _material_record(**fields):

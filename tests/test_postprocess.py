@@ -87,6 +87,19 @@ def test_arc_profile_starts_at_inlet_value():
     assert profile[-1, 1] == pytest.approx(outlet_temperature(fld, prob.mesh), abs=1e-12)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_arc_profile_reproduces_polynomials_of_the_element_order(order):
+    # theta = s**order on the chain nodes (and the midside nodes) is interpolated exactly
+    mesh = channel_problem(n=6, order=order).mesh
+    s = mesh.channel_arc_coords()
+    theta = np.zeros(mesh.n_nodes)
+    theta[mesh.channel_nodes] = s**order
+    if order == 2:
+        theta[mesh.channel_mids] = (0.5 * (s[:-1] + s[1:]))**2
+    profile = arc_length_profile(theta, mesh, n_samples=37)
+    assert np.allclose(profile[:, 1], profile[:, 0]**order, rtol=0.0, atol=1e-14)
+
+
 def test_arc_profile_linear_interpolation_midpoint():
     prob = channel_problem(n=4)
     mesh = prob.mesh
