@@ -228,14 +228,16 @@ class AssemblyPlan:
 
     tri_slots[e * nen * nen + i * nen + j] is the CSR data slot of the
     element-local entry (e, i, j), so a Jacobian's data array is one
-    np.bincount over the triangles. P1 gradients are constant per
-    triangle, so the plan also holds the per-triangle G G^T. N (x) N is
-    tabulated per quadrature point. channel is the constant matrix of the
-    channel term int_Sigma w_i dtheta/ds, so that term is chi * channel @
-    theta; chan_slots[m] is the data slot of channel.data[m], one distinct
-    slot per entry. Every array, channel's included, is read-only: all
-    Jacobians and threads of the mesh share them. basis is the mesh's
-    element basis.
+    np.bincount over the triangles. qp_NN[q] is N (x) N at quadrature point
+    q, and gp_MN[q] = gp_map[q] (x) N moves k' weights onto the basis's
+    gradient points. The stiffness is a reference-tensor GEMM (Kirby &
+    Logg 2006): lam_GG[e, (a, b)] = grad lambda_a . grad lambda_b and
+    K_ref[(g, a, b), (i, j)] = dN_i/dlambda_a dN_j/dlambda_b at gradient
+    point g. channel is the constant matrix of the channel term int_Sigma
+    w_i dtheta/ds, so that term is chi * channel @ theta; chan_slots[m] is
+    the data slot of channel.data[m], one distinct slot per entry. Every
+    array, channel's included, is read-only: all Jacobians and threads of
+    the mesh share them. basis is the mesh's element basis.
     """
 
     n: int
@@ -245,7 +247,9 @@ class AssemblyPlan:
     tri_slots: np.ndarray = field(repr=False)
     chan_slots: np.ndarray = field(repr=False)
     qp_NN: np.ndarray = field(repr=False)  # (nq, nen * nen)
-    p1_GGt: np.ndarray | None = field(repr=False)  # (T, nen, nen), P1 only
+    gp_MN: np.ndarray = field(repr=False)  # (nq, ng * nen)
+    lam_GG: np.ndarray = field(repr=False)  # (T, 9)
+    K_ref: np.ndarray = field(repr=False)  # (ng * 9, nen * nen)
     channel: sp.csr_matrix = field(repr=False)  # (n, n)
 
     @property
@@ -296,12 +300,11 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
     diag = np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1))
     if keys.size == 0 or diag[-1] >= keys.size or np.any(keys[diag] != np.arange(n) * (n + 1)):
         raise ValueError("mesh holds a node that belongs to no triangle")
-    N, G = basis.qp_N, basis.qp_gradN  # (nq, nen), (T, nen, nq, 2)
-    p1 = mesh.element_order == 1
+    N, M, dNdlam = basis.qp_N, basis.gp_map, basis.gp_dNdlam
     # Every chain edge carries the block B_ij = sum_g w_g N_i dN_j/dxi: the edge
     # length cancels (dGamma = (ell / 2) dxi, d/ds = (2 / ell) d/dxi), and the
     # rule is exact for the integrand's degree (1 for P1, 3 for P2).
-    xi, wgt = GAUSS_1D_1 if p1 else GAUSS_1D_2
+    xi, wgt = GAUSS_1D_1 if mesh.element_order == 1 else GAUSS_1D_2
     block = np.einsum("g,gi,gj->ij", wgt, *edge_shape(mesh.element_order, xi))
     chan_rows, chan_cols = np.divmod(chan_keys, n)
     channel = sp.csr_matrix((
@@ -317,7 +320,9 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
         tri_slots=_read_only(slot_of[:tri_keys.size]),
         chan_slots=_read_only(slot_of[tri_keys.size:]),
         qp_NN=_read_only(np.einsum("qi,qj->qij", N, N).reshape(len(N), -1)),
-        p1_GGt=_read_only(np.einsum("tic,tjc->tij", G[:, :, 0], G[:, :, 0])) if p1 else None,
+        gp_MN=_read_only(np.einsum("qg,qj->qgj", M, N).reshape(len(N), -1)),
+        lam_GG=_read_only(np.einsum("tac,tbc->tab", basis.lam_grad, basis.lam_grad).reshape(-1, 9)),
+        K_ref=_read_only(np.einsum("gia,gjb->gabij", dNdlam, dNdlam).reshape(9 * len(dNdlam), -1)),
         channel=channel,
     )
 
@@ -393,26 +398,17 @@ def assemble_raw(
                 "conductivity non-positive at a quadrature point "
                 f"(min {float(np.min(k_q)):.4g} W/(m*K))"
             )
-        wdk = w * d * k_q
+        # grad theta at the gradient points, and their weights sum_q w d k(theta_q)
+        G = basis.gp_gradN  # (T, ng, 2, nen)
+        grad = np.einsum("tgci,ti->tgc", G, theta_e)
+        wbar = (w * d * k_q) @ basis.gp_map  # (T, ng)
+        R_e += np.einsum("tgci,tgc->ti", G, wbar[:, :, None] * grad)
         if jacobian:
+            A = (wbar[:, :, None] * plan.lam_GG[:, None, :]).reshape(T, -1)  # geometry tensor
+            J_e += (A @ plan.K_ref).reshape(T, nen, nen)
+            gw = np.einsum("tgci,tgc->tig", G, grad)  # grad N_i . grad theta
             wdkp = w * d * curve_derivative(problem.solid.conductivity, th_q)
-        if plan.p1_GGt is not None:
-            GGt = plan.p1_GGt
-            gw = np.einsum("tij,tj->ti", GGt, theta_e)  # grad N_i . grad theta
-            kbar = wdk.sum(axis=1)
-            R_e += kbar[:, None] * gw
-            if jacobian:
-                J_e += kbar[:, None, None] * GGt
-                J_e += gw[:, :, None] * (wdkp @ N)[:, None, :]
-        else:
-            G = basis.qp_gradN  # (T, nen, nq, 2)
-            Gs = G.reshape(T, nen, -1)
-            grad = (theta_e[:, None, :] @ Gs).reshape(T, 1, -1, 2)  # grad theta per point
-            gw = G[..., 0] * grad[..., 0] + G[..., 1] * grad[..., 1]  # (T, nen, nq)
-            R_e += (gw @ wdk[:, :, None])[:, :, 0]
-            if jacobian:
-                J_e += (Gs * np.repeat(wdk, 2, axis=1)[:, None, :]) @ Gs.transpose(0, 2, 1)
-                J_e += (gw * wdkp[:, None, :]) @ N
+            J_e += gw @ (wdkp @ plan.gp_MN).reshape(T, -1, nen)
 
     if terms.convection and surf.h_T != 0.0:
         coef_N += w * surf.h_T * (th_q - surf.theta_amb)

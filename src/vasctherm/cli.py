@@ -35,7 +35,7 @@ from .materials import (
     check_ellipticity,
     load_material_file,
 )
-from .mesh import build_structured_mesh, embed_vasculature, export_mesh_csv, mesh_stats
+from .mesh import MAX_MESH_N, build_structured_mesh, embed_vasculature, export_mesh_csv, mesh_stats
 from .postprocess import (
     arc_length_profile,
     channel_peclet,
@@ -178,8 +178,12 @@ class ScenarioConfig:
                 raise ConfigError(f"layout.kind must be one of {LAYOUT_KINDS}")
         if self.flow_direction not in ("forward", "reverse"):
             raise ConfigError("flow_direction must be 'forward' or 'reverse'")
-        if self.mesh.get("n", 40) < 2:
-            raise ConfigError("mesh.n must be at least 2")
+        n = self.mesh.get("n", 40)
+        if not 2 <= n <= MAX_MESH_N:
+            raise ConfigError(f"mesh.n must lie in [2, {MAX_MESH_N}], got {n}")
+        if self.layout.get("kind") == "serpentine" and self.layout.get("pass_count", 4) > n + 1:
+            raise ConfigError(f"layout.pass_count exceeds mesh.n + 1 = {n + 1}: "
+                              "each pass snaps to its own grid column")
         if self.mesh.get("element_order", 1) not in (1, 2):
             raise ConfigError("mesh.element_order must be 1 or 2")
         for key, val in (("coolant.density", self.coolant["density"]),

@@ -2,8 +2,9 @@
 
 P1 uses the 3-point midpoint rule (degree 2), P2 the 6-point rule
 (degree 4). build_basis tabulates a mesh's basis at the quadrature
-points; it caches nothing, and the mesh's assembly plan
-(assembly.plan_for) holds the result.
+points and its shape gradients at the gradient points (ElementBasis); it
+caches nothing, and the mesh's assembly plan (assembly.plan_for) holds
+the result.
 """
 
 from __future__ import annotations
@@ -58,15 +59,23 @@ def edge_shape(order: int, xi: np.ndarray):
 
 @dataclass(eq=False)
 class ElementBasis:
-    """Tabulated per-mesh basis data at the volume quadrature points."""
+    """Per-mesh shape values at the quadrature points, shape gradients at the gradient points.
+
+    P1 gradients are constant, so P1 has one gradient point per triangle;
+    P2 uses its quadrature points. gp_map[q, g] = 1 where point q takes its
+    gradient from gradient point g: all ones for P1, the identity for P2.
+    """
 
     order: int
     areas: np.ndarray  # (T,)
     qp_weights: np.ndarray  # (nq,)
     qp_N: np.ndarray  # (nq, nen)
     qp_dA: np.ndarray = field(repr=False)  # (T, nq): areas times rule weights
-    qp_gradN: np.ndarray = field(repr=False)  # (T, nen, nq, 2), triangle-major
     qp_xy: np.ndarray = field(repr=False)  # (nq, T, 2)
+    lam_grad: np.ndarray = field(repr=False)  # (T, 3, 2): barycentric gradients
+    gp_map: np.ndarray = field(repr=False)  # (nq, ng)
+    gp_dNdlam: np.ndarray = field(repr=False)  # (ng, nen, 3): dN_i/dlambda_a
+    gp_gradN: np.ndarray = field(repr=False)  # (T, ng, 2, nen), triangle-major
 
 
 def _grad_lambda(corners: np.ndarray, areas: np.ndarray) -> np.ndarray:
@@ -81,11 +90,11 @@ def _grad_lambda(corners: np.ndarray, areas: np.ndarray) -> np.ndarray:
 
 
 def grad_shape(order: int, lam_point, glam: np.ndarray) -> np.ndarray:
-    """Shape gradients at one barycentric point -> (T, nen, 2)."""
+    """Shape gradients at one barycentric point from glam = grad lambda (T, 3, c) -> (T, nen, c)."""
     if order == 1:
         return glam
     l1, l2, l3 = lam_point
-    out = np.empty((glam.shape[0], 6, 2))
+    out = np.empty((glam.shape[0], 6, glam.shape[2]))
     out[:, 0] = (4 * l1 - 1) * glam[:, 0]
     out[:, 1] = (4 * l2 - 1) * glam[:, 1]
     out[:, 2] = (4 * l3 - 1) * glam[:, 2]
@@ -102,18 +111,14 @@ def build_basis(mesh) -> ElementBasis:
         raise ValueError("triangles must be CCW with positive area")
     glam = _grad_lambda(corners, areas)
 
-    lam, w = TRI_RULE_DEG2 if mesh.element_order == 1 else TRI_RULE_DEG4
-    nq = len(w)
-    N = tri_shape(mesh.element_order, lam)
-    T = len(mesh.triangles)
-    nen = N.shape[1]
-    gradN = np.empty((T, nen, nq, 2))
-    xy = np.empty((nq, T, 2))
-    for q in range(nq):
-        gradN[:, :, q] = grad_shape(mesh.element_order, lam[q], glam)
-        xy[q] = np.einsum("tic,i->tc", corners, lam[q])
+    order = mesh.element_order
+    lam, w = TRI_RULE_DEG2 if order == 1 else TRI_RULE_DEG4
+    gp_lam, gp_map = (lam[:1], np.ones((len(w), 1))) if order == 1 else (lam, np.eye(len(w)))
+    dNdlam = np.stack([grad_shape(order, g, np.eye(3)[None])[0] for g in gp_lam])  # grad lambda = I: dN/dlambda
     return ElementBasis(
-        order=mesh.element_order, areas=areas, qp_weights=w,
-        qp_N=N, qp_dA=areas[:, None] * w, qp_gradN=gradN, qp_xy=xy,
+        order=order, areas=areas, qp_weights=w, qp_N=tri_shape(order, lam),
+        qp_dA=areas[:, None] * w, qp_xy=np.stack([np.einsum("tic,i->tc", corners, q) for q in lam]),
+        lam_grad=glam, gp_map=gp_map, gp_dNdlam=dNdlam,
+        # C order: the einsums of assemble_raw run about twice as fast on it at P2
+        gp_gradN=np.einsum("gia,tac->tgci", dNdlam, glam, order="C"),
     )
-

@@ -143,6 +143,9 @@ def generate_layout(domain: Domain2D, params: LayoutParams) -> VasculaturePath:
         ])
     else:
         p = params.pass_count
+        if (p - 1) * params.spacing >= w:  # before the passes are built: p may be huge
+            raise ValueError(f"serpentine leaves the plate: {p} passes {params.spacing} m apart "
+                             f"span at least its width {w} m")
         xs = cx + (np.arange(p) - 0.5 * (p - 1)) * params.spacing
         y_lo, y_hi = params.margin, h - params.margin
         verts = [[xs[0], h]]

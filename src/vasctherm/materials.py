@@ -63,15 +63,33 @@ def constant_curve(value: float, valid_range=(250.0, 500.0), unit: str = "") -> 
     return PropertyCurve((float(value),), valid_range, unit)
 
 
+def _horner(coefficients: tuple[float, ...], t):
+    """sum_k c_k t**k by one in-place Horner loop.
+
+    It takes numpy polyval's operations in polyval's order, so the result
+    is bitwise equal to np.polynomial.polynomial.polyval(t, coefficients).
+    """
+    out = t * 0
+    out += coefficients[-1]
+    for c in coefficients[-2::-1]:
+        out *= t
+        out += c
+    return out
+
+
+def _clamp(curve: PropertyCurve, theta):
+    """theta clipped to the fitted range; an array's own clip skips np.clip's dispatch."""
+    lo, hi = curve.valid_range
+    return theta.clip(lo, hi) if isinstance(theta, np.ndarray) else np.clip(theta, lo, hi)
+
+
 def eval_curve(curve: PropertyCurve, theta):
     """Evaluate the curve at temperature theta (K); scalar or ndarray.
 
     Horner evaluation at clamp(theta, lo, hi): exact polynomial inside the
     fitted range, constant extrapolation outside. Total (never raises).
     """
-    lo, hi = curve.valid_range
-    t = np.clip(theta, lo, hi)
-    out = np.polynomial.polynomial.polyval(t, curve.coefficients)
+    out = _horner(curve.coefficients, _clamp(curve, theta))
     if np.isscalar(theta):
         return float(out)
     return out
@@ -83,14 +101,13 @@ def curve_derivative(curve: PropertyCurve, theta):
     Exactly at the range endpoints the interior one-sided derivative is
     returned, so Newton linearizations stay consistent with eval_curve.
     """
-    lo, hi = curve.valid_range
     c = curve.coefficients
-    dcoeffs = tuple(k * c[k] for k in range(1, len(c))) or (0.0,)
-    t = np.clip(theta, lo, hi)
-    inner = np.polynomial.polynomial.polyval(t, dcoeffs)
-    out = np.where((np.asarray(theta) >= lo) & (np.asarray(theta) <= hi), inner, 0.0)
-    if np.isscalar(theta):
-        return float(out)
+    t = _clamp(curve, theta)
+    out = _horner(tuple(k * c[k] for k in range(1, len(c))) or (0.0,), t)
+    clamped = t != theta  # outside the fitted range, or NaN
+    if np.ndim(out) == 0:
+        return 0.0 if clamped else float(out)
+    out[clamped] = 0.0
     return out
 
 

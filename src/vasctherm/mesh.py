@@ -20,6 +20,10 @@ from .geometry import Domain2D, VasculaturePath
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
+# Most subdivisions per direction: four times the finest benchmark mesh
+# (n=160). It bounds what a scenario can ask to allocate; it is not a setting.
+MAX_MESH_N = 640
+
 
 @dataclass(frozen=True, eq=False)
 class BaseGrid:
@@ -108,8 +112,8 @@ class MeshStats:
 
 def build_structured_mesh(domain: Domain2D, n: int, element_order: int = 1) -> BaseGrid:
     """(n+1)^2 corner nodes, 2n^2 right triangles (fixed lower-left diagonal)."""
-    if n < 2:
-        raise ValueError("need at least 2 subdivisions per direction")
+    if not 2 <= n <= MAX_MESH_N:
+        raise ValueError(f"need 2 to {MAX_MESH_N} subdivisions per direction, got {n}")
     if element_order not in (1, 2):
         raise ValueError("element_order must be 1 or 2")
     hx, hy = domain.width / n, domain.height / n

@@ -21,7 +21,7 @@ from .assembly import (
     neumann_quadrature,
     plan_for,
 )
-from .elements import _grad_lambda, edge_shape, grad_shape, tri_shape
+from .elements import edge_shape, grad_shape, tri_shape
 from .materials import eval_curve
 from .mesh import ChannelMesh
 
@@ -107,14 +107,11 @@ def arc_length_profile(field, mesh: ChannelMesh, n_samples: int = 101) -> np.nda
 def heat_flux_field(field, problem: ThermalProblem) -> np.ndarray:
     """q = -k_s(theta) grad theta per element at the centroid, (T, 2)."""
     mesh = problem.mesh
-    vals = _values(field)
-    basis = plan_for(mesh).basis
-    corners = mesh.nodes[mesh.triangles[:, :3]]
     centroid = np.array([1.0, 1.0, 1.0]) / 3.0
     N = tri_shape(mesh.element_order, centroid[None, :])[0]
-    theta_e = vals[mesh.triangles]
+    theta_e = _values(field)[mesh.triangles]
     theta_c = theta_e @ N
-    gradN = grad_shape(mesh.element_order, centroid, _grad_lambda(corners, basis.areas))
+    gradN = grad_shape(mesh.element_order, centroid, plan_for(mesh).basis.lam_grad)
     grad_theta = np.einsum("tnc,tn->tc", gradN, theta_e)
     k = eval_curve(problem.solid.conductivity, theta_c)
     return -k[:, None] * grad_theta

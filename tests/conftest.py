@@ -73,6 +73,13 @@ def mixed_boundary_problem(order=1, n=4):
     )
 
 
+def barycentric_gradients(mesh):
+    """(T, 3, 2) gradients of the barycentric coordinates, from the inverse of each affine map."""
+    corners = mesh.nodes[mesh.triangles[:, :3]]
+    P = np.concatenate([np.ones(corners.shape[:2] + (1,)), corners], axis=2)  # rows [1, x, y]
+    return np.linalg.inv(P)[:, 1:].transpose(0, 2, 1)
+
+
 @pytest.fixture(scope="session")
 def unit_square_mesh():
     """Unit square triangulation for exact-integral checks."""

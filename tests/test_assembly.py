@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import WIDE, channel_problem, mixed_boundary_problem, no_channel_problem, wide_material
+from conftest import (
+    WIDE, barycentric_gradients, channel_problem, mixed_boundary_problem, no_channel_problem,
+    wide_material,
+)
 from vasctherm.assembly import (
     BoundaryData,
     EllipticityError,
@@ -399,16 +402,22 @@ def test_residual_only_matches_full_bitwise(order, transient, on_constraints, rn
 
 
 def dense_reference_jacobian(prob, theta, rate):
-    """Element-by-element accumulation of the exact linearization."""
+    """Element-by-element accumulation of the exact linearization.
+
+    Shape gradients come from elements.grad_shape at every quadrature point,
+    not from the basis's gradient-point table.
+    """
     mesh, solid, surf = prob.mesh, prob.solid, prob.surface
     basis = plan_for(mesh).basis
+    lam, _ = elements.TRI_RULE_DEG2 if mesh.element_order == 1 else elements.TRI_RULE_DEG4
+    glam = barycentric_gradients(mesh)
     d, es = mesh.domain.thickness, surf.emissivity * assembly.STEFAN_BOLTZMANN
     J = np.zeros((prob.n_dofs, prob.n_dofs))
     thdot = rate.coeff * theta + rate.rhs
     for e, nodes in enumerate(mesh.triangles):
         th_e, J_e = theta[nodes], np.zeros((len(nodes), len(nodes)))
         for q, weight in enumerate(basis.qp_weights):
-            N, G = basis.qp_N[q], basis.qp_gradN[e, :, q]
+            N, G = basis.qp_N[q], elements.grad_shape(mesh.element_order, lam[q], glam[e:e + 1])[0]
             w = weight * basis.areas[e]
             th, thd = N @ th_e, N @ thdot[nodes]
             gw = G @ (G.T @ th_e)
@@ -473,7 +482,8 @@ def test_cached_index_arrays_read_only(rng):
     plan, cut = plan_for(prob.mesh), system.restriction
     assert cut is prob.constraints
     for arr in (plan.indptr, plan.indices, plan.tri_slots, plan.chan_slots,
-                plan.channel.data, plan.channel.indices, plan.channel.indptr):
+                plan.channel.data, plan.channel.indices, plan.channel.indptr,
+                plan.qp_NN, plan.gp_MN, plan.lam_GG, plan.K_ref):
         assert not arr.flags.writeable
     J = system.jacobian
     assert np.shares_memory(J.indices, cut.indices)

@@ -27,6 +27,7 @@ from vasctherm.cli import (
 )
 from vasctherm.geometry import LAYOUT_KINDS
 from vasctherm.materials import builtin_names
+from vasctherm.mesh import MAX_MESH_N
 from vasctherm.solvers import solve_steady
 
 FAST = {
@@ -330,8 +331,9 @@ _PLAUSIBLE = {  # section -> key -> values a scenario might hold (mesh.n at most
 _TARGETS = ([(sec, key) for sec, keys in _PLAUSIBLE.items() for key in [*keys, "bogus"]]
             + [(None, sec) for sec in _PLAUSIBLE] + [(None, "flow_direction"), (None, "bogus")]
             + [("layout", "vertices")])
-_BAD = st.one_of(  # integers stay small: mesh.n must not pass 10
+_BAD = st.one_of(  # a drawn mesh.n is at most 10 or beyond MAX_MESH_N
     st.none(), st.booleans(), st.text(max_size=4), st.integers(-3, 10), st.floats(-1e3, 1e3),
+    st.integers(MAX_MESH_N + 1, 10**20),
     st.sampled_from([0.0, -1.0, 5e-324, 1e300, -1e300, float("nan"), float("inf"), -float("inf")]),
     st.lists(st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.2, float("nan")]), max_size=3), max_size=4),
     st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
@@ -365,6 +367,21 @@ def test_arbitrary_config_ends_in_an_exit_code(data):
             code = main(["solve", "--config", cfg, "--out", os.path.join(tmp, "run"), "--steady-only"])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"mesh": {"n": 10**12}}, "mesh.n must lie in"),
+    ({"layout": {"kind": "serpentine", "pass_count": 10**15}, "mesh": {"n": 4}}, "pass_count exceeds"),
+    ({"layout": {"kind": "serpentine", "pass_count": 6, "spacing": 0.02}, "mesh": {"n": 10}},
+     "serpentine leaves the plate"),
+])
+def test_oversized_integer_fields_exit_2(tmp_path, capsys, data, message):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(data))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run"), "--steady-only"])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_ambient_with_overflowing_fourth_power_exits_2(tmp_path, capsys):

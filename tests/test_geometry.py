@@ -67,6 +67,8 @@ def test_layout_leaving_domain_rejected():
         generate_layout(DOM, LayoutParams(kind="u_shape", spacing=0.3))
     with pytest.raises(ValueError):
         generate_layout(DOM, LayoutParams(kind="serpentine", spacing=0.05, pass_count=4))
+    with pytest.raises(ValueError, match="leaves the plate"):  # rejected before any array is built
+        generate_layout(DOM, LayoutParams(kind="serpentine", pass_count=10**15))
 
 
 def test_inlet_edge_bottom_mirrors_vertically():

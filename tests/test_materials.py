@@ -56,6 +56,22 @@ def test_eval_vectorized_matches_scalar():
         assert eval_curve(LINEAR, float(t)) == v
 
 
+@pytest.mark.parametrize("coeffs", [(7.5,), (5.0, 0.01), (560.0, 1.2, -3e-4), (2.0, -0.03, 1e-4, 7e-8)])
+def test_horner_bitwise_equals_polyval(coeffs):
+    curve = PropertyCurve(coeffs, (296.15, 423.15))
+    lo, hi = curve.valid_range
+    theta = np.concatenate([[lo, hi, 0.0, -50.0, 1e6], np.linspace(250.0, 480.0, 97)])
+    t = np.clip(theta, lo, hi)
+    dcoeffs = tuple(k * coeffs[k] for k in range(1, len(coeffs))) or (0.0,)
+    polyval = np.polynomial.polynomial.polyval
+    assert np.array_equal(eval_curve(curve, theta), polyval(t, coeffs))
+    inside = (theta >= lo) & (theta <= hi)
+    assert np.array_equal(curve_derivative(curve, theta), np.where(inside, polyval(t, dcoeffs), 0.0))
+    for x, tx, ok in zip(theta, t, inside):  # scalars, the range endpoints among them
+        assert eval_curve(curve, float(x)) == float(polyval(tx, coeffs))
+        assert curve_derivative(curve, float(x)) == (float(polyval(tx, dcoeffs)) if ok else 0.0)
+
+
 def test_curve_derivative_clamp_rule():
     assert curve_derivative(LINEAR, 300.0) == pytest.approx(0.01)
     # interior one-sided value exactly at the kink, zero beyond it

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import channel_problem, mixed_boundary_problem, no_channel_problem, wide_material
+from conftest import (
+    barycentric_gradients, channel_problem, mixed_boundary_problem, no_channel_problem, wide_material,
+)
+from vasctherm import elements
 from vasctherm.assembly import STEFAN_BOLTZMANN, TemperatureField, plan_for
 from vasctherm.mesh import NEUMANN, build_structured_mesh, mesh_without_channel
 from vasctherm.geometry import Domain2D
@@ -128,12 +131,15 @@ def test_heat_flux_linear_field_exact():
 
 
 def test_heat_flux_dissipative_orientation():
+    # P1 gradients are constant per triangle: the flux opposes grad theta at every quadrature point
     prob = channel_problem(n=10)
     fld = solve_steady(prob)
     q = heat_flux_field(fld, prob)
-    basis = plan_for(prob.mesh).basis
-    grad = np.einsum("tnc,tn->tc", basis.qp_gradN[:, :, 0], fld.values[prob.mesh.triangles])
-    assert np.all(np.einsum("tc,tc->t", q, grad) <= 1e-12)
+    glam = barycentric_gradients(prob.mesh)
+    for lam in elements.TRI_RULE_DEG2[0]:
+        gradN = elements.grad_shape(1, lam, glam)
+        grad = np.einsum("tnc,tn->tc", gradN, fld.values[prob.mesh.triangles])
+        assert np.all(np.einsum("tc,tc->t", q, grad) <= 1e-12)
 
 
 def test_energy_balance_equilibrium_zero():
