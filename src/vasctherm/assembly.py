@@ -43,6 +43,12 @@ class EllipticityError(ValueError):
     """k_s evaluated non-positive at a quadrature point."""
 
 
+def _check_kelvin(label: str, theta: float) -> None:
+    """Radiation takes theta**4: a temperature must be positive with a finite fourth power."""
+    if not 0.0 < theta <= np.finfo(float).max ** 0.25:
+        raise ValueError(f"{label} temperature must be positive (kelvin), with a finite fourth power")
+
+
 @dataclass(frozen=True)
 class SurfaceExchange:
     """Top-surface convection/radiation data and the ambient temperature."""
@@ -52,8 +58,7 @@ class SurfaceExchange:
     theta_amb: float = 296.42  # K
 
     def __post_init__(self):
-        if not 0.0 < self.theta_amb <= np.finfo(float).max ** 0.25:  # radiation takes theta_amb**4
-            raise ValueError("ambient temperature must be positive (kelvin), with a finite fourth power")
+        _check_kelvin("ambient", self.theta_amb)
         if self.h_T < 0:
             raise ValueError("heat transfer coefficient must be non-negative")
         if not 0.0 <= self.emissivity <= 1.0:
@@ -71,6 +76,9 @@ class BoundaryData:
     theta_inlet: float = 296.42  # K
     theta_p: object = None  # K, required when dirichlet edges exist
     q_p: object = 0.0  # W/m
+
+    def __post_init__(self):
+        _check_kelvin("inlet", self.theta_inlet)
 
 
 @dataclass(frozen=True)

@@ -361,12 +361,10 @@ def emit_plot_data(run: RunResult, outdir: str) -> None:
     _write_csv(os.path.join(outdir, "arclength_profile.csv"), ["s", "theta"],
                [[_fmt(s), _fmt(v)] for s, v in profile])
     flux = heat_flux_field(run.steady_field, run.problem)
-    tri_flux = np.zeros((mesh.n_nodes, 2))
-    counts = np.zeros(mesh.n_nodes)
-    for k in range(mesh.triangles.shape[1]):
-        np.add.at(tri_flux, mesh.triangles[:, k], flux)
-        np.add.at(counts, mesh.triangles[:, k], 1.0)
-    counts[counts == 0] = 1.0
+    owners = mesh.triangles.T.ravel()  # column by column, triangles in order: a fixed summation order
+    counts = np.maximum(np.bincount(owners, minlength=mesh.n_nodes), 1)
+    weights = np.tile(flux, (mesh.triangles.shape[1], 1))
+    tri_flux = np.column_stack([np.bincount(owners, weights[:, c], mesh.n_nodes) for c in (0, 1)])
     tri_flux /= counts[:, None]
     _write_csv(
         os.path.join(outdir, "field_snapshot.csv"), ["x", "y", "theta", "q_x", "q_y"],

@@ -5,6 +5,10 @@ order is reproducible) discretizes the rectangle. The vasculature is
 snapped onto grid nodes and realized as a chain of element edges, which
 is what makes the channel line integral assemblable edge-by-edge.
 Second-order elements add shared midside nodes on every edge.
+
+Numbering contract: corners and cells run row by row from the lower left,
+and midside nodes follow the corners in the order the triangles first use
+them. LU fill, every output file and run-to-run determinism depend on it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,12 @@ MAX_MESH_N = 640
 
 @dataclass(frozen=True, eq=False)
 class BaseGrid:
-    """Uniform right-triangle grid before channel embedding."""
+    """Uniform right-triangle grid before channel embedding.
+
+    Corner (ix, iy) is node iy*(n+1) + ix; cells run row by row from the
+    lower left, two triangles each; P2 midside nodes follow the corners in
+    first-use order.
+    """
 
     domain: Domain2D
     n: int  # subdivisions per direction
@@ -35,7 +44,6 @@ class BaseGrid:
     nodes: np.ndarray = field(repr=False)  # (N, 2)
     triangles: np.ndarray = field(repr=False)  # (T, 3) or (T, 6)
     boundary_edges: np.ndarray = field(repr=False)  # (E, 2) or (E, 3)
-    edge_midnodes: dict = field(repr=False, default_factory=dict)
 
     @property
     def hx(self) -> float:
@@ -111,7 +119,13 @@ class MeshStats:
 
 
 def build_structured_mesh(domain: Domain2D, n: int, element_order: int = 1) -> BaseGrid:
-    """(n+1)^2 corner nodes, 2n^2 right triangles (fixed lower-left diagonal)."""
+    """(n+1)^2 corner nodes, 2n^2 right triangles (fixed lower-left diagonal).
+
+    Cells run row by row from the lower left; the cell with lower-left
+    corner c gives (c, c+1, c+n+2) and then (c, c+n+2, c+n+1). Second-order
+    elements number their midside nodes after the corners, in the order in
+    which a scan of the triangles' edges (a, b), (b, c), (c, a) first meets them.
+    """
     if not 2 <= n <= MAX_MESH_N:
         raise ValueError(f"need 2 to {MAX_MESH_N} subdivisions per direction, got {n}")
     if element_order not in (1, 2):
@@ -120,66 +134,45 @@ def build_structured_mesh(domain: Domain2D, n: int, element_order: int = 1) -> B
     ix, iy = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
     nodes = np.column_stack([(ix * hx).ravel(), (iy * hy).ravel()])
 
-    def nid(i, j):
-        return j * (n + 1) + i
+    side = np.arange(n)
+    ll = ((n + 1) * side[:, None] + side).ravel()
+    lr, ul, ur = ll + 1, ll + n + 1, ll + n + 2
+    triangles = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
+    # counter-clockwise from the origin: bottom, right, top, left
+    ring = np.concatenate([side, n + (n + 1) * side, (n + 1) ** 2 - 1 - side, (n - side) * (n + 1)])
+    boundary_edges = np.column_stack([ring, np.roll(ring, -1)])
 
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            ll, lr = nid(i, j), nid(i + 1, j)
-            ul, ur = nid(i, j + 1), nid(i + 1, j + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    triangles = np.array(tris, dtype=int)
-
-    bedges = []
-    for i in range(n):
-        bedges.append((nid(i, 0), nid(i + 1, 0)))  # bottom
-    for j in range(n):
-        bedges.append((nid(n, j), nid(n, j + 1)))  # right
-    for i in range(n, 0, -1):
-        bedges.append((nid(i, n), nid(i - 1, n)))  # top
-    for j in range(n, 0, -1):
-        bedges.append((nid(0, j), nid(0, j - 1)))  # left
-    boundary_edges = np.array(bedges, dtype=int)
-
-    edge_midnodes: dict = {}
     if element_order == 2:
-        nodes, triangles, boundary_edges, edge_midnodes = _add_midside_nodes(
-            nodes, triangles, boundary_edges
-        )
-    return BaseGrid(
-        domain=domain,
-        n=n,
-        element_order=element_order,
-        nodes=nodes,
-        triangles=triangles,
-        boundary_edges=boundary_edges,
-        edge_midnodes=edge_midnodes,
-    )
+        corners = triangles[:, _EDGE_CORNERS].reshape(-1, 2)
+        keys = _edge_keys(corners, len(nodes))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        used = np.sort(first)  # where each edge is first met, in scan order
+        mids = len(nodes) + np.searchsorted(used, first)[inverse]
+        ends = nodes[corners[used]]
+        triangles = np.column_stack([triangles, mids.reshape(-1, 3)])
+        nodes = np.vstack([nodes, 0.5 * (ends[:, 0] + ends[:, 1])])
+        boundary_edges = np.column_stack([boundary_edges, _midside_nodes(triangles, boundary_edges)])
+    return BaseGrid(domain, n, element_order, nodes, triangles, boundary_edges)
 
 
-def _add_midside_nodes(nodes, triangles, boundary_edges):
-    """Insert one shared node at the midpoint of every triangle edge."""
-    mid_of = {}
-    new_coords = []
-    next_id = len(nodes)
+# Corner columns of a triangle's edges (a, b), (b, c), (c, a): the edges whose
+# midside nodes a P2 triangle holds in its columns 3, 4 and 5.
+_EDGE_CORNERS = [0, 1, 1, 2, 2, 0]
 
-    def midnode(a, b):
-        nonlocal next_id
-        key = (min(a, b), max(a, b))
-        if key not in mid_of:
-            mid_of[key] = next_id
-            new_coords.append(0.5 * (nodes[a] + nodes[b]))
-            next_id += 1
-        return mid_of[key]
 
-    tris6 = []
-    for a, b, c in triangles:
-        tris6.append((a, b, c, midnode(a, b), midnode(b, c), midnode(c, a)))
-    bedges3 = [(a, b, midnode(a, b)) for a, b in boundary_edges]
-    all_nodes = np.vstack([nodes, np.array(new_coords)])
-    return all_nodes, np.array(tris6, dtype=int), np.array(bedges3, dtype=int), mid_of
+def _edge_keys(pairs: np.ndarray, size: int) -> np.ndarray:
+    """One integer per undirected edge (a, b) of nodes numbered below size."""
+    a, b = pairs[:, 0], pairs[:, 1]
+    return np.minimum(a, b) * size + np.maximum(a, b)
+
+
+def _midside_nodes(triangles: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Midside node of each corner edge (a, b), in either direction, read off P2 triangles."""
+    size = int(triangles.max()) + 1
+    keys = _edge_keys(triangles[:, _EDGE_CORNERS].reshape(-1, 2), size)
+    order = np.argsort(keys, kind="stable")
+    found = order[np.searchsorted(keys, _edge_keys(edges, size), sorter=order)]
+    return triangles[:, 3:].ravel()[found]
 
 
 def _snap_index(value: float, h: float, n: int) -> int:
@@ -221,48 +214,26 @@ def embed_vasculature(grid: BaseGrid, path: VasculaturePath) -> ChannelMesh:
     if len(set(chain)) != len(chain):
         raise ValueError("snapped path self-overlaps")
 
-    for label, node in (("inlet", chain[0]), ("outlet", chain[-1])):
-        x, y = grid.nodes[node]
-        on_boundary = (
-            abs(x) < 1e-12 or abs(x - grid.domain.width) < 1e-12
-            or abs(y) < 1e-12 or abs(y - grid.domain.height) < 1e-12
-        )
-        if not on_boundary:
+    for label, (ix, iy) in (("inlet", snapped[0]), ("outlet", snapped[-1])):
+        if not {ix, iy} & {0, n}:
             raise ValueError(f"channel {label} does not lie on the domain boundary")
 
-    chain_arr = np.array(chain, dtype=int)
-    vecs = grid.nodes[chain_arr[1:]] - grid.nodes[chain_arr[:-1]]
-    lengths = np.hypot(vecs[:, 0], vecs[:, 1])
-    tangents = vecs / lengths[:, None]
-    if grid.element_order == 2:
-        mids = np.array(
-            [grid.edge_midnodes[(min(a, b), max(a, b))]
-             for a, b in zip(chain[:-1], chain[1:])],
-            dtype=int,
-        )
-    else:
-        mids = np.empty(0, dtype=int)
-
-    return ChannelMesh(
-        domain=grid.domain,
-        n=grid.n,
-        element_order=grid.element_order,
-        nodes=grid.nodes,
-        triangles=grid.triangles,
-        boundary_edges=grid.boundary_edges,
-        boundary_tags=np.full(len(grid.boundary_edges), NEUMANN, dtype=object),
-        channel_nodes=chain_arr,
-        channel_mids=mids,
-        channel_tangents=tangents,
-        channel_lengths=lengths,
-        inlet_node=int(chain_arr[0]),
-        outlet_node=int(chain_arr[-1]),
-        snap_error=snap_error,
-    )
+    return _channel_mesh(grid, np.array(chain, dtype=int), snap_error)
 
 
 def mesh_without_channel(grid: BaseGrid) -> ChannelMesh:
     """Plain triangulation (no channel, no inlet constraint)."""
+    return _channel_mesh(grid, np.empty(0, dtype=int), 0.0)
+
+
+def _channel_mesh(grid: BaseGrid, chain: np.ndarray, snap_error: float) -> ChannelMesh:
+    """All-neumann mesh of grid whose channel runs along the corner ids of chain, inlet first."""
+    vecs = np.diff(grid.nodes[chain], axis=0)
+    lengths = np.hypot(vecs[:, 0], vecs[:, 1])
+    if grid.element_order == 2:
+        mids = _midside_nodes(grid.triangles, np.column_stack([chain[:-1], chain[1:]]))
+    else:
+        mids = np.empty(0, dtype=int)
     return ChannelMesh(
         domain=grid.domain,
         n=grid.n,
@@ -271,13 +242,13 @@ def mesh_without_channel(grid: BaseGrid) -> ChannelMesh:
         triangles=grid.triangles,
         boundary_edges=grid.boundary_edges,
         boundary_tags=np.full(len(grid.boundary_edges), NEUMANN, dtype=object),
-        channel_nodes=np.empty(0, dtype=int),
-        channel_mids=np.empty(0, dtype=int),
-        channel_tangents=np.empty((0, 2)),
-        channel_lengths=np.empty(0),
-        inlet_node=None,
-        outlet_node=None,
-        snap_error=0.0,
+        channel_nodes=chain,
+        channel_mids=mids,
+        channel_tangents=vecs / lengths[:, None],
+        channel_lengths=lengths,
+        inlet_node=int(chain[0]) if chain.size else None,
+        outlet_node=int(chain[-1]) if chain.size else None,
+        snap_error=snap_error,
     )
 
 

@@ -36,6 +36,11 @@ from .assembly import (
 REFACTOR_RATIO = 0.2
 REFACTOR_ITERS = 8
 
+# Most BDF steps in one transient run: about 67 times the default 1,500. The
+# series keeps every field, so this bounds what a scenario can ask to store
+# and run; it is not a setting.
+MAX_BDF_STEPS = 100_000
+
 
 class SolverError(RuntimeError):
     pass
@@ -86,6 +91,8 @@ class TransientSettings:
             raise ValueError("t_end must be at least one step")
         if self.bdf_order not in (1, 2):
             raise ValueError("bdf_order must be 1 or 2")
+        if self.t_end / self.dt >= MAX_BDF_STEPS + 0.5:  # before n_steps, which overflows at inf
+            raise ValueError(f"t_end / dt exceeds the {MAX_BDF_STEPS} steps a run may take")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")
 

@@ -28,7 +28,8 @@ from vasctherm.cli import (
 from vasctherm.geometry import LAYOUT_KINDS
 from vasctherm.materials import builtin_names
 from vasctherm.mesh import MAX_MESH_N
-from vasctherm.solvers import solve_steady
+from vasctherm.postprocess import heat_flux_field
+from vasctherm.solvers import MAX_BDF_STEPS, solve_steady
 
 FAST = {
     "mesh": {"n": 8},
@@ -126,6 +127,20 @@ def test_run_scenario_artifacts(tmp_path):
     assert summary["n_time_steps"] == 5
     assert "vasctherm" in summary["versions"]
     assert summary["max_channel_peclet"] < 1.0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_snapshot_flux_is_the_mean_over_touching_triangles(tmp_path, order):
+    run = execute_run(fast_config(steady_only=True, mesh={"element_order": order}))
+    cli.emit_plot_data(run, str(tmp_path))
+    mesh = run.problem.mesh
+    flux = heat_flux_field(run.steady_field, run.problem)
+    total, counts = np.zeros((mesh.n_nodes, 2)), np.zeros(mesh.n_nodes)
+    for k in range(mesh.triangles.shape[1]):  # reference: one column of the triangles at a time
+        np.add.at(total, mesh.triangles[:, k], flux)
+        np.add.at(counts, mesh.triangles[:, k], 1.0)
+    rows = np.loadtxt(tmp_path / "field_snapshot.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 3:], total / counts[:, None])
 
 
 def test_zero_load_reports_nan_eta_and_ambient_mst(tmp_path):
@@ -393,6 +408,15 @@ def test_ambient_with_overflowing_fourth_power_exits_2(tmp_path, capsys):
     assert "fourth power" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("theta_inlet", [-100.0, 0.0, 1e300])
+def test_invalid_inlet_temperature_exits_2(tmp_path, capsys, theta_inlet):
+    cfg = tmp_path / "inlet.json"
+    cfg.write_text(json.dumps({"inlet": {"theta_inlet": theta_inlet}, "steady_only": True, "mesh": {"n": 6}}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "inlet temperature must be positive" in err and "Traceback" not in err
+
+
 def _material_record(**fields):
     record = {"name": "custom", "density": 1500.0,
               "c_s": {"coeffs": [800.0, 0.5], "range": [280.0, 450.0]},
@@ -442,6 +466,15 @@ def test_invalid_transient_block_rejected_before_the_steady_solve(tmp_path, monk
         assert main(argv) == EXIT_INVALID_INPUT
     assert "integer multiple of dt" in capsys.readouterr().err
     assert main(argv + ["--steady-only"]) == EXIT_OK  # a steady-only run ignores the block
+
+
+def test_transient_beyond_the_step_bound_rejected_before_the_steady_solve(tmp_path, monkeypatch, capsys):
+    argv = ["solve", "--out", str(tmp_path / "run"), "--mesh-n", "6"]
+    monkeypatch.setattr(cli, "solve_steady", lambda *a, **k: pytest.fail("steady solve started"))
+    for dt, t_end in ((1.0, MAX_BDF_STEPS + 1), (1.0, 1e300), (1e-300, 1e300)):  # the last overflows t_end / dt
+        assert main(argv + ["--dt", str(dt), "--t-end", str(t_end)]) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert f"exceeds the {MAX_BDF_STEPS} steps" in err and "Traceback" not in err
 
 
 def test_custom_vertex_channel_runs(tmp_path):

@@ -15,7 +15,7 @@ from collections import Counter
 import scipy.sparse.linalg as spla
 
 from conftest import channel_problem, no_channel_problem
-from vasctherm import elements, solvers
+from vasctherm import cli, elements, solvers, verification
 from vasctherm.postprocess import observables_for
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
@@ -65,6 +65,24 @@ def test_solver_sites_are_reached_through_their_modules(monkeypatch):
     # every Newton iteration assembles and restricts at least its trial
     assert counts["assemble"] >= iterations + counts["step"]
     assert counts["constrain"] == counts["assemble"]
+
+
+def test_mesh_sites_are_reached_through_their_modules(monkeypatch):
+    counts = Counter()
+    for module, name in ((cli, "build_structured_mesh"), (cli, "embed_vasculature"),
+                         (verification, "build_structured_mesh"), (verification, "embed_vasculature"),
+                         (verification, "mesh_without_channel"), (verification, "tag_boundary")):
+        key = f"{module.__name__}.{name}"
+        monkeypatch.setattr(module, name, _counting(counts, key, getattr(module, name)))
+    cli.build_problem(cli.ScenarioConfig().replace(mesh={"n": 4}))
+    assert counts == {"vasctherm.cli.build_structured_mesh": 1, "vasctherm.cli.embed_vasculature": 1}
+    counts.clear()
+    for case in (verification.mms_case_cmp(), verification.mms_case_channel()):
+        verification._mms_problem(case, 4, 1)
+    assert counts == {"vasctherm.verification.build_structured_mesh": 2,
+                      "vasctherm.verification.embed_vasculature": 1,
+                      "vasctherm.verification.mesh_without_channel": 1,
+                      "vasctherm.verification.tag_boundary": 2}
 
 
 def test_basis_built_once_per_mesh_through_its_module(monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from vasctherm.geometry import Domain2D, LayoutParams, VasculaturePath, arc_length, generate_layout
 from vasctherm.mesh import (
@@ -131,23 +132,54 @@ def test_tag_spec_must_return_valid_tag():
         tag_boundary(mesh, lambda x, y: "both")
 
 
-def test_p2_midside_nodes_shared():
-    n = 4
-    grid = build_structured_mesh(DOM, n, element_order=2)
-    assert len(grid.nodes) == (2 * n + 1) ** 2
-    mesh = mesh_without_channel(grid)
-    # each interior edge's midnode appears in exactly the two adjacent triangles
-    counts = np.zeros(len(grid.nodes), dtype=int)
-    for tri in mesh.triangles:
-        for mid in tri[3:]:
-            counts[mid] += 1
-    assert set(counts[counts > 0]) <= {1, 2}
-    # midside coordinates really are edge midpoints
-    for tri in mesh.triangles[:8]:
-        a, b, c, mab, mbc, mca = tri
-        assert np.allclose(mesh.nodes[mab], 0.5 * (mesh.nodes[a] + mesh.nodes[b]))
-        assert np.allclose(mesh.nodes[mbc], 0.5 * (mesh.nodes[b] + mesh.nodes[c]))
-        assert np.allclose(mesh.nodes[mca], 0.5 * (mesh.nodes[c] + mesh.nodes[a]))
+def _directed_edges(triangles):
+    """{(a, b): midside node or None} over every triangle edge, counter-clockwise."""
+    out = {}
+    for tri in triangles.tolist():
+        for k in range(3):
+            out[(tri[k], tri[(k + 1) % 3])] = tri[3 + k] if len(tri) == 6 else None
+    return out
+
+
+@given(n=st.integers(2, 24), order=st.sampled_from([1, 2]),
+       width=st.floats(1e-3, 1.0), height=st.floats(1e-3, 1.0))
+def test_numbering_contract(n, order, width, height):
+    grid = build_structured_mesh(Domain2D(width=width, height=height), n, order)
+    nodes, tris, bnd = grid.nodes, grid.triangles, grid.boundary_edges
+    corners = (n + 1) ** 2
+    assert len(nodes) == (order * n + 1) ** 2
+    assert np.all(triangle_areas(grid) > 0)
+    # the boundary is one closed counter-clockwise loop: each edge has its
+    # triangle on the left and none on the right, and no other edge is free
+    directed = _directed_edges(tris)
+    assert np.array_equal(bnd[:, 1], np.roll(bnd[:, 0], -1))
+    assert len(set(bnd[:, 0].tolist())) == len(bnd) == 4 * n
+    assert sum((b, a) not in directed for a, b in directed) == len(bnd)
+    for edge in bnd.tolist():
+        assert (edge[1], edge[0]) not in directed
+        assert directed[(edge[0], edge[1])] == (edge[2] if order == 2 else None)
+    if order == 1:
+        return
+    for k in range(3):
+        a, b = nodes[tris[:, k]], nodes[tris[:, (k + 1) % 3]]
+        assert np.array_equal(nodes[tris[:, 3 + k]], 0.5 * (a + b))
+    mids = tris[:, 3:].ravel()
+    _, first = np.unique(mids, return_index=True)
+    assert np.array_equal(mids[np.sort(first)], np.arange(corners, len(nodes)))
+    shared = np.full(len(nodes) - corners, 2)
+    shared[bnd[:, 2] - corners] = 1
+    assert np.array_equal(np.bincount(mids)[corners:], shared)
+
+
+def test_p2_numbering_at_n2():
+    grid = build_structured_mesh(DOM, 2, element_order=2)
+    assert grid.triangles.tolist() == [
+        [0, 1, 4, 9, 10, 11], [0, 4, 3, 11, 12, 13], [1, 2, 5, 14, 15, 16], [1, 5, 4, 16, 17, 10],
+        [3, 4, 7, 12, 18, 19], [3, 7, 6, 19, 20, 21], [4, 5, 8, 17, 22, 23], [4, 8, 7, 23, 24, 18],
+    ]
+    assert grid.boundary_edges.tolist() == [
+        [0, 1, 9], [1, 2, 14], [2, 5, 15], [5, 8, 22], [8, 7, 24], [7, 6, 20], [6, 3, 21], [3, 0, 13],
+    ]
 
 
 def test_p2_channel_carries_midside_nodes():
