@@ -65,10 +65,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _json_safe(x):
     """Map non-finite floats to None so summaries stay strict JSON."""
     if isinstance(x, float) and not np.isfinite(x):
@@ -333,6 +329,11 @@ def execute_run(config: ScenarioConfig) -> RunResult:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write one CSV table; csv.writer writes a float as repr(float(x)).
+
+    Numeric tables come as ndarray.tolist() rows, which converts every value
+    to a Python number in one C loop rather than one numpy scalar at a time.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -343,33 +344,25 @@ def emit_plot_data(run: RunResult, outdir: str) -> None:
     """Figure-oriented CSVs: time series, arc-length profile, field snapshot."""
     os.makedirs(outdir, exist_ok=True)
     if run.series_obs:
-        obs = run.series_obs
-        _write_csv(
-            os.path.join(outdir, "observables.csv"),
-            ["t", "mst", "theta_outlet", "eta", "energy_residual"],
-            [[_fmt(o.t), _fmt(o.mst), _fmt(o.theta_outlet), _fmt(o.eta),
-              _fmt(o.energy_balance_residual)] for o in obs],
-        )
-        _write_csv(os.path.join(outdir, "mst_vs_time.csv"), ["t", "mst"],
-                   [[_fmt(o.t), _fmt(o.mst)] for o in obs])
-        _write_csv(os.path.join(outdir, "outlet_vs_time.csv"), ["t", "theta_outlet"],
-                   [[_fmt(o.t), _fmt(o.theta_outlet)] for o in obs])
-        _write_csv(os.path.join(outdir, "eta_vs_time.csv"), ["t", "eta"],
-                   [[_fmt(o.t), _fmt(o.eta)] for o in obs])
+        table = np.array([(o.t, o.mst, o.theta_outlet, o.eta, o.energy_balance_residual)
+                          for o in run.series_obs], dtype=float)
+        _write_csv(os.path.join(outdir, "observables.csv"),
+                   ["t", "mst", "theta_outlet", "eta", "energy_residual"], table.tolist())
+        for c, (name, column) in enumerate((("mst_vs_time.csv", "mst"),
+                                            ("outlet_vs_time.csv", "theta_outlet"),
+                                            ("eta_vs_time.csv", "eta")), 1):
+            _write_csv(os.path.join(outdir, name), ["t", column], table[:, [0, c]].tolist())
     mesh = run.problem.mesh
     profile = arc_length_profile(run.steady_field, mesh)
-    _write_csv(os.path.join(outdir, "arclength_profile.csv"), ["s", "theta"],
-               [[_fmt(s), _fmt(v)] for s, v in profile])
+    _write_csv(os.path.join(outdir, "arclength_profile.csv"), ["s", "theta"], profile.tolist())
     flux = heat_flux_field(run.steady_field, run.problem)
     owners = mesh.triangles.T.ravel()  # column by column, triangles in order: a fixed summation order
     counts = np.maximum(np.bincount(owners, minlength=mesh.n_nodes), 1)
     weights = np.tile(flux, (mesh.triangles.shape[1], 1))
     tri_flux = np.column_stack([np.bincount(owners, weights[:, c], mesh.n_nodes) for c in (0, 1)])
     tri_flux /= counts[:, None]
-    _write_csv(
-        os.path.join(outdir, "field_snapshot.csv"), ["x", "y", "theta", "q_x", "q_y"],
-        [[_fmt(x), _fmt(y), _fmt(v), _fmt(qx), _fmt(qy)]
-         for (x, y), v, (qx, qy) in zip(mesh.nodes, run.steady_field.values, tri_flux)])
+    _write_csv(os.path.join(outdir, "field_snapshot.csv"), ["x", "y", "theta", "q_x", "q_y"],
+               np.column_stack([mesh.nodes, run.steady_field.values, tri_flux]).tolist())
 
 
 def _write_run(run: RunResult, outdir: str) -> None:
@@ -381,7 +374,7 @@ def _write_run(run: RunResult, outdir: str) -> None:
     _write_csv(
         os.path.join(outdir, "solver_log.csv"),
         ["step", "iteration", "residual_norm", "damping", "factorized"],
-        [[rec.step, rec.iteration, _fmt(rec.residual_norm), _fmt(rec.damping), int(rec.factorized)]
+        [[rec.step, rec.iteration, rec.residual_norm, rec.damping, int(rec.factorized)]
          for rec in run.newton_log],
     )
     bounds_payload = {
@@ -458,10 +451,9 @@ def _paired_experiment(config: ScenarioConfig, outdir: str, configs: dict[str, S
     first, second = runs.values()
     columns = {f: [_abs_delta(getattr(a, f), getattr(b, f))
                    for a, b in zip(first.series_obs, second.series_obs)] for f in fields}
+    table = np.column_stack([[obs.t for obs in first.series_obs], *columns.values()])
     _write_csv(os.path.join(outdir, "deltas.csv"),
-               ["t"] + [f"abs_{_DELTA_NAMES[f]}" for f in fields],
-               [[_fmt(obs.t), *map(_fmt, ds)]
-                for obs, *ds in zip(first.series_obs, *columns.values())])
+               ["t"] + [f"abs_{_DELTA_NAMES[f]}" for f in fields], table.tolist())
     steady = {f: _abs_delta(getattr(first.steady_obs, f), getattr(second.steady_obs, f))
               for f in fields}
     transient = {f: max((d for d in columns[f] if np.isfinite(d)), default=0.0) for f in fields}
@@ -502,11 +494,8 @@ def run_verify(outdir: str, full: bool = False, seed: int = 0) -> int:
     failures = []
     for case in (mms_case_cmp(), mms_case_tdmp()):
         table = mms_convergence(case, mesh_sizes=sizes)
-        _write_csv(
-            os.path.join(outdir, f"convergence_{case.name}.csv"),
-            ["h", "l2_error", "max_error"],
-            [[_fmt(r.h), _fmt(r.l2_error), _fmt(r.max_error)] for r in table.rows],
-        )
+        _write_csv(os.path.join(outdir, f"convergence_{case.name}.csv"), ["h", "l2_error", "max_error"],
+                   np.array([(r.h, r.l2_error, r.max_error) for r in table.rows], dtype=float).tolist())
         ok = abs(table.slope - 2.0) <= 0.2
         print(f"{'PASS' if ok else 'FAIL'} mms {case.name}: L2 slope {table.slope:.3f} (target 2.0 +/- 0.2)")
         if not ok:
@@ -630,8 +619,31 @@ def _overrides(args) -> dict:
     return out
 
 
+def _is_negative_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join an option and the negative number after it: "--flux", "-2e3" -> "--flux=-2e3".
+
+    argparse reads only plain negatives such as -2000 or -2.5 as values;
+    it takes "-2e3" for an unknown option and leaves --flux without one.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "verify":
             return run_verify(args.out, full=args.full, seed=args.seed)

@@ -313,19 +313,15 @@ def export_mesh_csv(mesh: ChannelMesh, outdir: str) -> list[str]:
             w.writerows(rows)
         written.append(fp)
 
-    emit("nodes.csv", ["node_id", "x", "y"],
-         [(i, repr(float(x)), repr(float(y))) for i, (x, y) in enumerate(mesh.nodes)])
-    emit("triangles.csv", [f"n{k}" for k in range(mesh.triangles.shape[1])],
-         [tuple(int(v) for v in row) for row in mesh.triangles])
+    # tolist() converts a whole column to Python numbers in one C loop, and csv.writer
+    # writes a float as its repr
+    emit("nodes.csv", ["node_id", "x", "y"], zip(range(mesh.n_nodes), *mesh.nodes.T.tolist()))
+    emit("triangles.csv", [f"n{k}" for k in range(mesh.triangles.shape[1])], mesh.triangles.tolist())
     emit("boundary_edges.csv", ["node_a", "node_b", "tag"],
-         [(int(e[0]), int(e[1]), t) for e, t in zip(mesh.boundary_edges, mesh.boundary_tags)])
+         zip(*mesh.boundary_edges[:, :2].T.tolist(), mesh.boundary_tags.tolist()))
     s_coords = mesh.channel_arc_coords() if mesh.has_channel else np.empty(0)
-    rows = []
-    for k, node in enumerate(mesh.channel_nodes):
-        if k < len(mesh.channel_lengths):
-            tx, ty = mesh.channel_tangents[k]
-        else:
-            tx, ty = mesh.channel_tangents[-1]
-        rows.append((int(node), repr(float(s_coords[k])), repr(float(tx)), repr(float(ty))))
-    emit("channel_chain.csv", ["node_id", "s", "t_x", "t_y"], rows)
+    # each chain node takes the tangent of the edge it starts; the outlet takes the last edge's
+    edge = np.minimum(np.arange(len(mesh.channel_nodes)), len(mesh.channel_lengths) - 1)
+    emit("channel_chain.csv", ["node_id", "s", "t_x", "t_y"],
+         zip(mesh.channel_nodes.tolist(), s_coords.tolist(), *mesh.channel_tangents[edge].T.tolist()))
     return written

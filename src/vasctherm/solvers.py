@@ -3,13 +3,16 @@
 Each implicit BDF step reuses the steady Newton machinery on the
 transient residual. Fixed order 1 or 2 with a constant step: a BDF1
 startup step followed by BDF2 keeps the integrator second order without
-variable-order bookkeeping. A step starts from the polynomial through the
-last k+1 states for a formula of order k, as DASSL's predictor does
-(Brenan, Campbell & Petzold, ch. 5). BDF steps, and the steady solve of
-a scenario run, use chord Newton: one LU factor is reused across
-iterations and steps while it keeps contracting the residual fast enough
-(Hairer & Wanner, Solving ODEs II, IV.8). Full Newton, which factors at
-every iteration, stays the default of solve_steady.
+variable-order bookkeeping. A step of either order starts Newton from
+the cubic through the last four states (fewer at the first three steps).
+On the smooth trajectory of a fixed step this extrapolated starting value
+(Fischer 1998, CMAME 163:193) lands closer to the root than DASSL's
+predictor through the k+1 states of a formula of order k, so a step needs
+fewer chord iterations. BDF steps, and the steady solve of a scenario run,
+use chord Newton: one LU factor is reused across iterations and steps
+while it keeps contracting the residual fast enough (Hairer & Wanner,
+Solving ODEs II, IV.8). Full Newton, which factors at every iteration,
+stays the default of solve_steady.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ from .assembly import (
 # would take more than REFACTOR_ITERS further iterations.
 REFACTOR_RATIO = 0.2
 REFACTOR_ITERS = 8
+
+# A BDF step starts Newton from the polynomial through the last
+# min(PREDICTOR_POINTS, available) states; row m - 1 of PREDICTOR_WEIGHTS
+# extrapolates through m of them, newest first. A fifth point took more
+# iterations on the default run than four.
+PREDICTOR_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
+PREDICTOR_POINTS = len(PREDICTOR_WEIGHTS)
 
 # Most BDF steps in one transient run: about 67 times the default 1,500. The
 # series keeps every field, so this bounds what a scenario can ask to store
@@ -300,11 +310,11 @@ def solve_transient(
 ) -> SolutionSeries:
     """Integrate from the ambient initial field with fixed-step BDF1/BDF2.
 
-    Newton starts each step from a predictor: the last state theta_n for
-    the BDF1 start-up step (and every step of bdf_order=1), the line
-    2 theta_n - theta_{n-1} for the first BDF2 step, and the quadratic
-    3 theta_n - 3 theta_{n-1} + theta_{n-2} through the last three states
-    from then on.
+    Newton starts each step, at either order, from the polynomial through
+    the last min(PREDICTOR_POINTS, available) states: theta_n for the first
+    step, the line 2 theta_n - theta_{n-1} for the second, the quadratic
+    3 theta_n - 3 theta_{n-1} + theta_{n-2} for the third and the cubic
+    4 theta_n - 6 theta_{n-1} + 4 theta_{n-2} - theta_{n-3} from then on.
 
     The steps share one chord-Newton LU factor (see solve_steady). On a
     Newton failure the partial series is attached to the raised
@@ -313,25 +323,20 @@ def solve_transient(
     tsettings = tsettings or TransientSettings()
     nsettings = nsettings or NewtonSettings()
     dt = tsettings.dt
-    initial = problem.initial_field()
-    series = SolutionSeries(fields=[initial])
+    series = SolutionSeries(fields=[problem.initial_field()])
     factors = ChordFactor()
-    theta_prev = initial.values
-    theta_prev2 = theta_prev3 = None
 
     for k in range(tsettings.n_steps):
         t_next = (k + 1) * dt
-        if tsettings.bdf_order == 1 or theta_prev2 is None:
-            rate = RateWeights(coeff=1.0 / dt, rhs=-theta_prev / dt)
-            guess = theta_prev
+        past = [f.values for f in reversed(series.fields[-PREDICTOR_POINTS:])]  # newest first
+        if tsettings.bdf_order == 1 or k == 0:
+            rate = RateWeights(coeff=1.0 / dt, rhs=-past[0] / dt)
         else:
-            rate = RateWeights(
-                coeff=1.5 / dt, rhs=(-2.0 * theta_prev + 0.5 * theta_prev2) / dt
-            )
-            if theta_prev3 is None:
-                guess = 2.0 * theta_prev - theta_prev2  # line through the last two states
-            else:
-                guess = 3.0 * theta_prev - 3.0 * theta_prev2 + theta_prev3  # quadratic through three
+            rate = RateWeights(coeff=1.5 / dt, rhs=(-2.0 * past[0] + 0.5 * past[1]) / dt)
+        weights = PREDICTOR_WEIGHTS[len(past) - 1]
+        guess = weights[0] * past[0]
+        for w, state in zip(weights[1:], past[1:]):
+            guess += w * state
         try:
             field_next = solve_steady(
                 problem,
@@ -349,5 +354,4 @@ def solve_transient(
                 series=series, cause=exc,
             ) from exc
         series.fields.append(field_next)
-        theta_prev3, theta_prev2, theta_prev = theta_prev2, theta_prev, field_next.values
     return series

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -28,8 +29,9 @@ from vasctherm.cli import (
 from vasctherm.geometry import LAYOUT_KINDS
 from vasctherm.materials import builtin_names
 from vasctherm.mesh import MAX_MESH_N
-from vasctherm.postprocess import heat_flux_field
+from vasctherm.postprocess import arc_length_profile, channel_peclet, heat_flux_field
 from vasctherm.solvers import MAX_BDF_STEPS, solve_steady
+from vasctherm.verification import mms_convergence
 
 FAST = {
     "mesh": {"n": 8},
@@ -129,18 +131,105 @@ def test_run_scenario_artifacts(tmp_path):
     assert summary["max_channel_peclet"] < 1.0
 
 
+def _mean_flux_at_nodes(run):
+    """Each node's mean of the flux over the triangles touching it, one column at a time."""
+    mesh = run.problem.mesh
+    flux = heat_flux_field(run.steady_field, run.problem)
+    total, counts = np.zeros((mesh.n_nodes, 2)), np.zeros(mesh.n_nodes)
+    for k in range(mesh.triangles.shape[1]):
+        np.add.at(total, mesh.triangles[:, k], flux)
+        np.add.at(counts, mesh.triangles[:, k], 1.0)
+    return total / counts[:, None]
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_snapshot_flux_is_the_mean_over_touching_triangles(tmp_path, order):
     run = execute_run(fast_config(steady_only=True, mesh={"element_order": order}))
     cli.emit_plot_data(run, str(tmp_path))
-    mesh = run.problem.mesh
-    flux = heat_flux_field(run.steady_field, run.problem)
-    total, counts = np.zeros((mesh.n_nodes, 2)), np.zeros(mesh.n_nodes)
-    for k in range(mesh.triangles.shape[1]):  # reference: one column of the triangles at a time
-        np.add.at(total, mesh.triangles[:, k], flux)
-        np.add.at(counts, mesh.triangles[:, k], 1.0)
     rows = np.loadtxt(tmp_path / "field_snapshot.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(rows[:, 3:], total / counts[:, None])
+    assert np.array_equal(rows[:, 3:], _mean_flux_at_nodes(run))
+
+
+def _per_value_csv(header, rows) -> bytes:
+    """CSV bytes written value by value: integers and text as they are, any other number as
+    repr(float(x))."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([str(v) if isinstance(v, (str, int, np.integer)) else repr(float(v)) for v in row]
+                     for row in rows)
+    return buf.getvalue().encode()
+
+
+def _assert_csvs(outdir, references):
+    assert sorted(p.name for p in outdir.glob("*.csv")) == sorted(references)
+    for name, reference in references.items():
+        assert (outdir / name).read_bytes() == reference, name
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_solve_csvs_match_per_value_formatting(tmp_path, order):
+    run = execute_run(fast_config(mesh={"n": 6, "element_order": order}, transient={"t_end": 4.0}))
+    cli._write_run(run, str(tmp_path))
+    mesh, obs = run.problem.mesh, run.series_obs
+    series = {"mst": [o.mst for o in obs], "theta_outlet": [o.theta_outlet for o in obs],
+              "eta": [o.eta for o in obs]}
+    times = [o.t for o in obs]
+    _assert_csvs(tmp_path, {
+        "observables.csv": _per_value_csv(
+            ["t", "mst", "theta_outlet", "eta", "energy_residual"],
+            [(o.t, o.mst, o.theta_outlet, o.eta, o.energy_balance_residual) for o in obs]),
+        "mst_vs_time.csv": _per_value_csv(["t", "mst"], zip(times, series["mst"])),
+        "outlet_vs_time.csv": _per_value_csv(["t", "theta_outlet"], zip(times, series["theta_outlet"])),
+        "eta_vs_time.csv": _per_value_csv(["t", "eta"], zip(times, series["eta"])),
+        "arclength_profile.csv": _per_value_csv(["s", "theta"],
+                                                arc_length_profile(run.steady_field, mesh)),
+        "field_snapshot.csv": _per_value_csv(
+            ["x", "y", "theta", "q_x", "q_y"],
+            [(x, y, v, qx, qy) for (x, y), v, (qx, qy)
+             in zip(mesh.nodes, run.steady_field.values, _mean_flux_at_nodes(run))]),
+        "solver_log.csv": _per_value_csv(
+            ["step", "iteration", "residual_norm", "damping", "factorized"],
+            [(r.step, r.iteration, r.residual_norm, r.damping, int(r.factorized))
+             for r in run.newton_log]),
+    })
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_mesh_csvs_match_per_value_formatting(tmp_path, order):
+    assert main(["mesh", "--out", str(tmp_path), "--mesh-n", "5", "--order", str(order)]) == EXIT_OK
+    mesh = build_problem(ScenarioConfig.from_dict({"mesh": {"n": 5, "element_order": order}})).mesh
+    s = mesh.channel_arc_coords()
+    last = len(mesh.channel_lengths) - 1
+    _assert_csvs(tmp_path, {
+        "nodes.csv": _per_value_csv(["node_id", "x", "y"],
+                                    [(i, x, y) for i, (x, y) in enumerate(mesh.nodes)]),
+        "triangles.csv": _per_value_csv([f"n{k}" for k in range(mesh.triangles.shape[1])],
+                                        mesh.triangles),
+        "boundary_edges.csv": _per_value_csv(
+            ["node_a", "node_b", "tag"],
+            [(e[0], e[1], tag) for e, tag in zip(mesh.boundary_edges, mesh.boundary_tags)]),
+        "channel_chain.csv": _per_value_csv(
+            ["node_id", "s", "t_x", "t_y"],
+            [(node, s[k], *mesh.channel_tangents[min(k, last)])
+             for k, node in enumerate(mesh.channel_nodes)]),
+    })
+
+
+def test_deltas_csv_matches_per_value_formatting(tmp_path, monkeypatch):
+    runs = {}
+    paired_runs = cli._paired_runs
+
+    def recording(configs):
+        runs.update(paired_runs(configs))
+        return runs
+
+    monkeypatch.setattr(cli, "_paired_runs", recording)
+    flow_reversal_experiment(fast_config(transient={"t_end": 3.0}), str(tmp_path))
+    fwd, rev = runs["forward"].series_obs, runs["reverse"].series_obs
+    _assert_csvs(tmp_path, {"deltas.csv": _per_value_csv(
+        ["t", "abs_dmst", "abs_doutlet"],
+        [(a.t, abs(a.mst - b.mst), abs(a.theta_outlet - b.theta_outlet)) for a, b in zip(fwd, rev)])})
 
 
 def test_zero_load_reports_nan_eta_and_ambient_mst(tmp_path):
@@ -179,6 +268,39 @@ def test_zero_flow_forward_reverse_bitwise_identical():
     fwd = execute_run(cfg)
     rev = execute_run(cfg.replace(flow_direction="reverse"))
     assert np.array_equal(fwd.steady_field.values, rev.steady_field.values)
+
+
+def _steady_config(kind, order, n, **groups) -> ScenarioConfig:
+    return ScenarioConfig.from_dict({"layout": {"kind": kind}, "mesh": {"n": n, "element_order": order},
+                                     "steady_only": True, **groups})
+
+
+_DRAWN_MESHES = dict(kind=st.sampled_from(LAYOUT_KINDS), order=st.sampled_from([1, 2]),
+                     n=st.integers(5, 10))  # below n=5 the serpentine's snapped passes overlap
+
+
+@given(**_DRAWN_MESHES, material=st.sampled_from(builtin_names()), mode=st.sampled_from(["CMP", "TDMP"]))
+def test_zero_flow_runs_do_not_depend_on_the_flow_direction(kind, order, n, material, mode):
+    cfg = _steady_config(kind, order, n, material={"name": material, "mode": mode},
+                         coolant={"flow_rate_ml_per_min": 0.0})
+    fwd = execute_run(cfg)
+    rev = execute_run(cfg.replace(flow_direction="reverse"))
+    assert np.array_equal(fwd.steady_field.values, rev.steady_field.values)
+
+
+@given(**_DRAWN_MESHES, material=st.sampled_from(builtin_names()), mode=st.sampled_from(["CMP", "TDMP"]),
+       magnitude=st.floats(0.0, 5000.0), heating=st.booleans())
+def test_steady_bounds_hold_for_loads_of_valid_sign(kind, order, n, material, mode, magnitude, heating):
+    # a heating load keeps the field above its lower bound, a cooling one below its upper bound
+    run = execute_run(_steady_config(kind, order, n, material={"name": material, "mode": mode},
+                                     load={"f0": magnitude if heating else -magnitude}))
+    # the discrete bounds presuppose a channel Peclet number below 1, as the default flow gives
+    assert np.max(channel_peclet(run.problem)) < 1.0
+    bounds = run.bounds
+    if heating:
+        assert bounds.min_hypothesis_met and bounds.pass_min, bounds
+    else:
+        assert bounds.max_hypothesis_met and bounds.pass_max, bounds
 
 
 def test_flow_reversal_experiment_passes(tmp_path):
@@ -509,6 +631,16 @@ def test_main_mesh_subcommand(tmp_path):
     assert (out / "channel_chain.csv").exists()
 
 
+@pytest.mark.parametrize("flux, plain", [("-2e3", "-2000"), ("-2.5e3", "-2500")])
+def test_negative_flux_in_scientific_notation(tmp_path, flux, plain):
+    # argparse reads -2000 as a value but would take -2e3 for an option
+    for spelling in (flux, plain):
+        assert main(["solve", "--steady-only", "--mesh-n", "4", "--flux", spelling,
+                     "--out", str(tmp_path / spelling)]) == EXIT_OK
+    assert json.loads((tmp_path / flux / "config_echo.json").read_text())["load"]["f0"] == float(plain)
+    _files_match(tmp_path / flux, tmp_path / plain)
+
+
 def test_cli_overrides_apply(tmp_path):
     out = tmp_path / "ovr"
     assert main([
@@ -540,11 +672,20 @@ def test_output_dir_from_config(tmp_path):
     assert main(["solve"]) == EXIT_INVALID_INPUT  # no --out and no output_dir
 
 
-def test_verify_subcommand(tmp_path):
+def test_verify_subcommand(tmp_path, monkeypatch):
+    tables = {}
+
+    def recording(case, **kwargs):
+        tables[case.name] = mms_convergence(case, **kwargs)
+        return tables[case.name]
+
+    monkeypatch.setattr(cli, "mms_convergence", recording)
     out = tmp_path / "verify"
     assert main(["verify", "--out", str(out)]) == EXIT_OK
-    assert (out / "convergence_cmp_bilinear.csv").exists()
-    assert (out / "convergence_tdmp_quadratic.csv").exists()
+    assert sorted(tables) == ["cmp_bilinear", "tdmp_quadratic"]
+    _assert_csvs(out, {f"convergence_{name}.csv": _per_value_csv(
+        ["h", "l2_error", "max_error"], [(r.h, r.l2_error, r.max_error) for r in table.rows])
+        for name, table in tables.items()})
     summary = json.loads((out / "verify_summary.json").read_text())
     assert summary["failures"] == []
 

@@ -252,12 +252,21 @@ def _count_splu(monkeypatch):
 
 
 def _predictor(fields, k):
-    """The guess solve_transient starts BDF step k from, given the states before it."""
+    """The guess solve_transient starts step k from: the polynomial through the last min(4, k) states."""
     if k == 1:
         return fields[0]
     if k == 2:
         return 2.0 * fields[1] - fields[0]
-    return 3.0 * fields[k - 1] - 3.0 * fields[k - 2] + fields[k - 3]
+    if k == 3:
+        return 3.0 * fields[2] - 3.0 * fields[1] + fields[0]
+    return 4.0 * fields[k - 1] - 6.0 * fields[k - 2] + 4.0 * fields[k - 3] - fields[k - 4]
+
+
+def _rate(fields, k, dt, bdf_order):
+    """The BDF weights of step k: BDF1 for the first step and every step of order 1."""
+    if bdf_order == 1 or k == 1:
+        return RateWeights(coeff=1.0 / dt, rhs=-fields[k - 1] / dt)
+    return RateWeights(coeff=1.5 / dt, rhs=(-2.0 * fields[k - 1] + 0.5 * fields[k - 2]) / dt)
 
 
 @pytest.mark.parametrize("n, order", [(10, 1), (6, 2)])
@@ -268,11 +277,8 @@ def test_chord_steps_match_full_newton(n, order):
     series = solve_transient(prob, TransientSettings(dt=dt, t_end=30.0))
     fields = [f.values for f in series.fields]
     for k in range(1, len(fields)):
-        if k == 1:
-            rate = RateWeights(coeff=1.0 / dt, rhs=-fields[0] / dt)
-        else:
-            rate = RateWeights(coeff=1.5 / dt, rhs=(-2.0 * fields[k - 1] + 0.5 * fields[k - 2]) / dt)
-        oracle = solve_steady(prob, theta_guess=_predictor(fields, k), time=k * dt, rate=rate)
+        oracle = solve_steady(prob, theta_guess=_predictor(fields, k), time=k * dt,
+                              rate=_rate(fields, k, dt, 2))
         assert np.max(np.abs(fields[k] - oracle.values)) <= 1e-7, f"step {k}"
 
 
@@ -288,20 +294,43 @@ def _capture_guesses(monkeypatch):
     return guesses
 
 
-def test_bdf2_steps_start_from_the_quadratic_predictor(monkeypatch):
+@pytest.mark.parametrize("bdf_order", [1, 2])
+def test_steps_start_from_the_four_point_predictor(monkeypatch, bdf_order):
     guesses = _capture_guesses(monkeypatch)
-    series = solve_transient(channel_problem(n=6), TransientSettings(dt=1.0, t_end=8.0))
+    series = solve_transient(channel_problem(n=6),
+                             TransientSettings(dt=1.0, t_end=8.0, bdf_order=bdf_order))
     fields = [f.values for f in series.fields]
     assert len(guesses) == len(fields) - 1 == 8
     for k, guess in enumerate(guesses, 1):
         assert np.array_equal(guess, _predictor(fields, k)), f"step {k}"
 
 
-def test_bdf1_steps_start_from_the_last_state(monkeypatch):
-    guesses = _capture_guesses(monkeypatch)
-    series = solve_transient(channel_problem(n=6), TransientSettings(dt=1.0, t_end=4.0, bdf_order=1))
-    for guess, before in zip(guesses, series.fields):
-        assert np.array_equal(guess, before.values)
+def _previous_predictor(fields, k, bdf_order):
+    """The guesses steps started from before the four-point rule: the last state at
+    order 1; at order 2 the last state, then the line, then the quadratic."""
+    if bdf_order == 1 or k == 1:
+        return fields[k - 1]
+    if k == 2:
+        return 2.0 * fields[1] - fields[0]
+    return 3.0 * fields[k - 1] - 3.0 * fields[k - 2] + fields[k - 3]
+
+
+@pytest.mark.parametrize("bdf_order", [1, 2])
+def test_four_point_predictor_takes_fewer_chord_iterations(bdf_order):
+    # over the first 30 steps BDF2 takes two iterations a step from either guess, though the
+    # cubic starts closer to the root; 150 steps reach the slower part of the transient
+    prob = channel_problem(n=10)
+    dt, steps = 1.0, 150
+    log = []
+    solve_transient(prob, TransientSettings(dt=dt, t_end=steps * dt, bdf_order=bdf_order), log=log)
+    fields, previous_log, factors = [prob.initial_field().values], [], solvers.ChordFactor()
+    for k in range(1, steps + 1):  # the same steps, started from the previous guesses
+        fields.append(solve_steady(prob, theta_guess=_previous_predictor(fields, k, bdf_order),
+                                   time=k * dt, rate=_rate(fields, k, dt, bdf_order),
+                                   log=previous_log, step_index=k, factors=factors).values)
+    iterations = sum(rec.iteration > 0 for rec in log)
+    previous = sum(rec.iteration > 0 for rec in previous_log)
+    assert iterations <= 0.8 * previous, (iterations, previous)
 
 
 def test_chord_transient_reuses_one_factor_per_bdf_coefficient(monkeypatch):
