@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import operator
 import os
 import sys
 import time
@@ -37,6 +38,7 @@ from .materials import (
 )
 from .mesh import MAX_MESH_N, build_structured_mesh, embed_vasculature, export_mesh_csv, mesh_stats
 from .postprocess import (
+    Observables,
     arc_length_profile,
     channel_peclet,
     check_bounds,
@@ -63,6 +65,10 @@ EXIT_OK, EXIT_CHECK_FAILED, EXIT_INVALID_INPUT, EXIT_SOLVER_FAILURE = 0, 1, 2, 3
 
 class ConfigError(ValueError):
     pass
+
+
+class CheckFailed(Exception):
+    """A steady min/max bound fails while its hypothesis holds; raised after the files are written."""
 
 
 def _json_safe(x):
@@ -95,6 +101,7 @@ CONFIG_TYPES = {
     "inlet": {"theta_inlet": _NUMBER},
     "transient": {"dt": _NUMBER, "t_end": _NUMBER, "bdf_order": int},
 }
+SECTIONS = tuple(key for key, kind in CONFIG_TYPES["config"].items() if kind is dict)
 
 
 def _is_kind(value, kind) -> bool:
@@ -140,38 +147,26 @@ class ScenarioConfig:
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         _check_types(data, "config")
         cfg = cls()
-        for group in ("domain", "layout", "mesh", "material", "coolant", "load",
-                      "surface", "inlet", "transient"):
-            if group in data:
-                if group == "layout" and "vertices" in data[group]:
-                    merged = {}  # a custom channel replaces the generated layout's defaults
-                else:
-                    merged = dict(getattr(cfg, group))
-                merged.update(data[group])
-                setattr(cfg, group, merged)
+        for key, value in data.items():
+            if key in SECTIONS:  # a custom channel replaces the generated layout's defaults
+                base = {} if key == "layout" and "vertices" in value else getattr(cfg, key)
+                value = {**base, **value}
+            setattr(cfg, key, value)
         if "margins" in cfg.layout:  # documented alias of margin
             cfg.layout["margin"] = cfg.layout.pop("margins")
-        if "flow_direction" in data:
-            cfg.flow_direction = data["flow_direction"]
-        if "steady_only" in data:
-            cfg.steady_only = data["steady_only"]
-        if "output_dir" in data:
-            cfg.output_dir = data["output_dir"]
         cfg.validate()
         return cfg
 
     def validate(self):
-        for group in ("domain", "mesh", "material", "coolant", "load", "surface", "inlet", "transient"):
-            _check_types(getattr(self, group), group)
+        for group in SECTIONS:
+            _check_types(getattr(self, group),
+                         "vertex layout" if group == "layout" and "vertices" in self.layout else group)
         if "vertices" in self.layout:
-            _check_types(self.layout, "vertex layout")
             if not all(isinstance(v, list) and len(v) == 2 and all(_is_kind(c, _NUMBER) for c in v)
                        for v in self.layout["vertices"]):
                 raise ConfigError("layout.vertices must be a list of [x, y] number pairs")
-        else:
-            _check_types(self.layout, "layout")
-            if self.layout.get("kind", "u_shape") not in LAYOUT_KINDS:
-                raise ConfigError(f"layout.kind must be one of {LAYOUT_KINDS}")
+        elif self.layout.get("kind", "u_shape") not in LAYOUT_KINDS:
+            raise ConfigError(f"layout.kind must be one of {LAYOUT_KINDS}")
         if self.flow_direction not in ("forward", "reverse"):
             raise ConfigError("flow_direction must be 'forward' or 'reverse'")
         n = self.mesh.get("n", 40)
@@ -182,10 +177,9 @@ class ScenarioConfig:
                               "each pass snaps to its own grid column")
         if self.mesh.get("element_order", 1) not in (1, 2):
             raise ConfigError("mesh.element_order must be 1 or 2")
-        for key, val in (("coolant.density", self.coolant["density"]),
-                         ("coolant.specific_heat", self.coolant["specific_heat"])):
-            if val <= 0:
-                raise ConfigError(f"{key} must be positive")
+        for key in ("density", "specific_heat"):
+            if self.coolant[key] <= 0:
+                raise ConfigError(f"coolant.{key} must be positive")
         if self.coolant["flow_rate_ml_per_min"] < 0:
             raise ConfigError("coolant.flow_rate_ml_per_min must be non-negative")
 
@@ -195,19 +189,15 @@ class ScenarioConfig:
     def replace(self, **groups) -> "ScenarioConfig":
         data = self.to_dict()
         for key, val in groups.items():
-            if isinstance(val, dict) and key in data and isinstance(data[key], dict):
+            if key in SECTIONS and isinstance(val, dict):
                 data[key] = {**data[key], **val}
             else:
                 data[key] = val
         return ScenarioConfig.from_dict(data)
 
     @property
-    def theta_amb(self) -> float:
-        return float(self.surface["theta_amb"])
-
-    @property
     def theta_inlet(self) -> float:
-        return float(self.inlet.get("theta_inlet", self.theta_amb))
+        return float(self.inlet.get("theta_inlet", self.surface["theta_amb"]))
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> ScenarioConfig:
@@ -260,11 +250,7 @@ def build_problem(config: ScenarioConfig) -> ThermalProblem:
         solid=solid,
         coolant=coolant,
         load=float(config.load["f0"]),
-        surface=SurfaceExchange(
-            h_T=float(config.surface["h_T"]),
-            emissivity=float(config.surface["emissivity"]),
-            theta_amb=config.theta_amb,
-        ),
+        surface=SurfaceExchange(**{key: float(value) for key, value in config.surface.items()}),
         bcs=BoundaryData(theta_inlet=config.theta_inlet),
     )
 
@@ -340,18 +326,24 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _write_json(path: str, payload: dict) -> None:
+    """Write one JSON document: sorted keys, two-space indent, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def emit_plot_data(run: RunResult, outdir: str) -> None:
     """Figure-oriented CSVs: time series, arc-length profile, field snapshot."""
     os.makedirs(outdir, exist_ok=True)
     if run.series_obs:
-        table = np.array([(o.t, o.mst, o.theta_outlet, o.eta, o.energy_balance_residual)
-                          for o in run.series_obs], dtype=float)
-        _write_csv(os.path.join(outdir, "observables.csv"),
-                   ["t", "mst", "theta_outlet", "eta", "energy_residual"], table.tolist())
-        for c, (name, column) in enumerate((("mst_vs_time.csv", "mst"),
-                                            ("outlet_vs_time.csv", "theta_outlet"),
-                                            ("eta_vs_time.csv", "eta")), 1):
-            _write_csv(os.path.join(outdir, name), ["t", column], table[:, [0, c]].tolist())
+        header = [f.name for f in dataclasses.fields(Observables)]
+        table = np.array(list(map(operator.attrgetter(*header), run.series_obs)), dtype=float)
+        _write_csv(os.path.join(outdir, "observables.csv"), header, table.tolist())
+        for name, column in (("mst_vs_time.csv", "mst"), ("outlet_vs_time.csv", "theta_outlet"),
+                             ("eta_vs_time.csv", "eta")):
+            _write_csv(os.path.join(outdir, name), ["t", column],
+                       table[:, [0, header.index(column)]].tolist())
     mesh = run.problem.mesh
     profile = arc_length_profile(run.steady_field, mesh)
     _write_csv(os.path.join(outdir, "arclength_profile.csv"), ["s", "theta"], profile.tolist())
@@ -367,9 +359,7 @@ def emit_plot_data(run: RunResult, outdir: str) -> None:
 
 def _write_run(run: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "config_echo.json"), "w") as fh:
-        json.dump(run.config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "config_echo.json"), run.config.to_dict())
     emit_plot_data(run, outdir)
     _write_csv(
         os.path.join(outdir, "solver_log.csv"),
@@ -384,17 +374,9 @@ def _write_run(run: RunResult, outdir: str) -> None:
     if run.series is not None:
         bounds_payload["transient_final_informational"] = check_bounds(
             run.series.final, run.problem).as_dict()
-    with open(os.path.join(outdir, "bounds.json"), "w") as fh:
-        json.dump(bounds_payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    obs = run.steady_obs
+    _write_json(os.path.join(outdir, "bounds.json"), bounds_payload)
     summary = {
-        "steady": {
-            "mst": _json_safe(obs.mst),
-            "theta_outlet": _json_safe(obs.theta_outlet),
-            "eta": _json_safe(obs.eta),
-            "energy_residual": _json_safe(obs.energy_balance_residual),
-        },
+        "steady": {k: _json_safe(v) for k, v in dataclasses.asdict(run.steady_obs).items() if k != "t"},
         "mesh": dataclasses.asdict(mesh_stats(run.problem.mesh)),
         "snap_error": run.problem.mesh.snap_error,
         "max_channel_peclet": float(np.max(channel_peclet(run.problem)))
@@ -405,13 +387,27 @@ def _write_run(run: RunResult, outdir: str) -> None:
         "seeds": {},
         "notes": list(_NOTES),
     }
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "summary.json"), summary)
+
+
+def _check_steady_bounds(runs: dict[str, RunResult]) -> None:
+    """Raise CheckFailed naming each steady bound that fails while its hypothesis holds."""
+    failed = []
+    for where, run in runs.items():
+        bounds = run.bounds.as_dict()
+        for side in ("min", "max"):
+            if bounds[f"{side}_hypothesis_met"] and not bounds[f"pass_{side}"]:
+                failed.append(f"{where}: steady {side} bound fails by {bounds[f'{side}_violation']:.3g} K "
+                              "with its hypothesis met")
+    if failed:
+        raise CheckFailed("; ".join(failed))
 
 
 def run_scenario(config: ScenarioConfig, outdir: str) -> None:
-    _write_run(execute_run(config), outdir)
+    """Run one scenario and write its directory; CheckFailed afterwards if a steady bound fails."""
+    run = execute_run(config)
+    _write_run(run, outdir)
+    _check_steady_bounds({outdir: run})
 
 
 def _usable_cpus() -> int:
@@ -465,9 +461,8 @@ def _paired_experiment(config: ScenarioConfig, outdir: str, configs: dict[str, S
         summary["thresholds"] = dict(thresholds)
         summary["passed"] = all(steady[f] <= thresholds["steady"]
                                 and transient[f] <= thresholds["transient"] for f in fields)
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "summary.json"), summary)
+    _check_steady_bounds({os.path.join(outdir, name): run for name, run in runs.items()})
     return summary
 
 
@@ -502,10 +497,7 @@ def run_verify(outdir: str, full: bool = False, seed: int = 0) -> int:
             failures.append(f"mms {case.name}")
 
     problem = _verify_problem()
-    worst = 0.0
-    for mask in toggle_masks():
-        gap = jacobian_check(problem, trials=2, terms=mask, seed=seed)
-        worst = max(worst, gap)
+    worst = np.max([jacobian_check(problem, trials=2, terms=mask, seed=seed) for mask in toggle_masks()])
     ok = worst <= 1e-5
     print(f"{'PASS' if ok else 'FAIL'} jacobian toggle masks: max relative gap {worst:.2e} (target <= 1e-5)")
     if not ok:
@@ -521,10 +513,8 @@ def run_verify(outdir: str, full: bool = False, seed: int = 0) -> int:
     if not ok:
         failures.append("scalar")
 
-    with open(os.path.join(outdir, "verify_summary.json"), "w") as fh:
-        json.dump({"failures": failures, "seed": seed, "versions": _versions()},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "verify_summary.json"),
+                {"failures": failures, "seed": seed, "versions": _versions()})
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
@@ -558,26 +548,34 @@ def _scalar_problem() -> ThermalProblem:
     )
 
 
+# flag -> the (section, key) it overrides (section None: the top level), and its argparse options
+OVERRIDES = {
+    "--flux": (("load", "f0"), {"type": float, "help": "override applied flux f0 (W/m^2)"}),
+    "--layout": (("layout", "kind"), {"choices": LAYOUT_KINDS, "help": "override layout kind"}),
+    "--material": (("material", "name"),
+                   {"help": f"override material name ({', '.join(builtin_names())})"}),
+    "--mode": (("material", "mode"), {"choices": ("CMP", "TDMP"), "help": "override property mode"}),
+    "--reverse": ((None, "flow_direction"),
+                  {"action": "store_const", "const": "reverse", "help": "reverse the flow direction"}),
+    "--steady-only": ((None, "steady_only"),
+                      {"action": "store_const", "const": True, "help": "skip the transient solve"}),
+    "--mesh-n": (("mesh", "n"), {"type": int, "help": "override mesh subdivisions"}),
+    "--order": (("mesh", "element_order"),
+                {"type": int, "choices": (1, 2), "help": "override element order"}),
+    "--t-end": (("transient", "t_end"), {"type": float, "help": "override total time (s)"}),
+    "--dt": (("transient", "dt"), {"type": float, "help": "override time step (s)"}),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="vasctherm", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name in ("mesh", "solve", "flow-reversal", "compare-props"):
+        sp = sub.add_parser(name)
         sp.add_argument("--config", help="scenario JSON file")
         sp.add_argument("--out", help="output directory (falls back to config output_dir)")
-        sp.add_argument("--flux", type=float, help="override applied flux f0 (W/m^2)")
-        sp.add_argument("--layout", choices=LAYOUT_KINDS, help="override layout kind")
-        sp.add_argument("--material", help=f"override material name ({', '.join(builtin_names())})")
-        sp.add_argument("--mode", choices=("CMP", "TDMP"), help="override property mode")
-        sp.add_argument("--reverse", action="store_true", help="reverse the flow direction")
-        sp.add_argument("--steady-only", action="store_true", help="skip the transient solve")
-        sp.add_argument("--mesh-n", type=int, help="override mesh subdivisions")
-        sp.add_argument("--order", type=int, choices=(1, 2), help="override element order")
-        sp.add_argument("--t-end", type=float, help="override total time (s)")
-        sp.add_argument("--dt", type=float, help="override time step (s)")
-
-    for name in ("mesh", "solve", "flow-reversal", "compare-props"):
-        common(sub.add_parser(name))
+        for flag, (_, options) in OVERRIDES.items():
+            sp.add_argument(flag, **options)
     vp = sub.add_parser("verify")
     vp.add_argument("--out", required=True)
     vp.add_argument("--full", action="store_true", help="include the n=64 mesh")
@@ -586,36 +584,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
+    """The config groups the override flags set: {"load": {"f0": ...}, "flow_direction": ..., ...}."""
     out: dict = {}
-    if args.flux is not None:
-        out["load"] = {"f0": args.flux}
-    if args.layout is not None:
-        out["layout"] = {"kind": args.layout}
-    material = {}
-    if args.material is not None:
-        material["name"] = args.material
-    if args.mode is not None:
-        material["mode"] = args.mode
-    if material:
-        out["material"] = material
-    if args.reverse:
-        out["flow_direction"] = "reverse"
-    if args.steady_only:
-        out["steady_only"] = True
-    mesh = {}
-    if args.mesh_n is not None:
-        mesh["n"] = args.mesh_n
-    if args.order is not None:
-        mesh["element_order"] = args.order
-    if mesh:
-        out["mesh"] = mesh
-    transient = {}
-    if args.t_end is not None:
-        transient["t_end"] = args.t_end
-    if args.dt is not None:
-        transient["dt"] = args.dt
-    if transient:
-        out["transient"] = transient
+    for flag, ((section, key), _) in OVERRIDES.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            (out if section is None else out.setdefault(section, {}))[key] = value
     return out
 
 
@@ -657,9 +631,7 @@ def main(argv=None) -> int:
             export_mesh_csv(problem.mesh, args.out)
             stats = dataclasses.asdict(mesh_stats(problem.mesh))
             stats["snap_error"] = problem.mesh.snap_error
-            with open(os.path.join(args.out, "mesh_stats.json"), "w") as fh:
-                json.dump(stats, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(os.path.join(args.out, "mesh_stats.json"), stats)
             return EXIT_OK
         if args.command == "solve":
             run_scenario(config, args.out)
@@ -674,8 +646,11 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:  # ConfigError and JSONDecodeError included
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except SolverError as exc:
-        print(f"error: solver failure: {exc}", file=sys.stderr)
+    except CheckFailed as exc:
+        print(f"error: check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except (SolverError, MemoryError) as exc:
+        print(f"error: solver failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
 
 

@@ -34,7 +34,7 @@ class Observables:
     mst: float  # K
     theta_outlet: float  # K (nan without a channel)
     eta: float  # thermal efficiency (nan when the load vanishes)
-    energy_balance_residual: float  # W
+    energy_residual: float  # W
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def observables_for(problem: ThermalProblem, field, time: float | None = None) -
         mst=mean_surface_temperature(field, mesh),
         theta_outlet=theta_out,
         eta=eta,
-        energy_balance_residual=_energy_balance(field, problem, time, supplied),
+        energy_residual=_energy_balance(field, problem, time, supplied),
     )
 
 

@@ -14,8 +14,10 @@ from hypothesis import given, strategies as st
 
 from vasctherm import cli
 from vasctherm.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_INVALID_INPUT,
     EXIT_OK,
+    EXIT_SOLVER_FAILURE,
     ConfigError,
     ScenarioConfig,
     build_problem,
@@ -72,7 +74,7 @@ def test_defaults_are_table_values():
     assert cfg.surface == {"h_T": 21.0, "emissivity": 0.97, "theta_amb": 296.42}
     assert cfg.transient == {"dt": 1.0, "t_end": 1500.0, "bdf_order": 2}
     assert cfg.mesh["n"] == 40
-    assert cfg.theta_inlet == cfg.theta_amb == 296.42
+    assert cfg.theta_inlet == cfg.surface["theta_amb"] == 296.42
 
 
 def test_config_rejects_unknown_keys():
@@ -178,7 +180,7 @@ def test_solve_csvs_match_per_value_formatting(tmp_path, order):
     _assert_csvs(tmp_path, {
         "observables.csv": _per_value_csv(
             ["t", "mst", "theta_outlet", "eta", "energy_residual"],
-            [(o.t, o.mst, o.theta_outlet, o.eta, o.energy_balance_residual) for o in obs]),
+            [(o.t, o.mst, o.theta_outlet, o.eta, o.energy_residual) for o in obs]),
         "mst_vs_time.csv": _per_value_csv(["t", "mst"], zip(times, series["mst"])),
         "outlet_vs_time.csv": _per_value_csv(["t", "theta_outlet"], zip(times, series["theta_outlet"])),
         "eta_vs_time.csv": _per_value_csv(["t", "eta"], zip(times, series["eta"])),
@@ -366,6 +368,45 @@ def test_main_exit_codes(tmp_path):
     ]) == EXIT_OK
 
 
+# a serpentine at 10 mL/min puts the channel Peclet number above 1, where the
+# unstabilized channel term overshoots: the max bound fails by 0.399 K at n=10 P2
+_BOUND_FAILS = {"layout": {"kind": "serpentine"}, "mesh": {"n": 10, "element_order": 2},
+                "material": {"name": "gfrp_like"}, "coolant": {"flow_rate_ml_per_min": 10.0},
+                "load": {"f0": -5000.0}}
+
+
+@pytest.mark.parametrize("command, runs", [("solve", [""]), ("flow-reversal", ["forward", "reverse"]),
+                                           ("compare-props", ["cmp", "tdmp"])])
+def test_failed_steady_bound_exits_1_after_writing_every_file(tmp_path, capsys, command, runs):
+    cfg = tmp_path / "peclet.json"
+    cfg.write_text(json.dumps(_BOUND_FAILS))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--steady-only"]) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for run in runs:
+        steady = json.loads((out / run / "bounds.json").read_text())["steady"]
+        assert steady["max_hypothesis_met"] and not steady["pass_max"]
+        assert steady["max_violation"] == pytest.approx(0.399, abs=0.01)
+        assert f"{out / run}: steady max bound fails by {steady['max_violation']:.3g} K" in err
+        assert (out / run / "summary.json").exists() and (out / run / "field_snapshot.csv").exists()
+    if command != "solve":
+        assert (out / "deltas.csv").exists() and (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("exc, message", [(MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate"),
+                                          (MemoryError(), "MemoryError")])
+def test_memory_error_exits_3(tmp_path, monkeypatch, capsys, exc, message):
+    def out_of_memory(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "solve_steady", out_of_memory)
+    code = main(["solve", "--out", str(tmp_path / "oom"), "--mesh-n", "4", "--steady-only"])
+    assert code == EXIT_SOLVER_FAILURE
+    err = capsys.readouterr().err
+    assert f"error: solver failure: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_zero_load_summary_is_strict_json(tmp_path):
     out = tmp_path / "zl"
     run_scenario(fast_config(load={"f0": 0.0}), str(out))
@@ -464,6 +505,20 @@ _PLAUSIBLE = {  # section -> key -> values a scenario might hold (mesh.n at most
     "inlet": {"theta_inlet": [296.42, 280.0]},
     "transient": {"dt": [1.0], "t_end": [5.0], "bdf_order": [1, 2]},
 }
+# whole transient blocks for a run that solves them: each names t_end, no valid
+# one runs more than 3 steps, and the invalid ones never reach a solve
+_TRANSIENTS = st.one_of(st.sampled_from([
+    {"t_end": 3.0}, {"dt": 1.0, "t_end": 3.0, "bdf_order": 1}, {"dt": 0.5, "t_end": 1.5, "bdf_order": 2},
+    {"dt": 2.0, "t_end": 2.0, "bdf_order": 1},
+]), st.sampled_from([
+    {"dt": 1.0, "t_end": 2.5}, {"dt": 2.0, "t_end": 1.0}, {"dt": 0.0, "t_end": 3.0},
+    {"dt": -1.0, "t_end": 3.0}, {"dt": 1.0, "t_end": MAX_BDF_STEPS + 1.0}, {"dt": 1e-300, "t_end": 3.0},
+    {"dt": float("nan"), "t_end": 3.0}, {"dt": 1.0, "t_end": float("inf")},
+    {"dt": 1.0, "t_end": -float("inf")},
+    {"dt": "1", "t_end": 3.0}, {"dt": True, "t_end": 3.0}, {"dt": 1.0, "t_end": None},
+    {"t_end": 3.0, "bdf_order": 2.0}, {"t_end": 3.0, "bdf_order": 3}, {"t_end": 3.0, "bogus": 1},
+    [1.0, 3.0], None,
+]))
 # (section, key) a bad value may land on; section None is the top level
 _TARGETS = ([(sec, key) for sec, keys in _PLAUSIBLE.items() for key in [*keys, "bogus"]]
             + [(None, sec) for sec in _PLAUSIBLE] + [(None, "flow_direction"), (None, "bogus")]
@@ -478,8 +533,11 @@ _BAD = st.one_of(  # a drawn mesh.n is at most 10 or beyond MAX_MESH_N
 
 
 @st.composite
-def _configs(draw):
-    """A plausible scenario with up to three values replaced by wrong types, non-finite numbers or junk."""
+def _configs(draw, transient=False):
+    """A plausible scenario with up to three values replaced by wrong types, non-finite numbers or junk.
+
+    With transient, the transient block is drawn whole from _TRANSIENTS.
+    """
     data = {}
     for sec, keys in _PLAUSIBLE.items():
         for key in draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=2)):
@@ -490,20 +548,31 @@ def _configs(draw):
             where[key] = draw(_BAD)
     if isinstance(data.get("mesh", {}), dict):
         data.setdefault("mesh", {}).setdefault("n", 10)
+    if transient:
+        data["transient"] = draw(_TRANSIENTS)
     return data
 
 
-@given(data=_configs())
-def test_arbitrary_config_ends_in_an_exit_code(data):
+def _ends_in_an_exit_code(data, *flags):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "cfg.json")
         with open(cfg, "w") as fh:
             json.dump(data, fh)  # json writes NaN and Infinity, and reads them back
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main(["solve", "--config", cfg, "--out", os.path.join(tmp, "run"), "--steady-only"])
+            code = main(["solve", "--config", cfg, "--out", os.path.join(tmp, "run"), *flags])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+@given(data=_configs())
+def test_arbitrary_config_ends_in_an_exit_code(data):
+    _ends_in_an_exit_code(data, "--steady-only")
+
+
+@given(data=_configs(transient=True))
+def test_arbitrary_config_with_its_transient_ends_in_an_exit_code(data):
+    _ends_in_an_exit_code(data)
 
 
 @pytest.mark.parametrize("data, message", [
@@ -641,18 +710,39 @@ def test_negative_flux_in_scientific_notation(tmp_path, flux, plain):
     _files_match(tmp_path / flux, tmp_path / plain)
 
 
+# flag -> its command-line value (None: a switch), where config_echo.json holds it, and the value there
+_OVERRIDDEN = {
+    "--flux": ("2000", ("load", "f0"), 2000.0),
+    "--layout": ("serpentine", ("layout", "kind"), "serpentine"),
+    "--material": ("epoxy_like", ("material", "name"), "epoxy_like"),
+    "--mode": ("CMP", ("material", "mode"), "CMP"),
+    "--reverse": (None, (None, "flow_direction"), "reverse"),
+    "--steady-only": (None, (None, "steady_only"), True),
+    "--mesh-n": ("6", ("mesh", "n"), 6),
+    "--order": ("2", ("mesh", "element_order"), 2),
+    "--t-end": ("2", ("transient", "t_end"), 2.0),
+    "--dt": ("0.5", ("transient", "dt"), 0.5),
+}
+
+
 def test_cli_overrides_apply(tmp_path):
-    out = tmp_path / "ovr"
-    assert main([
-        "solve", "--out", str(out), "--mesh-n", "6", "--t-end", "2",
-        "--flux", "2000", "--layout", "serpentine", "--material", "epoxy_like",
-        "--mode", "CMP", "--reverse",
-    ]) == EXIT_OK
-    echo = json.loads((out / "config_echo.json").read_text())
-    assert echo["load"]["f0"] == 2000.0
-    assert echo["layout"]["kind"] == "serpentine"
-    assert echo["material"] == {"name": "epoxy_like", "mode": "CMP"}
-    assert echo["flow_direction"] == "reverse"
+    assert {flag: entry[0] for flag, entry in cli.OVERRIDES.items()} == {
+        flag: where for flag, (_, where, _) in _OVERRIDDEN.items()}
+    for steady_only in (True, False):  # the second run takes the transient from --t-end and --dt
+        flags = {flag: entry for flag, entry in _OVERRIDDEN.items() if steady_only or flag != "--steady-only"}
+        out = tmp_path / f"ovr_{steady_only}"
+        argv = [token for flag, (value, _, _) in flags.items()
+                for token in (flag, value) if token is not None]
+        assert main(["solve", "--out", str(out), *argv]) == EXIT_OK
+        echo = json.loads((out / "config_echo.json").read_text())
+        for flag, (_, (section, key), expected) in flags.items():
+            held = echo[key] if section is None else echo[section][key]
+            assert held == expected and type(held) is type(expected), flag
+        assert echo["material"] == {"name": "epoxy_like", "mode": "CMP"}
+        assert echo["steady_only"] is steady_only
+        if not steady_only:
+            times = [row.split(",")[0] for row in (out / "observables.csv").read_text().splitlines()[1:]]
+            assert times == ["0.5", "1.0", "1.5", "2.0"]
 
 
 def test_margins_alias_accepted():
