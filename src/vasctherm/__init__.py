@@ -17,7 +17,6 @@ from .assembly import (
     EllipticityError,
     RateWeights,
     SurfaceExchange,
-    TemperatureField,
     TermMask,
     ThermalProblem,
     apply_constraints,
@@ -56,7 +55,6 @@ from .postprocess import (
 )
 from .solvers import (
     NewtonSettings,
-    SolutionSeries,
     SolverError,
     TransientSettings,
     linear_solve,

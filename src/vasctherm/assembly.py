@@ -104,19 +104,6 @@ class RateWeights:
 
 
 @dataclass(eq=False)
-class TemperatureField:
-    """Nodal temperatures (K) aligned with mesh nodes at one instant."""
-
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("temperature field holds non-finite values")
-
-
-@dataclass(eq=False)
 class ThermalProblem:
     """Full scenario: mesh, materials, coolant, loads and BCs; it starts at ambient."""
 
@@ -153,9 +140,6 @@ class ThermalProblem:
         if callable(self.bcs.q_p):
             return np.broadcast_to(self.bcs.q_p(x, y, t), np.shape(x)).astype(float)
         return np.full(np.shape(x), float(self.bcs.q_p))
-
-    def initial_field(self) -> TemperatureField:
-        return TemperatureField(np.full(self.mesh.n_nodes, self.surface.theta_amb), time=0.0)
 
     @property
     def constraints(self) -> Constraints:

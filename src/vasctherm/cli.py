@@ -38,6 +38,7 @@ from .materials import (
 )
 from .mesh import MAX_MESH_N, build_structured_mesh, embed_vasculature, export_mesh_csv, mesh_stats
 from .postprocess import (
+    BoundsReport,
     Observables,
     arc_length_profile,
     channel_peclet,
@@ -165,17 +166,18 @@ class ScenarioConfig:
             if not all(isinstance(v, list) and len(v) == 2 and all(_is_kind(c, _NUMBER) for c in v)
                        for v in self.layout["vertices"]):
                 raise ConfigError("layout.vertices must be a list of [x, y] number pairs")
-        elif self.layout.get("kind", "u_shape") not in LAYOUT_KINDS:
+        elif self.layout["kind"] not in LAYOUT_KINDS:
             raise ConfigError(f"layout.kind must be one of {LAYOUT_KINDS}")
         if self.flow_direction not in ("forward", "reverse"):
             raise ConfigError("flow_direction must be 'forward' or 'reverse'")
-        n = self.mesh.get("n", 40)
+        n = self.mesh["n"]
         if not 2 <= n <= MAX_MESH_N:
             raise ConfigError(f"mesh.n must lie in [2, {MAX_MESH_N}], got {n}")
-        if self.layout.get("kind") == "serpentine" and self.layout.get("pass_count", 4) > n + 1:
+        passes = self.layout.get("pass_count", LayoutParams.pass_count)
+        if self.layout.get("kind") == "serpentine" and passes > n + 1:
             raise ConfigError(f"layout.pass_count exceeds mesh.n + 1 = {n + 1}: "
                               "each pass snaps to its own grid column")
-        if self.mesh.get("element_order", 1) not in (1, 2):
+        if self.mesh["element_order"] not in (1, 2):
             raise ConfigError("mesh.element_order must be 1 or 2")
         for key in ("density", "specific_heat"):
             if self.coolant[key] <= 0:
@@ -219,7 +221,7 @@ def build_problem(config: ScenarioConfig) -> ThermalProblem:
         path = VasculaturePath(np.asarray(config.layout["vertices"], dtype=float))
     else:
         layout = dict(config.layout)
-        kind = layout.get("kind", "u_shape")
+        kind = layout["kind"]
         if kind == "serpentine":
             layout.setdefault("spacing", 0.02)  # keeps 4 passes clear of the sides
         elif kind == "asymmetric":
@@ -228,10 +230,10 @@ def build_problem(config: ScenarioConfig) -> ThermalProblem:
         path = generate_layout(dom, LayoutParams(**layout))
     if config.flow_direction == "reverse":
         path = path.reversed()
-    grid = build_structured_mesh(dom, int(config.mesh["n"]), int(config.mesh.get("element_order", 1)))
+    grid = build_structured_mesh(dom, int(config.mesh["n"]), int(config.mesh["element_order"]))
     mesh = embed_vasculature(grid, path)
 
-    mode = config.material.get("mode", "TDMP")
+    mode = config.material["mode"]
     if config.material.get("file"):
         solid = load_material_file(config.material["file"], config.material.get("name"), mode)
     else:
@@ -257,14 +259,14 @@ def build_problem(config: ScenarioConfig) -> ThermalProblem:
 
 @dataclass(eq=False)
 class RunResult:
-    """One scenario run: solved fields plus derived observables."""
+    """One scenario run: nodal temperature states (row k of series at t = k dt) and observables."""
 
     config: ScenarioConfig
     problem: ThermalProblem
-    steady_field: object
-    steady_obs: object
-    bounds: object
-    series: object = None
+    steady_field: np.ndarray
+    steady_obs: Observables
+    bounds: BoundsReport
+    series: np.ndarray | None = None
     series_obs: list = field(default_factory=list)
     newton_log: list = field(default_factory=list)
     wall_time: float = 0.0
@@ -290,7 +292,7 @@ def execute_run(config: ScenarioConfig) -> RunResult:
     ts = None if config.steady_only else TransientSettings(
         dt=float(config.transient["dt"]),
         t_end=float(config.transient["t_end"]),
-        bdf_order=int(config.transient.get("bdf_order", 2)),
+        bdf_order=int(config.transient["bdf_order"]),
     )
     problem = build_problem(config)
     log: list = []
@@ -300,7 +302,7 @@ def execute_run(config: ScenarioConfig) -> RunResult:
     sobs: list = []
     if ts is not None:
         series = solve_transient(problem, ts, log=log)
-        sobs = series_observables(problem, series)
+        sobs = series_observables(problem, series, ts.dt)
     return RunResult(
         config=config,
         problem=problem,
@@ -354,7 +356,7 @@ def emit_plot_data(run: RunResult, outdir: str) -> None:
     tri_flux = np.column_stack([np.bincount(owners, weights[:, c], mesh.n_nodes) for c in (0, 1)])
     tri_flux /= counts[:, None]
     _write_csv(os.path.join(outdir, "field_snapshot.csv"), ["x", "y", "theta", "q_x", "q_y"],
-               np.column_stack([mesh.nodes, run.steady_field.values, tri_flux]).tolist())
+               np.column_stack([mesh.nodes, run.steady_field, tri_flux]).tolist())
 
 
 def _write_run(run: RunResult, outdir: str) -> None:
@@ -368,12 +370,12 @@ def _write_run(run: RunResult, outdir: str) -> None:
          for rec in run.newton_log],
     )
     bounds_payload = {
-        "steady": run.bounds.as_dict(),
+        "steady": dataclasses.asdict(run.bounds),
         "note": "bounds are proven for the steady regime; transient entries are informational",
     }
     if run.series is not None:
-        bounds_payload["transient_final_informational"] = check_bounds(
-            run.series.final, run.problem).as_dict()
+        bounds_payload["transient_final_informational"] = dataclasses.asdict(check_bounds(
+            run.series[-1], run.problem, run.series_obs[-1].t))
     _write_json(os.path.join(outdir, "bounds.json"), bounds_payload)
     summary = {
         "steady": {k: _json_safe(v) for k, v in dataclasses.asdict(run.steady_obs).items() if k != "t"},
@@ -394,7 +396,7 @@ def _check_steady_bounds(runs: dict[str, RunResult]) -> None:
     """Raise CheckFailed naming each steady bound that fails while its hypothesis holds."""
     failed = []
     for where, run in runs.items():
-        bounds = run.bounds.as_dict()
+        bounds = dataclasses.asdict(run.bounds)
         for side in ("min", "max"):
             if bounds[f"{side}_hypothesis_met"] and not bounds[f"pass_{side}"]:
                 failed.append(f"{where}: steady {side} bound fails by {bounds[f'{side}_violation']:.3g} K "
@@ -504,10 +506,10 @@ def run_verify(outdir: str, full: bool = False, seed: int = 0) -> int:
         failures.append("jacobian")
 
     scal_prob = _scalar_problem()
-    series = solve_transient(scal_prob, TransientSettings(dt=1.0, t_end=300.0))
-    ref = scalar_reference(scal_prob, t_end=300.0)
-    fem = np.array([f.values[0] for f in series.fields])
-    gap = float(np.max(np.abs(fem - ref.at(series.times)) / ref.at(series.times)))
+    dt, t_end = 1.0, 300.0
+    series = solve_transient(scal_prob, TransientSettings(dt=dt, t_end=t_end))
+    rk = scalar_reference(scal_prob, t_end=t_end).at(dt * np.arange(len(series)))
+    gap = float(np.max(np.abs(series[:, 0] - rk) / rk))
     ok = gap <= 0.005
     print(f"{'PASS' if ok else 'FAIL'} scalar reference: max relative gap {gap:.2e} (target <= 5e-3)")
     if not ok:

@@ -1,10 +1,12 @@
-"""Observables and qualitative checks on solved temperature fields.
+"""Observables and qualitative checks on solved temperature states.
 
 Mean surface temperature, outlet temperature, thermal efficiency, the
 arc-length temperature profile, per-element heat flux vectors, the
 global energy balance, and verification of the minimum/maximum bounds
 (ambient/inlet/prescribed-trace extremes) that steady solutions must
 respect when the load and boundary-flux sign hypotheses hold.
+
+A state theta is a nodal ndarray (K); time-dependent terms read time (s), 0 by default.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from .assembly import (
     STEFAN_BOLTZMANN,
-    TemperatureField,
     ThermalProblem,
     _neumann_flux_vector,
     neumann_quadrature,
@@ -28,7 +29,7 @@ from .mesh import ChannelMesh
 
 @dataclass(frozen=True)
 class Observables:
-    """Scalar diagnostics of one temperature field."""
+    """Scalar diagnostics of one temperature state."""
 
     t: float  # s
     mst: float  # K
@@ -39,7 +40,7 @@ class Observables:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Outcome of the min/max bound check on a steady field.
+    """Outcome of the min/max bound check on a steady state.
 
     When the sign hypotheses on f and q_p are not met the corresponding
     pass flag is informational only. With radiation active the bounds
@@ -59,29 +60,26 @@ class BoundsReport:
     max_hypothesis_met: bool
     tolerance: float
 
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+def _at_qp(theta: np.ndarray, mesh: ChannelMesh) -> np.ndarray:
+    """theta at the assembly quadrature points, (T, nq)."""
+    return theta[mesh.triangles] @ plan_for(mesh).basis.qp_N.T
 
 
-def _values(field) -> np.ndarray:
-    return field.values if isinstance(field, TemperatureField) else np.asarray(field, float)
-
-
-def _at_qp(field, mesh: ChannelMesh) -> np.ndarray:
-    """The field at the assembly quadrature points, (T, nq)."""
-    return _values(field)[mesh.triangles] @ plan_for(mesh).basis.qp_N.T
-
-
-def mean_surface_temperature(field, mesh: ChannelMesh) -> float:
-    """Domain average of theta via element quadrature."""
+def _mean(th_q: np.ndarray, mesh: ChannelMesh) -> float:
     basis = plan_for(mesh).basis
-    return float(np.sum(basis.qp_dA * _at_qp(field, mesh))) / float(np.sum(basis.areas))
+    return float(np.sum(basis.qp_dA * th_q)) / float(np.sum(basis.areas))
 
 
-def outlet_temperature(field, mesh: ChannelMesh) -> float:
+def mean_surface_temperature(theta: np.ndarray, mesh: ChannelMesh) -> float:
+    """Domain average of theta via element quadrature."""
+    return _mean(_at_qp(theta, mesh), mesh)
+
+
+def outlet_temperature(theta: np.ndarray, mesh: ChannelMesh) -> float:
     if mesh.outlet_node is None:
         return float("nan")
-    return float(_values(field)[mesh.outlet_node])
+    return float(theta[mesh.outlet_node])
 
 
 def efficiency_from_total(theta_outlet: float, theta_inlet: float, chi: float, total_load: float) -> float:
@@ -91,7 +89,7 @@ def efficiency_from_total(theta_outlet: float, theta_inlet: float, chi: float, t
     return chi * (theta_outlet - theta_inlet) / total_load
 
 
-def arc_length_profile(field, mesh: ChannelMesh, n_samples: int = 101) -> np.ndarray:
+def arc_length_profile(theta: np.ndarray, mesh: ChannelMesh, n_samples: int = 101) -> np.ndarray:
     """(s, theta) rows at equispaced arc lengths along the snapped channel."""
     if not mesh.has_channel:
         raise ValueError("mesh has no channel to sample")
@@ -100,16 +98,15 @@ def arc_length_profile(field, mesh: ChannelMesh, n_samples: int = 101) -> np.nda
     k = np.clip(np.searchsorted(s_nodes, samples, side="right") - 1, 0, len(s_nodes) - 2)
     u = (samples - s_nodes[k]) / mesh.channel_lengths[k]
     N, _ = edge_shape(mesh.element_order, 2.0 * u - 1.0)  # (n_samples, nodes per edge)
-    theta = np.einsum("sk,sk->s", N, _values(field)[mesh.channel_edges()[k]])
-    return np.column_stack([samples, theta])
+    return np.column_stack([samples, np.einsum("sk,sk->s", N, theta[mesh.channel_edges()[k]])])
 
 
-def heat_flux_field(field, problem: ThermalProblem) -> np.ndarray:
+def heat_flux_field(theta: np.ndarray, problem: ThermalProblem) -> np.ndarray:
     """q = -k_s(theta) grad theta per element at the centroid, (T, 2)."""
     mesh = problem.mesh
     centroid = np.array([1.0, 1.0, 1.0]) / 3.0
     N = tri_shape(mesh.element_order, centroid[None, :])[0]
-    theta_e = _values(field)[mesh.triangles]
+    theta_e = theta[mesh.triangles]
     theta_c = theta_e @ N
     gradN = grad_shape(mesh.element_order, centroid, plan_for(mesh).basis.lam_grad)
     grad_theta = np.einsum("tnc,tn->tc", gradN, theta_e)
@@ -130,28 +127,27 @@ def channel_peclet(problem: ThermalProblem) -> np.ndarray:
     return problem.chi * mesh.channel_lengths / (2.0 * mesh.domain.thickness * k)
 
 
-def energy_balance(field, problem: ThermalProblem, time: float | None = None) -> float:
+def energy_balance(theta: np.ndarray, problem: ThermalProblem, time: float = 0.0) -> float:
     """Supplied power minus all modeled sinks; near zero at steady state.
 
     residual = int f - int h_T (theta - amb) - int eps sigma (theta^4 - amb^4)
                - chi (theta_outlet - theta_inlet) - int_Gq q_p
     computed with the assembly quadrature.
     """
-    if time is None:
-        time = field.time if isinstance(field, TemperatureField) else 0.0
-    return _energy_balance(field, problem, time, total_load(problem, time))
+    return _energy_balance(theta, _at_qp(theta, problem.mesh), problem, time,
+                           total_load(problem, time))
 
 
-def _energy_balance(field, problem: ThermalProblem, time: float, supplied: float) -> float:
+def _energy_balance(theta: np.ndarray, th_q: np.ndarray, problem: ThermalProblem, time: float,
+                    supplied: float) -> float:
     mesh = problem.mesh
     surf = problem.surface
     w = plan_for(mesh).basis.qp_dA
-    th_q = _at_qp(field, mesh)
     convected = np.sum(w * surf.h_T * (th_q - surf.theta_amb))
     radiated = np.sum(w * surf.emissivity * STEFAN_BOLTZMANN * (th_q**4 - surf.theta_amb**4))
     extracted = 0.0
     if mesh.has_channel and problem.chi != 0.0:
-        extracted = problem.chi * (_values(field)[mesh.outlet_node] - problem.bcs.theta_inlet)
+        extracted = problem.chi * (theta[mesh.outlet_node] - problem.bcs.theta_inlet)
     boundary_out = float(np.sum(_neumann_flux_vector(problem, time)))
     return float(supplied - convected - radiated - extracted - boundary_out)
 
@@ -182,18 +178,16 @@ def bound_candidates(problem: ThermalProblem) -> list[float]:
     return [problem.surface.theta_amb, *problem.constraints.values.tolist()]
 
 
-def check_bounds(field, problem: ThermalProblem) -> BoundsReport:
-    """Verify phi_min <= theta <= phi_max on the nodal field.
+def check_bounds(theta: np.ndarray, problem: ThermalProblem, time: float = 0.0) -> BoundsReport:
+    """Verify phi_min <= theta <= phi_max on the nodal state at time.
 
     The tolerance is 1e-6 * theta_amb; small discrete violations (e.g.
     from under-integrated radiation) are surfaced, not hidden.
     """
-    vals = _values(field)
-    time = field.time if isinstance(field, TemperatureField) else 0.0
     tol = 1e-6 * problem.surface.theta_amb
     cands = bound_candidates(problem)
     phi_min, phi_max = min(cands), max(cands)
-    theta_min, theta_max = float(np.min(vals)), float(np.max(vals))
+    theta_min, theta_max = float(np.min(theta)), float(np.max(theta))
 
     f_lo, f_hi = _load_sign_range(problem, time)
     q_lo, q_hi = _qp_sign_range(problem, time)
@@ -217,11 +211,11 @@ def check_bounds(field, problem: ThermalProblem) -> BoundsReport:
     )
 
 
-def observables_for(problem: ThermalProblem, field, time: float | None = None) -> Observables:
+def observables_for(problem: ThermalProblem, theta: np.ndarray, time: float = 0.0) -> Observables:
+    """Observables of theta at time; theta is taken to the quadrature points once."""
     mesh = problem.mesh
-    if time is None:
-        time = field.time if isinstance(field, TemperatureField) else 0.0
-    theta_out = outlet_temperature(field, mesh)
+    th_q = _at_qp(theta, mesh)
+    theta_out = outlet_temperature(theta, mesh)
     supplied = total_load(problem, time)
     if supplied == 0.0 or not mesh.has_channel:
         eta = float("nan")
@@ -229,13 +223,13 @@ def observables_for(problem: ThermalProblem, field, time: float | None = None) -
         eta = efficiency_from_total(theta_out, problem.bcs.theta_inlet, problem.chi, supplied)
     return Observables(
         t=float(time),
-        mst=mean_surface_temperature(field, mesh),
+        mst=_mean(th_q, mesh),
         theta_outlet=theta_out,
         eta=eta,
-        energy_residual=_energy_balance(field, problem, time, supplied),
+        energy_residual=_energy_balance(theta, th_q, problem, time, supplied),
     )
 
 
-def series_observables(problem: ThermalProblem, series) -> list[Observables]:
-    """Observables for every stored step after t = 0."""
-    return [observables_for(problem, f) for f in series.fields[1:]]
+def series_observables(problem: ThermalProblem, states: np.ndarray, dt: float) -> list[Observables]:
+    """Observables of every state after t = 0; row k of states is the state at t = k * dt."""
+    return [observables_for(problem, theta, k * dt) for k, theta in enumerate(states[1:], 1)]

@@ -13,6 +13,10 @@ use chord Newton: one LU factor is reused across iterations and steps
 while it keeps contracting the residual fast enough (Hairer & Wanner,
 Solving ODEs II, IV.8). Full Newton, which factors at every iteration,
 stays the default of solve_steady.
+
+A temperature state is a nodal ndarray (K), one value per mesh node:
+solve_steady returns the accepted iterate, and solve_transient returns the
+(n_steps + 1, n_dofs) history whose row k is the state at t = k dt.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     DiscreteSystem,
     RateWeights,
-    TemperatureField,
     ThermalProblem,
     assemble_raw,
     apply_constraints,
@@ -47,7 +50,7 @@ PREDICTOR_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.
 PREDICTOR_POINTS = len(PREDICTOR_WEIGHTS)
 
 # Most BDF steps in one transient run: about 67 times the default 1,500. The
-# series keeps every field, so this bounds what a scenario can ask to store
+# history keeps every state, so this bounds what a scenario can ask to store
 # and run; it is not a setting.
 MAX_BDF_STEPS = 100_000
 
@@ -121,24 +124,6 @@ class NewtonIteration:
 
 
 @dataclass(eq=False)
-class SolutionSeries:
-    """Temperature history: fields[0] is the initial state at t = 0."""
-
-    fields: list[TemperatureField]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([f.time for f in self.fields])
-
-    @property
-    def final(self) -> TemperatureField:
-        return self.fields[-1]
-
-    def __len__(self) -> int:
-        return len(self.fields)
-
-
-@dataclass(eq=False)
 class ChordFactor:
     """The LU factor that chord Newton reuses, keyed by the BDF coefficient.
 
@@ -188,7 +173,7 @@ def solve_steady(
     log: list | None = None,
     step_index: int = 0,
     factors: ChordFactor | None = None,
-) -> TemperatureField:
+) -> np.ndarray:
     """Damped Newton on the (steady or, via rate, transient) residual.
 
     The guess is first projected onto the constraints and Newton moves
@@ -238,7 +223,7 @@ def solve_steady(
             log=log, theta=theta, residual_norm=rnorm,
         )
     if rnorm <= settings.abs_tol:
-        return _accept(theta, time)
+        return _accept(theta)
     target = max(settings.abs_tol, settings.rel_tol * r0)
 
     key = None if rate is None else rate.coeff
@@ -281,7 +266,7 @@ def solve_steady(
         if log is not None:
             log.append(NewtonIteration(step_index, it, rnorm, lam, fresh))
         if rnorm <= target:
-            return _accept(theta, time)
+            return _accept(theta)
         ratio = rnorm / rnorm_before
         fresh = not chord or ratio > REFACTOR_RATIO or rnorm * ratio**REFACTOR_ITERS > target
 
@@ -292,14 +277,16 @@ def solve_steady(
     )
 
 
-def _accept(theta: np.ndarray, time: float) -> TemperatureField:
-    field_out = TemperatureField(theta, time=time)
-    if not np.all(field_out.values > 0.0):
+def _accept(theta: np.ndarray) -> np.ndarray:
+    """The converged iterate; a non-finite value is a Newton failure, never a solution."""
+    if not np.all(np.isfinite(theta)):
+        raise NewtonError("converged iterate holds non-finite temperatures", theta=theta)
+    if not np.all(theta > 0.0):
         warnings.warn(
             "accepted solution violates kelvin positivity (theta <= 0 somewhere)",
             RuntimeWarning,
         )
-    return field_out
+    return theta
 
 
 def solve_transient(
@@ -307,8 +294,11 @@ def solve_transient(
     tsettings: TransientSettings | None = None,
     nsettings: NewtonSettings | None = None,
     log: list | None = None,
-) -> SolutionSeries:
-    """Integrate from the ambient initial field with fixed-step BDF1/BDF2.
+) -> np.ndarray:
+    """Integrate from the ambient initial state with fixed-step BDF1/BDF2.
+
+    Returns the (n_steps + 1, n_dofs) history: row k is the state at
+    t = k * dt, and row 0 is ambient.
 
     Newton starts each step, at either order, from the polynomial through
     the last min(PREDICTOR_POINTS, available) states: theta_n for the first
@@ -317,18 +307,19 @@ def solve_transient(
     4 theta_n - 6 theta_{n-1} + 4 theta_{n-2} - theta_{n-3} from then on.
 
     The steps share one chord-Newton LU factor (see solve_steady). On a
-    Newton failure the partial series is attached to the raised
+    Newton failure the rows finished so far are attached to the raised
     TransientError.
     """
     tsettings = tsettings or TransientSettings()
     nsettings = nsettings or NewtonSettings()
     dt = tsettings.dt
-    series = SolutionSeries(fields=[problem.initial_field()])
+    series = np.empty((tsettings.n_steps + 1, problem.n_dofs))
+    series[0] = problem.surface.theta_amb
     factors = ChordFactor()
 
     for k in range(tsettings.n_steps):
         t_next = (k + 1) * dt
-        past = [f.values for f in reversed(series.fields[-PREDICTOR_POINTS:])]  # newest first
+        past = series[k::-1][:PREDICTOR_POINTS]  # newest first
         if tsettings.bdf_order == 1 or k == 0:
             rate = RateWeights(coeff=1.0 / dt, rhs=-past[0] / dt)
         else:
@@ -338,7 +329,7 @@ def solve_transient(
         for w, state in zip(weights[1:], past[1:]):
             guess += w * state
         try:
-            field_next = solve_steady(
+            series[k + 1] = solve_steady(
                 problem,
                 settings=nsettings,
                 theta_guess=guess,
@@ -351,7 +342,6 @@ def solve_transient(
         except SolverError as exc:
             raise TransientError(
                 f"time step {k + 1} (t={t_next:g} s) failed: {exc}",
-                series=series, cause=exc,
+                series=series[: k + 1], cause=exc,
             ) from exc
-        series.fields.append(field_next)
     return series

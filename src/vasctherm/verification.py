@@ -238,8 +238,8 @@ def mms_convergence(case: MMSCase, mesh_sizes=(8, 16, 32, 64), element_order: in
     rows = []
     for n in mesh_sizes:
         problem = _mms_problem(case, n, element_order)
-        fld = solve_steady(problem, NewtonSettings(abs_tol=1e-10, max_iters=40))
-        l2, mx = _l2_and_max_error(problem.mesh, fld.values, case.theta_exact)
+        theta = solve_steady(problem, NewtonSettings(abs_tol=1e-10, max_iters=40))
+        l2, mx = _l2_and_max_error(problem.mesh, theta, case.theta_exact)
         h = float(np.hypot(_DOMAIN.width / n, _DOMAIN.height / n))
         rows.append(ConvergenceRow(h=h, l2_error=l2, max_error=mx))
     logh = np.log([r.h for r in rows])

@@ -122,7 +122,7 @@ def test_criterion_01_closed_form_equilibrium():
             surface=SurfaceExchange(h_T=21.0, emissivity=0.0, theta_amb=AMB),
         )
         fld = solve_steady(prob)
-        worst = max(worst, float(np.max(np.abs(fld.values - expected))))
+        worst = max(worst, float(np.max(np.abs(fld - expected))))
     elapsed = time.perf_counter() - t0
     _report(1, worst <= 1e-6 and elapsed < 1.0,
             f"uniform steady field within {worst:.2e} K of amb + f0/h_T "
@@ -140,7 +140,7 @@ def test_criterion_02_radiative_equilibrium():
     fld = solve_steady(prob)
     root = scalar_steady_root(1000.0, 21.0, 0.97, AMB)
     assert root == pytest.approx(332.31737817729083, abs=1e-8)  # frozen oracle digits
-    gap = float(np.max(np.abs(fld.values - root)))
+    gap = float(np.max(np.abs(fld - root)))
     elapsed = time.perf_counter() - t0
     _report(2, gap <= 1e-4 and elapsed < 1.0,
             f"radiative equilibrium within {gap:.2e} K of the bisection root "
@@ -157,8 +157,8 @@ def test_criterion_03_scalar_transient_oracle():
     )
     series = solve_transient(prob, TransientSettings(dt=1.0, t_end=1500.0, bdf_order=2))
     ref = scalar_reference(prob, t_end=1500.0, dt=0.01)
-    fem = np.array([f.values[0] for f in series.fields])
-    rk = ref.at(series.times)
+    fem = series[:, 0]
+    rk = ref.at(1.0 * np.arange(len(series)))
     rel = float(np.max(np.abs(fem - rk) / rk))
     end_gap = float(abs(fem[-1] - rk[-1]))
     elapsed = time.perf_counter() - t0
@@ -211,7 +211,7 @@ def test_criterion_06_minimum_principle(steady_sweep):
     for (lname, mat, mode, f0), (prob, fld) in runs.items():
         if mat != "cfrp_like":
             continue
-        violation = min(AMB, prob.bcs.theta_inlet) - float(np.min(fld.values))
+        violation = min(AMB, prob.bcs.theta_inlet) - float(np.min(fld))
         worst = max(worst, violation)
     _report(6, worst <= 1e-3 and elapsed < 300.0,
             f"3 layouts x (CMP, TDMP) x (1000, 2000) W/m^2, cfrp_like at n=40: "
@@ -222,7 +222,7 @@ def test_criterion_06_minimum_principle(steady_sweep):
 def test_criterion_07_maximum_principle(cooled_sweep):
     worst = -np.inf
     for (lname, mode), (prob, fld) in cooled_sweep.items():
-        violation = float(np.max(fld.values)) - max(AMB, prob.bcs.theta_inlet)
+        violation = float(np.max(fld)) - max(AMB, prob.bcs.theta_inlet)
         worst = max(worst, violation)
     _report(7, worst <= 1e-3,
             f"f0 = -1000 W/m^2 sweep (3 layouts x CMP/TDMP, cfrp_like, n=40): "
@@ -298,11 +298,8 @@ def test_criterion_09_cmp_tdmp_steady_agreement(steady_sweep):
         prob = _problem("u_shape", "cfrp_like", mode, 2000.0)
         series = solve_transient(prob, TransientSettings(dt=1.0, t_end=1500.0))
         area = 0.01
-        eta = np.array([
-            prob.chi * (f.values[prob.mesh.outlet_node] - AMB) / (area * 2000.0)
-            for f in series.fields[1:]
-        ])
-        mst = np.array([mean_surface_temperature(f, prob.mesh) for f in series.fields[1:]])
+        eta = prob.chi * (series[1:, prob.mesh.outlet_node] - AMB) / (area * 2000.0)
+        mst = np.array([mean_surface_temperature(f, prob.mesh) for f in series[1:]])
         pair[mode] = (eta, mst)
     eta_gap = np.abs(pair["CMP"][0] - pair["TDMP"][0])
     mst_gap = np.abs(pair["CMP"][1] - pair["TDMP"][1])

@@ -297,7 +297,7 @@ def test_constrained_dof_eliminated_and_solution_exact(rng):
     free = np.delete(np.arange(prob.n_dofs), inlet)
     assert system.jacobian.shape == (free.size, free.size)
     assert np.array_equal(system.residual, raw.residual[free])
-    assert solve_steady(prob).values[inlet] == 296.42
+    assert solve_steady(prob)[inlet] == 296.42
 
 
 def test_linear_case_matrix_symmetric_positive_definite():

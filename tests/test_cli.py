@@ -189,7 +189,7 @@ def test_solve_csvs_match_per_value_formatting(tmp_path, order):
         "field_snapshot.csv": _per_value_csv(
             ["x", "y", "theta", "q_x", "q_y"],
             [(x, y, v, qx, qy) for (x, y), v, (qx, qy)
-             in zip(mesh.nodes, run.steady_field.values, _mean_flux_at_nodes(run))]),
+             in zip(mesh.nodes, run.steady_field, _mean_flux_at_nodes(run))]),
         "solver_log.csv": _per_value_csv(
             ["step", "iteration", "residual_norm", "damping", "factorized"],
             [(r.step, r.iteration, r.residual_norm, r.damping, int(r.factorized))
@@ -253,7 +253,7 @@ def test_run_steady_solve_factors_once(monkeypatch):
     assert len(calls) == 1
     assert sum(rec.factorized for rec in run.newton_log) == 1
     oracle = solve_steady(run.problem)
-    assert np.max(np.abs(run.steady_field.values - oracle.values)) <= 1e-6
+    assert np.max(np.abs(run.steady_field - oracle)) <= 1e-6
 
 
 def test_steady_only_skips_transient(tmp_path):
@@ -269,7 +269,7 @@ def test_zero_flow_forward_reverse_bitwise_identical():
     cfg = fast_config(coolant={"flow_rate_ml_per_min": 0.0}, steady_only=True)
     fwd = execute_run(cfg)
     rev = execute_run(cfg.replace(flow_direction="reverse"))
-    assert np.array_equal(fwd.steady_field.values, rev.steady_field.values)
+    assert np.array_equal(fwd.steady_field, rev.steady_field)
 
 
 def _steady_config(kind, order, n, **groups) -> ScenarioConfig:
@@ -287,7 +287,7 @@ def test_zero_flow_runs_do_not_depend_on_the_flow_direction(kind, order, n, mate
                          coolant={"flow_rate_ml_per_min": 0.0})
     fwd = execute_run(cfg)
     rev = execute_run(cfg.replace(flow_direction="reverse"))
-    assert np.array_equal(fwd.steady_field.values, rev.steady_field.values)
+    assert np.array_equal(fwd.steady_field, rev.steady_field)
 
 
 @given(**_DRAWN_MESHES, material=st.sampled_from(builtin_names()), mode=st.sampled_from(["CMP", "TDMP"]),

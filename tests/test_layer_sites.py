@@ -12,6 +12,7 @@ import pathlib
 import sys
 from collections import Counter
 
+import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import channel_problem, no_channel_problem
@@ -39,6 +40,22 @@ def test_benchmark_layer_sites_resolve():
     missing = [f"{module}.{attr}" for module, attr, _, _ in sites
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing
+
+
+@pytest.mark.parametrize("argv, steps", [(["solve", "--mesh-n", "4", "--t-end", "3"], 3), (["verify"], 300)],
+                         ids=["solve", "verify"])
+def test_milestone_sites_record_the_cli_runs(monkeypatch, tmp_path, argv, steps):
+    # an untraced benchmark run reads its solve times and bdf_steps (len(series) - 1) off these sites
+    spans = _load_spans()
+    for module_name, attr, _, _ in spans.MILESTONE_SITES:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, getattr(module, attr))  # restores the unwrapped function
+    recorder = spans.Recorder("test")
+    recorder.install(spans.MILESTONE_SITES)
+    assert cli.main([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert not recorder.missing
+    assert recorder.notes["bdf_steps"] == [steps]
+    assert {span[0] for span in recorder.spans} == {spans.STEADY, spans.TRANSIENT}
 
 
 def _counting(counts, name, fn):

@@ -5,7 +5,7 @@ from conftest import (
     barycentric_gradients, channel_problem, mixed_boundary_problem, no_channel_problem, wide_material,
 )
 from vasctherm import elements
-from vasctherm.assembly import STEFAN_BOLTZMANN, TemperatureField, plan_for
+from vasctherm.assembly import STEFAN_BOLTZMANN, plan_for
 from vasctherm.mesh import NEUMANN, build_structured_mesh, mesh_without_channel
 from vasctherm.geometry import Domain2D
 from vasctherm.postprocess import (
@@ -138,7 +138,7 @@ def test_heat_flux_dissipative_orientation():
     glam = barycentric_gradients(prob.mesh)
     for lam in elements.TRI_RULE_DEG2[0]:
         gradN = elements.grad_shape(1, lam, glam)
-        grad = np.einsum("tnc,tn->tc", gradN, fld.values[prob.mesh.triangles])
+        grad = np.einsum("tnc,tn->tc", gradN, fld[prob.mesh.triangles])
         assert np.all(np.einsum("tc,tc->t", q, grad) <= 1e-12)
 
 
@@ -193,7 +193,7 @@ def test_check_bounds_equilibrium_tight():
 
 def test_check_bounds_hypothesis_flags():
     prob = channel_problem(n=5, f0=-100.0)  # f <= 0 breaks the minimum hypothesis
-    fld = TemperatureField(np.full(prob.n_dofs, AMB))
+    fld = np.full(prob.n_dofs, AMB)
     rep = check_bounds(fld, prob)
     assert not rep.min_hypothesis_met
     assert rep.max_hypothesis_met
@@ -201,8 +201,8 @@ def test_check_bounds_hypothesis_flags():
 
 def test_check_bounds_radiation_requires_nonnegative_field():
     prob = channel_problem(n=5)
-    fld = TemperatureField(np.full(prob.n_dofs, AMB))
-    fld.values[0] = -1.0
+    fld = np.full(prob.n_dofs, AMB)
+    fld[0] = -1.0
     rep = check_bounds(fld, prob)
     assert not rep.min_hypothesis_met  # emissivity > 0 and theta < 0 somewhere
     prob0 = channel_problem(n=5, emissivity=0.0)
@@ -213,7 +213,7 @@ def test_check_bounds_radiation_requires_nonnegative_field():
 def test_observables_row_and_series():
     prob = channel_problem(n=6)
     series = solve_transient(prob, TransientSettings(dt=1.0, t_end=3.0))
-    rows = series_observables(prob, series)
+    rows = series_observables(prob, series, 1.0)
     assert len(rows) == 3
     assert [r.t for r in rows] == [1.0, 2.0, 3.0]
     assert all(np.isfinite(r.mst) for r in rows)
@@ -290,7 +290,7 @@ def test_quadrature_reductions_match_per_point_loops(order, rng):
     for _ in range(3):
         theta = rng.uniform(300.0, 360.0, prob.n_dofs)
         ref = per_point_reference(prob, theta, time)
-        obs = observables_for(prob, TemperatureField(theta, time=time))
+        obs = observables_for(prob, theta, time)
         assert obs.mst == pytest.approx(ref["mst"], rel=1e-13)
         assert total_load(prob, time) == pytest.approx(ref["supplied"], rel=1e-13)
         eta = prob.chi * (theta[prob.mesh.outlet_node] - prob.bcs.theta_inlet) / ref["supplied"]
