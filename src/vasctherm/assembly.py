@@ -225,11 +225,16 @@ class AssemblyPlan:
     gradient points. The stiffness is a reference-tensor GEMM (Kirby &
     Logg 2006): lam_GG[e, (a, b)] = grad lambda_a . grad lambda_b and
     K_ref[(g, a, b), (i, j)] = dN_i/dlambda_a dN_j/dlambda_b at gradient
-    point g. channel is the constant matrix of the channel term int_Sigma
-    w_i dtheta/ds, so that term is chi * channel @ theta; chan_slots[m] is
-    the data slot of channel.data[m], one distinct slot per entry. Every
-    array, channel's included, is read-only: all Jacobians and threads of
-    the mesh share them. basis is the mesh's element basis.
+    point g. qp_Nt is a C-contiguous copy of the basis's qp_N.T, which
+    interpolates element values to the quadrature points. channel is the
+    constant matrix of the channel term int_Sigma w_i dtheta/ds, so that
+    term is chi * channel @ theta; chan_slots[m] is the data slot of
+    channel.data[m], one distinct slot per entry. Only the rows of the
+    chain's DOFs, chain (ascending), hold entries, and chain_op is channel
+    restricted to those rows and columns, entries in the same order, so
+    the residual applies the term as chain_op @ theta[chain]. Every array,
+    the matrices' included, is read-only: all Jacobians and threads of the
+    mesh share them. basis is the mesh's element basis.
     """
 
     n: int
@@ -238,11 +243,14 @@ class AssemblyPlan:
     indices: np.ndarray = field(repr=False)
     tri_slots: np.ndarray = field(repr=False)
     chan_slots: np.ndarray = field(repr=False)
+    qp_Nt: np.ndarray = field(repr=False)  # (nen, nq)
     qp_NN: np.ndarray = field(repr=False)  # (nq, nen * nen)
     gp_MN: np.ndarray = field(repr=False)  # (nq, ng * nen)
     lam_GG: np.ndarray = field(repr=False)  # (T, 9)
     K_ref: np.ndarray = field(repr=False)  # (ng * 9, nen * nen)
     channel: sp.csr_matrix = field(repr=False)  # (n, n)
+    chain: np.ndarray = field(repr=False)  # (m,)
+    chain_op: sp.csr_matrix = field(repr=False)  # (m, m)
 
     @property
     def nnz(self) -> int:
@@ -299,10 +307,13 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
     xi, wgt = GAUSS_1D_1 if mesh.element_order == 1 else GAUSS_1D_2
     block = np.einsum("g,gi,gj->ij", wgt, *edge_shape(mesh.element_order, xi))
     chan_rows, chan_cols = np.divmod(chan_keys, n)
-    channel = sp.csr_matrix((
-        np.bincount(chan_entry, weights=np.tile(block.ravel(), len(edges)), minlength=chan_keys.size),
-        chan_cols.astype(idx), _row_pointer(chan_rows, n, idx)), shape=(n, n))
-    for a in (channel.data, channel.indices, channel.indptr):
+    chan_data = np.bincount(chan_entry, weights=np.tile(block.ravel(), len(edges)), minlength=chan_keys.size)
+    channel = sp.csr_matrix((chan_data, chan_cols.astype(idx), _row_pointer(chan_rows, n, idx)), shape=(n, n))
+    chain = np.unique(edges)
+    chain_op = sp.csr_matrix((
+        chan_data, np.searchsorted(chain, chan_cols).astype(idx),
+        _row_pointer(np.searchsorted(chain, chan_rows), chain.size, idx)), shape=(chain.size,) * 2)
+    for a in (channel.data, channel.indices, channel.indptr, chain_op.data, chain_op.indices, chain_op.indptr):
         _read_only(a)
     return AssemblyPlan(
         n=n,
@@ -311,11 +322,14 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
         indices=_read_only(cols.astype(idx)),
         tri_slots=_read_only(slot_of[:tri_keys.size]),
         chan_slots=_read_only(slot_of[tri_keys.size:]),
+        qp_Nt=_read_only(np.ascontiguousarray(N.T)),
         qp_NN=_read_only(np.einsum("qi,qj->qij", N, N).reshape(len(N), -1)),
         gp_MN=_read_only(np.einsum("qg,qj->qgj", M, N).reshape(len(N), -1)),
         lam_GG=_read_only(np.einsum("tac,tbc->tab", basis.lam_grad, basis.lam_grad).reshape(-1, 9)),
         K_ref=_read_only(np.einsum("gia,gjb->gabij", dNdlam, dNdlam).reshape(9 * len(dNdlam), -1)),
         channel=channel,
+        chain=_read_only(chain),
+        chain_op=chain_op,
     )
 
 
@@ -360,7 +374,14 @@ def assemble_raw(
     """Assemble residual and (unless jacobian=False) Jacobian of every DOF.
 
     Both modes compute the residual with the same operations, so they
-    agree bitwise.
+    agree bitwise. The residual is one pass over the quadrature points:
+    theta is interpolated there once, conduction takes its two einsums over
+    the gradient table, and convection, radiation (theta^4 as (theta^2)^2),
+    load and BDF mass sum into one pointwise coefficient of N_i that the
+    weights qp_dA multiply once. A constant load enters that sum as a
+    scalar; a callable one is tabulated at the points. The Jacobian's
+    N_i N_j coefficient is summed and weighted the same way, and the
+    channel term is applied through the chain's rows only.
     """
     mesh = problem.mesh
     theta = np.asarray(theta, dtype=float)
@@ -374,18 +395,14 @@ def assemble_raw(
     T, nen = tri.shape
     N = basis.qp_N  # (nq, nen)
 
-    theta_e = theta[tri]  # (T, nen)
-    th_q = theta_e @ N.T  # (T, nq)
+    theta_e = theta.take(tri)  # (T, nen)
+    th_q = theta_e @ plan.qp_Nt  # (T, nq)
     w = basis.qp_dA  # (T, nq)
-    # per-quadrature-point coefficients of N_i (residual) and N_i N_j (Jacobian)
-    coef_N = np.zeros_like(th_q)
-    coef_NN = np.zeros_like(th_q) if jacobian else None
-    R_e = np.zeros_like(theta_e)
-    J_e = np.zeros((T, nen, nen)) if jacobian else None
+    R_e = J_e = 0.0  # the conduction part of the element tables
 
     if terms.conduction:
         k_q = eval_curve(problem.solid.conductivity, th_q)
-        if np.any(k_q <= 0.0):
+        if k_q.min() <= 0.0:
             raise EllipticityError(
                 "conductivity non-positive at a quadrature point "
                 f"(min {float(np.min(k_q)):.4g} W/(m*K))"
@@ -394,45 +411,50 @@ def assemble_raw(
         G = basis.gp_gradN  # (T, ng, 2, nen)
         grad = np.einsum("tgci,ti->tgc", G, theta_e)
         wbar = (w * d * k_q) @ basis.gp_map  # (T, ng)
-        R_e += np.einsum("tgci,tgc->ti", G, wbar[:, :, None] * grad)
+        R_e = np.einsum("tgci,tgc->ti", G, wbar[:, :, None] * grad)
         if jacobian:
             A = (wbar[:, :, None] * plan.lam_GG[:, None, :]).reshape(T, -1)  # geometry tensor
-            J_e += (A @ plan.K_ref).reshape(T, nen, nen)
+            J_e = A @ plan.K_ref
             gw = np.einsum("tgci,tgc->tig", G, grad)  # grad N_i . grad theta
             wdkp = w * d * curve_derivative(problem.solid.conductivity, th_q)
-            J_e += gw @ (wdkp @ plan.gp_MN).reshape(T, -1, nen)
+            J_e += (gw @ (wdkp @ plan.gp_MN).reshape(T, -1, nen)).reshape(T, -1)
+
+    # Every other term is a pointwise coefficient times N_i (residual) or N_i N_j
+    # (Jacobian). The coefficients are summed at each quadrature point and weighted
+    # by w once; a constant load stays a scalar, and += on a scalar rebinds it to
+    # a fresh array, so no table is ever zero-filled.
+    coef_N = -problem.load_at_qp(time) if callable(problem.load) else -float(problem.load)
+    coef_NN = 0.0
 
     if terms.convection and surf.h_T != 0.0:
-        coef_N += w * surf.h_T * (th_q - surf.theta_amb)
-        if jacobian:
-            coef_NN += w * surf.h_T
+        coef_N += surf.h_T * (th_q - surf.theta_amb)
+        coef_NN += surf.h_T
 
     if terms.radiation and surf.emissivity != 0.0:
         es = surf.emissivity * STEFAN_BOLTZMANN
-        coef_N += w * es * (th_q**4 - surf.theta_amb**4)
+        th2 = th_q * th_q  # theta^4 as (theta^2)^2: a product, not a call to pow
+        coef_N += es * (th2 * th2 - surf.theta_amb**4)
         if jacobian:
-            coef_NN += w * es * 4.0 * th_q**3
-
-    coef_N -= w * problem.load_at_qp(time)
+            coef_NN += (4.0 * es) * th2 * th_q
 
     if rate is not None and terms.mass:
         c_q = eval_curve(problem.solid.specific_heat, th_q)
-        thdot_q = (rate.coeff * theta + rate.rhs)[tri] @ N.T
-        coef = w * d * problem.solid.density
-        coef_N += coef * c_q * thdot_q
+        thdot_q = (rate.coeff * theta + rate.rhs).take(tri) @ plan.qp_Nt
+        rho_d = d * problem.solid.density
+        coef_N += rho_d * c_q * thdot_q
         if jacobian:
-            coef_NN += coef * c_q * rate.coeff
-            coef_NN += coef * curve_derivative(problem.solid.specific_heat, th_q) * thdot_q
+            dc_q = curve_derivative(problem.solid.specific_heat, th_q)
+            coef_NN += rho_d * (c_q * rate.coeff + dc_q * thdot_q)
 
-    R_e += coef_N @ N
+    R_e += (w * coef_N) @ N
     R = np.bincount(tri.ravel(), weights=R_e.ravel(), minlength=mesh.n_nodes)
     if jacobian:
-        J_e += (coef_NN @ plan.qp_NN).reshape(T, nen, nen)
+        J_e += (w * coef_NN) @ plan.qp_NN
         data = np.bincount(plan.tri_slots, weights=J_e.ravel(), minlength=plan.nnz)
 
     chi = problem.chi
     if terms.channel and chi != 0.0:
-        R += chi * (plan.channel @ theta)
+        R[plan.chain] += chi * (plan.chain_op @ theta.take(plan.chain))
         if jacobian:
             data[plan.chan_slots] += chi * plan.channel.data
 

@@ -13,7 +13,6 @@ byte-identically. Exit codes: 0 ok, 1 check failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import operator
@@ -317,15 +316,17 @@ def execute_run(config: ScenarioConfig) -> RunResult:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write one CSV table; csv.writer writes a float as repr(float(x)).
+    """Write one CSV table with the bytes csv.writer would write, without it.
 
-    Numeric tables come as ndarray.tolist() rows, which converts every value
-    to a Python number in one C loop rather than one numpy scalar at a time.
+    Every row holds Python ints and floats, which csv.writer writes as their
+    repr, fields joined by commas and rows ended by CRLF; no header name holds
+    a character it would quote. Numeric tables come as ndarray.tolist() rows,
+    which converts every value to a Python number in one C loop rather than
+    one numpy scalar at a time.
     """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -129,10 +129,12 @@ class ChordFactor:
 
     Pass a fresh ChordFactor() as solve_steady's factors to run one steady
     solve as chord Newton; solve_transient shares one across its steps.
+    builds counts the factors built into it.
     """
 
     key: float | None = None
     lu: spla.SuperLU | None = None
+    builds: int = 0
 
 
 def factorize(jacobian) -> spla.SuperLU:
@@ -243,6 +245,7 @@ def solve_steady(
                 system = assemble(theta)
             if chord:
                 factors.lu, factors.key = factorize(system.jacobian), key
+                factors.builds += 1
             delta = linear_solve(system, factors.lu if chord else None)  # full Newton: freed on return
             lam = 1.0
             while True:
@@ -305,6 +308,10 @@ def solve_transient(
     step, the line 2 theta_n - theta_{n-1} for the second, the quadratic
     3 theta_n - 3 theta_{n-1} + theta_{n-2} for the third and the cubic
     4 theta_n - 6 theta_{n-1} + 4 theta_{n-2} - theta_{n-3} from then on.
+    A step that built more than one factor (a jump in the load, say) ends
+    the window: the polynomial restarts from its state, theta_n alone, so
+    it never extrapolates across the jump. The BDF2 rate still reads the
+    states before it.
 
     The steps share one chord-Newton LU factor (see solve_steady). On a
     Newton failure the rows finished so far are attached to the raised
@@ -316,18 +323,20 @@ def solve_transient(
     series = np.empty((tsettings.n_steps + 1, problem.n_dofs))
     series[0] = problem.surface.theta_amb
     factors = ChordFactor()
+    start = 0  # the oldest row the predictor may read
 
     for k in range(tsettings.n_steps):
         t_next = (k + 1) * dt
-        past = series[k::-1][:PREDICTOR_POINTS]  # newest first
         if tsettings.bdf_order == 1 or k == 0:
-            rate = RateWeights(coeff=1.0 / dt, rhs=-past[0] / dt)
+            rate = RateWeights(coeff=1.0 / dt, rhs=-series[k] / dt)
         else:
-            rate = RateWeights(coeff=1.5 / dt, rhs=(-2.0 * past[0] + 0.5 * past[1]) / dt)
+            rate = RateWeights(coeff=1.5 / dt, rhs=(-2.0 * series[k] + 0.5 * series[k - 1]) / dt)
+        past = series[max(start, k + 1 - PREDICTOR_POINTS):k + 1][::-1]  # newest first
         weights = PREDICTOR_WEIGHTS[len(past) - 1]
         guess = weights[0] * past[0]
         for w, state in zip(weights[1:], past[1:]):
             guess += w * state
+        builds = factors.builds
         try:
             series[k + 1] = solve_steady(
                 problem,
@@ -344,4 +353,6 @@ def solve_transient(
                 f"time step {k + 1} (t={t_next:g} s) failed: {exc}",
                 series=series[: k + 1], cause=exc,
             ) from exc
+        if factors.builds - builds > 1:
+            start = k + 1
     return series

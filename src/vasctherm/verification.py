@@ -374,7 +374,8 @@ def scalar_reference(
     amb, drho = surf.theta_amb, d * rho
 
     def rhs(u):
-        t = min(max(u, c_lo), c_hi)
+        # min(max(u, c_lo), c_hi) without two builtin calls; NaN passes through as there
+        t = c_lo if u < c_lo else c_hi if u > c_hi else u
         c = 0.0
         for coef in c_coeffs:
             c = c * t + coef

@@ -193,6 +193,20 @@ def test_channel_operator_matches_per_edge_gauss_loop(order, rng):
     assert np.max(np.abs(J - prob.chi * ref)) <= 1e-15 * prob.chi * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_chain_operator_is_the_channel_on_its_rows(order, reverse, rng):
+    # the residual applies the channel term through the chain's rows only; outside them
+    # the full matrix is empty, and on them it must give the same sums bit for bit
+    plan = plan_for(channel_problem(n=6, order=order, reverse=reverse).mesh)
+    channel = plan.channel
+    assert np.array_equal(plan.chain, np.flatnonzero(np.diff(channel.indptr)))
+    assert channel[:, plan.chain].nnz == channel.nnz
+    assert np.array_equal(plan.chain_op.toarray(), channel[plan.chain][:, plan.chain].toarray())
+    theta = rng.uniform(300.0, 360.0, plan.n)
+    assert np.array_equal(plan.chain_op @ theta[plan.chain], (channel @ theta)[plan.chain])
+
+
 LAYOUTS = {  # the layouts that build_problem makes of each kind by default
     "u_shape": LayoutParams(),
     "serpentine": LayoutParams(kind="serpentine", spacing=0.02),
@@ -482,8 +496,9 @@ def test_cached_index_arrays_read_only(rng):
     plan, cut = plan_for(prob.mesh), system.restriction
     assert cut is prob.constraints
     for arr in (plan.indptr, plan.indices, plan.tri_slots, plan.chan_slots,
-                plan.channel.data, plan.channel.indices, plan.channel.indptr,
-                plan.qp_NN, plan.gp_MN, plan.lam_GG, plan.K_ref):
+                plan.channel.data, plan.channel.indices, plan.channel.indptr, plan.chain,
+                plan.chain_op.data, plan.chain_op.indices, plan.chain_op.indptr,
+                plan.qp_Nt, plan.qp_NN, plan.gp_MN, plan.lam_GG, plan.K_ref):
         assert not arr.flags.writeable
     J = system.jacobian
     assert np.shares_memory(J.indices, cut.indices)

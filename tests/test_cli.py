@@ -234,6 +234,24 @@ def test_deltas_csv_matches_per_value_formatting(tmp_path, monkeypatch):
         [(a.t, abs(a.mst - b.mst), abs(a.theta_outlet - b.theta_outlet)) for a, b in zip(fwd, rev)])})
 
 
+def test_csv_writer_writes_the_bytes_of_csv_writer(tmp_path):
+    header = ["step", "iteration", "residual_norm", "damping", "factorized"]
+    rows = [
+        [float("nan"), float("inf"), -float("inf"), -0.0, 0.0],
+        [1e-5, 1e16, 1e-300, 123456789.123, -2.5e-7],
+        [0, 1, -7, 2**53 + 1, True],
+        [3, 2, 1.2345678901234567e-09, 0.5, 1],  # a solver-log row: ints and floats
+        [0, 0, 16.93, 0.0, 0],
+        np.array([[296.42, 1e-5, -0.0, 3.0, np.nan]]).tolist()[0],
+    ]
+    cli._write_csv(str(tmp_path / "new.csv"), header, rows)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_zero_load_reports_nan_eta_and_ambient_mst(tmp_path):
     out = tmp_path / "zero"
     run_scenario(fast_config(load={"f0": 0.0}), str(out))

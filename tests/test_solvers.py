@@ -361,6 +361,34 @@ def test_load_jump_forces_a_fresh_factor(after):
     assert len(series) == 13
 
 
+@pytest.mark.parametrize("after, iterations, factors", [
+    # the 1e8 jump step builds three factors, so the predictor restarts from its state
+    # and never extrapolates across the jump; without the restart steps 11-14 build
+    # 12 factors, not 3, and the run takes 84 iterations, not 81
+    (1e8, [3, 2, 2, 2, 2, 2, 2, 2, 2, 7, 8, 5, 7, 6, 6, 5, 5, 5, 4, 4],
+     [1, 1, 0, 0, 0, 0, 0, 0, 0, 3, 2, 0, 0, 1, 0, 0, 0, 0, 0, 0]),
+    # one factor per step throughout: the window never restarts
+    (1e6, [3, 2, 2, 2, 2, 2, 2, 2, 2, 7, 5, 4, 5, 5, 5, 5, 5, 5, 6, 6],
+     [1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+])
+def test_predictor_restarts_after_a_step_with_several_factors(after, iterations, factors):
+    prob = _with_load(channel_problem(n=10), _jump_load(10.0, 1000.0, after))
+    log = []
+    solve_transient(prob, TransientSettings(dt=1.0, t_end=20.0), log=log)
+    steps = range(1, 21)
+    assert [sum(rec.iteration > 0 for rec in log if rec.step == k) for k in steps] == iterations
+    assert [sum(rec.factorized for rec in log if rec.step == k) for k in steps] == factors
+
+
+def test_chord_factor_counts_its_builds(monkeypatch):
+    calls = _count_splu(monkeypatch)
+    factors = solvers.ChordFactor()
+    prob = channel_problem(n=6)
+    solve_steady(prob, factors=factors)
+    solve_steady(prob, rate=RateWeights(coeff=1.0, rhs=np.full(prob.n_dofs, -AMB)), factors=factors)
+    assert factors.builds == len(calls) >= 2
+
+
 @pytest.mark.parametrize("after", [2e6, 5e6, 1e7])
 def test_slowly_contracting_factor_is_replaced(after):
     # after these jumps the stale factor cuts the residual by a steady 0.17-0.19 per iteration,

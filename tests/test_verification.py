@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import channel_problem, no_channel_problem, wide_material
-from vasctherm.materials import constant_curve
+from vasctherm import cli
+from vasctherm.assembly import STEFAN_BOLTZMANN, SurfaceExchange
+from vasctherm.materials import builtin_material, constant_curve
 from vasctherm.verification import (
     ConvergenceRow,
     ConvergenceTable,
@@ -117,6 +121,45 @@ def test_scalar_reference_approaches_root():
     prob = no_channel_problem(n=2, f0=1000.0, emissivity=0.97)
     ref = scalar_reference(prob, t_end=3000.0, dt=0.02)
     assert ref.values[-1] == pytest.approx(ref.steady_root, abs=1e-3)
+
+
+def _tdmp_through_both_clamps():
+    # from 280 K, below c_s's fitted range, to above 423.15 K within 300 s
+    base = no_channel_problem(n=2, f0=2e4, emissivity=0.97,
+                              material=builtin_material("cfrp_like", "TDMP"))
+    return dataclasses.replace(base, surface=SurfaceExchange(h_T=21.0, emissivity=0.97, theta_amb=280.0))
+
+
+@pytest.mark.parametrize("make", [cli._scalar_problem, _tdmp_through_both_clamps])
+def test_scalar_reference_clamp_matches_the_builtin_clamp(make):
+    # the reference clamps c_s's argument with conditional expressions; the RK4
+    # trajectory must equal, bit for bit, that of min(max(u, lo), hi)
+    prob = make()
+    ref = scalar_reference(prob, t_end=300.0)
+    surf, curve = prob.surface, prob.solid.specific_heat
+    lo, hi = curve.valid_range
+    es, drho = surf.emissivity * STEFAN_BOLTZMANN, prob.mesh.domain.thickness * prob.solid.density
+
+    def rhs(u):
+        t, c = min(max(u, lo), hi), 0.0
+        for coef in curve.coefficients[::-1]:
+            c = c * t + coef
+        return (float(prob.load) - surf.h_T * (u - surf.theta_amb)
+                - es * (u**4 - surf.theta_amb**4)) / (drho * c)
+
+    dt, u, values = 0.01, float(surf.theta_amb), [float(surf.theta_amb)]
+    for k in range(1, 30001):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        if k % 100 == 0:
+            values.append(u)
+    assert np.array_equal(ref.values, np.array(values))
+    assert np.array_equal(ref.times, np.arange(301.0))
+    if make is _tdmp_through_both_clamps:
+        assert ref.values[0] < lo and ref.values[-1] > hi
 
 
 def test_scalar_reference_rejects_nonuniform_scenarios():
