@@ -83,7 +83,11 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class TermMask:
-    """Toggles for individual residual terms (testing/diagnostics)."""
+    """Toggles for individual residual terms.
+
+    The Jacobian check differences each combination; the energy audit in
+    postprocess sums the residual with conduction and channel masked.
+    """
 
     conduction: bool = True
     convection: bool = True
@@ -129,17 +133,22 @@ class ThermalProblem:
     def n_dofs(self) -> int:
         return self.mesh.n_nodes
 
-    def load_at_qp(self, t) -> np.ndarray:
-        """f at the volume quadrature points of the assembly, (T, nq)."""
-        x, y = plan_for(self.mesh).basis.qp_xy.T  # (T, nq) each
-        if callable(self.load):
-            return np.broadcast_to(self.load(x, y, t), x.shape).astype(float)
-        return np.full(x.shape, float(self.load))
+    def load_at_qp(self, t) -> float | np.ndarray:
+        """f at the volume quadrature points of the assembly.
 
-    def qp_at(self, x, y, t):
-        if callable(self.bcs.q_p):
-            return np.broadcast_to(self.bcs.q_p(x, y, t), np.shape(x)).astype(float)
-        return np.full(np.shape(x), float(self.bcs.q_p))
+        A constant load is returned as a float, which broadcasts against any
+        (T, nq) table; only a callable one is tabulated, (T, nq).
+        """
+        if not callable(self.load):
+            return float(self.load)
+        x, y = plan_for(self.mesh).basis.qp_xy.T  # (T, nq) each
+        return np.broadcast_to(self.load(x, y, t), x.shape).astype(float)
+
+    def qp_at(self, x, y, t) -> float | np.ndarray:
+        """q_p at the points (x, y): a float if constant, else an array of their shape."""
+        if not callable(self.bcs.q_p):
+            return float(self.bcs.q_p)
+        return np.broadcast_to(self.bcs.q_p(x, y, t), np.shape(x)).astype(float)
 
     @property
     def constraints(self) -> Constraints:
@@ -226,15 +235,15 @@ class AssemblyPlan:
     Logg 2006): lam_GG[e, (a, b)] = grad lambda_a . grad lambda_b and
     K_ref[(g, a, b), (i, j)] = dN_i/dlambda_a dN_j/dlambda_b at gradient
     point g. qp_Nt is a C-contiguous copy of the basis's qp_N.T, which
-    interpolates element values to the quadrature points. channel is the
-    constant matrix of the channel term int_Sigma w_i dtheta/ds, so that
-    term is chi * channel @ theta; chan_slots[m] is the data slot of
-    channel.data[m], one distinct slot per entry. Only the rows of the
-    chain's DOFs, chain (ascending), hold entries, and chain_op is channel
-    restricted to those rows and columns, entries in the same order, so
-    the residual applies the term as chain_op @ theta[chain]. Every array,
-    the matrices' included, is read-only: all Jacobians and threads of the
-    mesh share them. basis is the mesh's element basis.
+    interpolates element values to the quadrature points; postprocessing
+    interpolates through it too. chain_op is the one channel operator: the
+    constant matrix of int_Sigma w_i dtheta/ds on the rows and columns of
+    the chain's DOFs, chain (ascending), the only rows the term touches,
+    so the term adds chi * chain_op @ theta[chain] to the rows chain.
+    chan_slots[m] is the data slot of chain_op.data[m], one distinct slot
+    per entry. Every array, the matrix's included, is read-only: all
+    Jacobians and threads of the mesh share them. basis is the mesh's
+    element basis.
     """
 
     n: int
@@ -248,7 +257,6 @@ class AssemblyPlan:
     gp_MN: np.ndarray = field(repr=False)  # (nq, ng * nen)
     lam_GG: np.ndarray = field(repr=False)  # (T, 9)
     K_ref: np.ndarray = field(repr=False)  # (ng * 9, nen * nen)
-    channel: sp.csr_matrix = field(repr=False)  # (n, n)
     chain: np.ndarray = field(repr=False)  # (m,)
     chain_op: sp.csr_matrix = field(repr=False)  # (m, m)
 
@@ -308,12 +316,11 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
     block = np.einsum("g,gi,gj->ij", wgt, *edge_shape(mesh.element_order, xi))
     chan_rows, chan_cols = np.divmod(chan_keys, n)
     chan_data = np.bincount(chan_entry, weights=np.tile(block.ravel(), len(edges)), minlength=chan_keys.size)
-    channel = sp.csr_matrix((chan_data, chan_cols.astype(idx), _row_pointer(chan_rows, n, idx)), shape=(n, n))
     chain = np.unique(edges)
     chain_op = sp.csr_matrix((
         chan_data, np.searchsorted(chain, chan_cols).astype(idx),
         _row_pointer(np.searchsorted(chain, chan_rows), chain.size, idx)), shape=(chain.size,) * 2)
-    for a in (channel.data, channel.indices, channel.indptr, chain_op.data, chain_op.indices, chain_op.indptr):
+    for a in (chain_op.data, chain_op.indices, chain_op.indptr):
         _read_only(a)
     return AssemblyPlan(
         n=n,
@@ -327,7 +334,6 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
         gp_MN=_read_only(np.einsum("qg,qj->qgj", M, N).reshape(len(N), -1)),
         lam_GG=_read_only(np.einsum("tac,tbc->tab", basis.lam_grad, basis.lam_grad).reshape(-1, 9)),
         K_ref=_read_only(np.einsum("gia,gjb->gabij", dNdlam, dNdlam).reshape(9 * len(dNdlam), -1)),
-        channel=channel,
         chain=_read_only(chain),
         chain_op=chain_op,
     )
@@ -423,7 +429,7 @@ def assemble_raw(
     # (Jacobian). The coefficients are summed at each quadrature point and weighted
     # by w once; a constant load stays a scalar, and += on a scalar rebinds it to
     # a fresh array, so no table is ever zero-filled.
-    coef_N = -problem.load_at_qp(time) if callable(problem.load) else -float(problem.load)
+    coef_N = -problem.load_at_qp(time)
     coef_NN = 0.0
 
     if terms.convection and surf.h_T != 0.0:
@@ -456,7 +462,7 @@ def assemble_raw(
     if terms.channel and chi != 0.0:
         R[plan.chain] += chi * (plan.chain_op @ theta.take(plan.chain))
         if jacobian:
-            data[plan.chan_slots] += chi * plan.channel.data
+            data[plan.chan_slots] += chi * plan.chain_op.data
 
     if not _zero_flux(problem):
         R += _neumann_flux_vector(problem, time)
@@ -487,10 +493,8 @@ def _zero_flux(problem: ThermalProblem) -> bool:
 
 
 def _neumann_flux_vector(problem: ThermalProblem, time: float) -> np.ndarray:
-    """int_Gq w_i q_p dGamma; zero fast path for the adiabatic default."""
+    """int_Gq w_i q_p dGamma."""
     mesh = problem.mesh
-    if _zero_flux(problem):
-        return np.zeros(mesh.n_nodes)
     points, weights, edges = neumann_quadrature(mesh)
     N, _ = edge_shape(mesh.element_order, GAUSS_1D_2[0])  # (2, k)
     scale = weights * problem.qp_at(points[..., 0], points[..., 1], time)  # (2, E)

@@ -15,16 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    STEFAN_BOLTZMANN,
-    ThermalProblem,
-    _neumann_flux_vector,
-    neumann_quadrature,
-    plan_for,
-)
+from .assembly import TermMask, ThermalProblem, assemble_raw, neumann_quadrature, plan_for
 from .elements import edge_shape, grad_shape, tri_shape
 from .materials import eval_curve
 from .mesh import ChannelMesh
+
+# The energy audit's terms: conduction rows sum to zero and the channel's stand apart.
+_AUDIT_TERMS = TermMask(conduction=False, channel=False)
 
 
 @dataclass(frozen=True)
@@ -61,19 +58,11 @@ class BoundsReport:
     tolerance: float
 
 
-def _at_qp(theta: np.ndarray, mesh: ChannelMesh) -> np.ndarray:
-    """theta at the assembly quadrature points, (T, nq)."""
-    return theta[mesh.triangles] @ plan_for(mesh).basis.qp_N.T
-
-
-def _mean(th_q: np.ndarray, mesh: ChannelMesh) -> float:
-    basis = plan_for(mesh).basis
-    return float(np.sum(basis.qp_dA * th_q)) / float(np.sum(basis.areas))
-
-
 def mean_surface_temperature(theta: np.ndarray, mesh: ChannelMesh) -> float:
-    """Domain average of theta via element quadrature."""
-    return _mean(_at_qp(theta, mesh), mesh)
+    """Domain average of theta via element quadrature, interpolated as the assembly does."""
+    plan = plan_for(mesh)
+    th_q = theta.take(mesh.triangles) @ plan.qp_Nt  # (T, nq)
+    return float(np.sum(plan.basis.qp_dA * th_q)) / float(np.sum(plan.basis.areas))
 
 
 def outlet_temperature(theta: np.ndarray, mesh: ChannelMesh) -> float:
@@ -131,25 +120,24 @@ def energy_balance(theta: np.ndarray, problem: ThermalProblem, time: float = 0.0
     """Supplied power minus all modeled sinks; near zero at steady state.
 
     residual = int f - int h_T (theta - amb) - int eps sigma (theta^4 - amb^4)
-               - chi (theta_outlet - theta_inlet) - int_Gq q_p
-    computed with the assembly quadrature.
+               - int_Gq q_p - chi (theta_outlet - theta_inlet)
+
+    The balance is the residual tested against w = 1, the sum of all hat
+    functions (Hughes et al. 2000, JCP 163:467), so it is the negated row
+    sum of assemble_raw's residual minus the coolant line. Conduction is
+    masked: its rows sum to zero by the partition of unity, so skipping
+    them is exact. The channel is masked on purpose: its rows telescope to
+    chi (theta_outlet - theta[inlet]), which differs from the audited
+    chi (theta_outlet - theta_inlet) on any state off the inlet pin. Once
+    the inlet temperature enters as a weak upwind inflow term, the channel
+    rows close that gap and the coolant line can go.
     """
-    return _energy_balance(theta, _at_qp(theta, problem.mesh), problem, time,
-                           total_load(problem, time))
-
-
-def _energy_balance(theta: np.ndarray, th_q: np.ndarray, problem: ThermalProblem, time: float,
-                    supplied: float) -> float:
+    R = assemble_raw(problem, theta, time, terms=_AUDIT_TERMS, jacobian=False).residual
     mesh = problem.mesh
-    surf = problem.surface
-    w = plan_for(mesh).basis.qp_dA
-    convected = np.sum(w * surf.h_T * (th_q - surf.theta_amb))
-    radiated = np.sum(w * surf.emissivity * STEFAN_BOLTZMANN * (th_q**4 - surf.theta_amb**4))
     extracted = 0.0
     if mesh.has_channel and problem.chi != 0.0:
         extracted = problem.chi * (theta[mesh.outlet_node] - problem.bcs.theta_inlet)
-    boundary_out = float(np.sum(_neumann_flux_vector(problem, time)))
-    return float(supplied - convected - radiated - extracted - boundary_out)
+    return float(-np.sum(R) - extracted)
 
 
 def total_load(problem: ThermalProblem, time: float = 0.0) -> float:
@@ -166,9 +154,6 @@ def _qp_sign_range(problem: ThermalProblem, time: float) -> tuple[float, float]:
     points, _, edges = neumann_quadrature(problem.mesh)
     if not len(edges):
         return 0.0, 0.0
-    if np.isscalar(problem.bcs.q_p):
-        v = float(problem.bcs.q_p)
-        return v, v
     qv = problem.qp_at(points[..., 0], points[..., 1], time)
     return float(np.min(qv)), float(np.max(qv))
 
@@ -212,9 +197,8 @@ def check_bounds(theta: np.ndarray, problem: ThermalProblem, time: float = 0.0) 
 
 
 def observables_for(problem: ThermalProblem, theta: np.ndarray, time: float = 0.0) -> Observables:
-    """Observables of theta at time; theta is taken to the quadrature points once."""
+    """Observables of theta at time; theta is interpolated once for the MST and once in the residual."""
     mesh = problem.mesh
-    th_q = _at_qp(theta, mesh)
     theta_out = outlet_temperature(theta, mesh)
     supplied = total_load(problem, time)
     if supplied == 0.0 or not mesh.has_channel:
@@ -223,10 +207,10 @@ def observables_for(problem: ThermalProblem, theta: np.ndarray, time: float = 0.
         eta = efficiency_from_total(theta_out, problem.bcs.theta_inlet, problem.chi, supplied)
     return Observables(
         t=float(time),
-        mst=_mean(th_q, mesh),
+        mst=mean_surface_temperature(theta, mesh),
         theta_outlet=theta_out,
         eta=eta,
-        energy_residual=_energy_balance(theta, th_q, problem, time, supplied),
+        energy_residual=energy_balance(theta, problem, time),
     )
 
 

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, strategies as st
 
 from conftest import (
@@ -144,6 +145,12 @@ def per_edge_channel_matrix(mesh):
     return C
 
 
+def channel_matrix(plan):
+    """The n x n channel operator: plan.chain_op placed on the rows and columns of plan.chain."""
+    op = plan.chain_op.tocoo()
+    return sp.csr_matrix((op.data, (plan.chain[op.row], plan.chain[op.col])), shape=(plan.n, plan.n))
+
+
 def test_channel_term_uniform_field_vanishes():
     prob = channel_problem(n=8, f0=0.0)
     theta = np.full(prob.n_dofs, 310.0)
@@ -157,7 +164,7 @@ def test_channel_term_single_edge_hand_value():
     theta = np.full(mesh.n_nodes, 310.0)
     a, b = mesh.channel_nodes[0], mesh.channel_nodes[1]
     theta[a] = 300.0  # only the first edge sees a gradient
-    res = 0.0697 * (plan_for(mesh).channel @ theta)
+    res = 0.0697 * (channel_matrix(plan_for(mesh)) @ theta)
     # first edge: chi (theta_b - theta_a) = 0.697 W split equally by the 1-point rule
     assert res[[a, b]] == pytest.approx([0.3485, 0.3485], rel=1e-12)
     assert np.count_nonzero(res) == 2
@@ -170,8 +177,8 @@ def test_channel_term_orientation_flips_sign():
     fwd = embed_vasculature(grid, path)
     rev = embed_vasculature(grid, path.reversed())
     theta = np.linspace(300.0, 340.0, fwd.n_nodes)
-    rf = 0.07 * (plan_for(fwd).channel @ theta)
-    rr = 0.07 * (plan_for(rev).channel @ theta)
+    rf = 0.07 * (channel_matrix(plan_for(fwd)) @ theta)
+    rr = 0.07 * (channel_matrix(plan_for(rev)) @ theta)
     assert np.max(np.abs(rf)) > 0.0
     assert np.allclose(rr, -rf, atol=1e-14)
 
@@ -182,8 +189,8 @@ def test_channel_operator_matches_per_edge_gauss_loop(order, rng):
     theta = rng.uniform(300.0, 360.0, prob.n_dofs)
     ref = per_edge_channel_matrix(prob.mesh)
     plan = plan_for(prob.mesh)
-    assert np.max(np.abs(plan.channel.toarray() - ref)) <= 1e-15 * np.max(np.abs(ref))
-    assert np.unique(plan.chan_slots).size == plan.chan_slots.size == plan.channel.nnz
+    assert np.max(np.abs(channel_matrix(plan).toarray() - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.unique(plan.chan_slots).size == plan.chan_slots.size == plan.chain_op.nnz
     full = assemble_raw(prob, theta, terms=CHANNEL_ONLY)
     lean = assemble_raw(prob, theta, terms=CHANNEL_ONLY, jacobian=False)
     scale = prob.chi * np.max(theta)
@@ -199,7 +206,7 @@ def test_chain_operator_is_the_channel_on_its_rows(order, reverse, rng):
     # the residual applies the channel term through the chain's rows only; outside them
     # the full matrix is empty, and on them it must give the same sums bit for bit
     plan = plan_for(channel_problem(n=6, order=order, reverse=reverse).mesh)
-    channel = plan.channel
+    channel = channel_matrix(plan)
     assert np.array_equal(plan.chain, np.flatnonzero(np.diff(channel.indptr)))
     assert channel[:, plan.chain].nnz == channel.nnz
     assert np.array_equal(plan.chain_op.toarray(), channel[plan.chain][:, plan.chain].toarray())
@@ -224,7 +231,7 @@ def test_channel_operator_conserves_energy(n, order, kind, reverse):
                                  path.reversed() if reverse else path)
     except ValueError:  # the layout does not fit this grid
         assume(False)
-    channel = plan_for(mesh).channel
+    channel = channel_matrix(plan_for(mesh))
     ends = np.zeros(mesh.n_nodes)
     ends[mesh.outlet_node], ends[mesh.inlet_node] = 1.0, -1.0
     assert np.max(np.abs(np.ones(mesh.n_nodes) @ channel - ends)) <= 1e-14
@@ -324,15 +331,20 @@ def test_linear_case_matrix_symmetric_positive_definite():
     assert np.min(np.linalg.eigvalsh(J)) > 0.0
 
 
-def test_partition_of_unity_energy_identity(rng):
-    # summing raw residual rows over the all-ones test function reproduces
-    # the global balance used by postprocess.energy_balance (on states that
-    # satisfy the inlet prescription, which ties the chain end to theta_inlet)
-    prob = channel_problem(n=8)
-    theta = rng.uniform(300.0, 360.0, prob.n_dofs)
-    theta[prob.mesh.inlet_node] = prob.bcs.theta_inlet
-    raw = assemble_raw(prob, theta)
-    assert np.sum(raw.residual) == pytest.approx(-energy_balance(theta, prob), abs=1e-9)
+@pytest.mark.parametrize("make, time", [
+    (lambda: channel_problem(n=8), 0.0),
+    (lambda: mixed_boundary_problem(order=1), 3.0),
+    (lambda: mixed_boundary_problem(order=2), 3.0),
+], ids=["channel", "mixed-p1", "mixed-p2"])
+def test_partition_of_unity_energy_identity(make, time, rng):
+    # summing the full residual's rows, conduction and channel included, over the
+    # all-ones test function reproduces postprocess.energy_balance, which skips
+    # both (on states that satisfy the constraints, which tie the chain end to
+    # theta_inlet); the mixed problems add a callable load, a flux and dirichlet edges
+    prob = make()
+    theta = random_state(prob, rng, True)
+    raw = assemble_raw(prob, theta, time)
+    assert np.sum(raw.residual) == pytest.approx(-energy_balance(theta, prob, time), abs=1e-9)
 
 
 @pytest.mark.parametrize("order,degree", [(1, 1), (2, 2)])
@@ -495,8 +507,7 @@ def test_cached_index_arrays_read_only(rng):
     system = apply_constraints(assemble_raw(prob, random_state(prob, rng, True)))
     plan, cut = plan_for(prob.mesh), system.restriction
     assert cut is prob.constraints
-    for arr in (plan.indptr, plan.indices, plan.tri_slots, plan.chan_slots,
-                plan.channel.data, plan.channel.indices, plan.channel.indptr, plan.chain,
+    for arr in (plan.indptr, plan.indices, plan.tri_slots, plan.chan_slots, plan.chain,
                 plan.chain_op.data, plan.chain_op.indices, plan.chain_op.indptr,
                 plan.qp_Nt, plan.qp_NN, plan.gp_MN, plan.lam_GG, plan.K_ref):
         assert not arr.flags.writeable

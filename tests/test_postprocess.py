@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import (
     barycentric_gradients, channel_problem, mixed_boundary_problem, no_channel_problem, wide_material,
 )
 from vasctherm import elements
-from vasctherm.assembly import STEFAN_BOLTZMANN, plan_for
+from vasctherm.assembly import STEFAN_BOLTZMANN, RateWeights, assemble_raw, plan_for
 from vasctherm.mesh import NEUMANN, build_structured_mesh, mesh_without_channel
 from vasctherm.geometry import Domain2D
 from vasctherm.postprocess import (
@@ -299,3 +301,23 @@ def test_quadrature_reductions_match_per_point_loops(order, rng):
             assert abs(energy - ref["energy"]) <= 1e-13 * ref["energy_scale"]
         assert _load_sign_range(prob, time) == pytest.approx(ref["f_range"], rel=1e-13)
         assert _qp_sign_range(prob, time) == pytest.approx(ref["q_range"], rel=1e-13)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_constant_data_resolves_like_its_callable(order, rng):
+    # a constant load and flux are resolved once, as floats: given as floats or as
+    # callables of the same values, every consumer gives bitwise the same numbers
+    base = mixed_boundary_problem(order=order)
+    as_floats = dataclasses.replace(base, load=800.0, bcs=dataclasses.replace(base.bcs, q_p=2.5))
+    as_calls = dataclasses.replace(base, load=lambda x, y, t: 800.0,
+                                   bcs=dataclasses.replace(base.bcs, q_p=lambda x, y, t: 2.5))
+    time = 3.0
+    theta = rng.uniform(300.0, 360.0, base.n_dofs)
+    theta[base.constraints.ids] = base.constraints.values
+    for rate in (None, RateWeights(coeff=1.0, rhs=-rng.uniform(300.0, 360.0, base.n_dofs))):
+        a, b = (assemble_raw(prob, theta, time, rate) for prob in (as_floats, as_calls))
+        assert np.array_equal(a.residual, b.residual)
+        assert np.array_equal(a.jacobian.data, b.jacobian.data)
+    for reduction in (total_load, _load_sign_range, _qp_sign_range):
+        assert reduction(as_floats, time) == reduction(as_calls, time)
+    assert energy_balance(theta, as_floats, time) == energy_balance(theta, as_calls, time)

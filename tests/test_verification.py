@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import channel_problem, no_channel_problem, wide_material
-from vasctherm import cli
+from vasctherm import cli, verification
 from vasctherm.assembly import STEFAN_BOLTZMANN, SurfaceExchange
 from vasctherm.materials import builtin_material, constant_curve
 from vasctherm.verification import (
@@ -88,6 +88,29 @@ def test_jacobian_mutation_detected(monkeypatch):
                         lambda curve, theta: np.zeros_like(theta))
     gap = jacobian_check(prob, trials=2, seed=5)
     assert gap > 1e-5
+
+
+@pytest.mark.parametrize("poisoned", ["fd_residuals", "jacobian"])
+def test_jacobian_check_keeps_a_nan_gap_of_a_later_trial(monkeypatch, poisoned):
+    # NaN in trial 2 of 2 only: the finite-difference residuals or the analytic
+    # Jacobian; either must surface as a NaN gap, which the verify gate fails
+    real = verification.assemble_raw
+    full_calls = []
+
+    def assemble(problem, theta, *args, jacobian=True, **kwargs):
+        system = real(problem, theta, *args, jacobian=jacobian, **kwargs)
+        if jacobian:
+            full_calls.append(theta)
+        if len(full_calls) == 2:
+            if poisoned == "fd_residuals" and not jacobian:
+                system.residual[:] = np.nan
+            if poisoned == "jacobian" and jacobian:
+                system.jacobian.data[:] = np.nan
+        return system
+
+    monkeypatch.setattr(verification, "assemble_raw", assemble)
+    assert np.isnan(jacobian_check(cli._verify_problem(), trials=2, seed=0))
+    assert len(full_calls) == 2
 
 
 def test_toggle_masks_enumeration():
