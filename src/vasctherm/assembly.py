@@ -137,11 +137,12 @@ class ThermalProblem:
         """f at the volume quadrature points of the assembly.
 
         A constant load is returned as a float, which broadcasts against any
-        (T, nq) table; only a callable one is tabulated, (T, nq).
+        (nq, T) table; only a callable one is tabulated, (nq, T).
         """
         if not callable(self.load):
             return float(self.load)
-        x, y = plan_for(self.mesh).basis.qp_xy.T  # (T, nq) each
+        xy = plan_for(self.mesh).basis.qp_xy  # (nq, T, 2)
+        x, y = xy[..., 0], xy[..., 1]
         return np.broadcast_to(self.load(x, y, t), x.shape).astype(float)
 
     def qp_at(self, x, y, t) -> float | np.ndarray:
@@ -227,16 +228,20 @@ def _build_constraints(problem: ThermalProblem) -> Constraints:
 class AssemblyPlan:
     """Fixed CSR pattern of one mesh and the maps that fill it.
 
-    tri_slots[e * nen * nen + i * nen + j] is the CSR data slot of the
-    element-local entry (e, i, j), so a Jacobian's data array is one
-    np.bincount over the triangles. qp_NN[q] is N (x) N at quadrature point
-    q, and gp_MN[q] = gp_map[q] (x) N moves k' weights onto the basis's
+    Every per-triangle table holds the triangle index last, as its long
+    C-contiguous axis, so each element-local sum of assemble_raw is a
+    whole-mesh row operation and each contraction with a constant table is
+    one GEMM. tri_nodes[i, e] is node i of triangle e, and
+    tri_slots[(i * nen + j) * T + e] is the CSR data slot of the
+    element-local entry (i, j) of triangle e, so a Jacobian's data array is
+    one np.bincount over the flattened (nen * nen, T) element table.
+    qp_NN[(i, j), q] = N_i N_j at quadrature point q, and
+    gp_MN[(g, j), q] = gp_map[q, g] N_j moves k' weights onto the basis's
     gradient points. The stiffness is a reference-tensor GEMM (Kirby &
-    Logg 2006): lam_GG[e, (a, b)] = grad lambda_a . grad lambda_b and
-    K_ref[(g, a, b), (i, j)] = dN_i/dlambda_a dN_j/dlambda_b at gradient
-    point g. qp_Nt is a C-contiguous copy of the basis's qp_N.T, which
-    interpolates element values to the quadrature points; postprocessing
-    interpolates through it too. chain_op is the one channel operator: the
+    Logg 2006): lam_GG[(a, b), e] = grad lambda_a . grad lambda_b and
+    K_ref[(i, j), (g, a, b)] = dN_i/dlambda_a dN_j/dlambda_b at gradient
+    point g. Postprocessing interpolates through basis.qp_N and tri_nodes
+    as assembly does. chain_op is the one channel operator: the
     constant matrix of int_Sigma w_i dtheta/ds on the rows and columns of
     the chain's DOFs, chain (ascending), the only rows the term touches,
     so the term adds chi * chain_op @ theta[chain] to the rows chain.
@@ -250,13 +255,13 @@ class AssemblyPlan:
     basis: ElementBasis = field(repr=False)
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
-    tri_slots: np.ndarray = field(repr=False)
+    tri_nodes: np.ndarray = field(repr=False)  # (nen, T)
+    tri_slots: np.ndarray = field(repr=False)  # (nen * nen * T,)
     chan_slots: np.ndarray = field(repr=False)
-    qp_Nt: np.ndarray = field(repr=False)  # (nen, nq)
-    qp_NN: np.ndarray = field(repr=False)  # (nq, nen * nen)
-    gp_MN: np.ndarray = field(repr=False)  # (nq, ng * nen)
-    lam_GG: np.ndarray = field(repr=False)  # (T, 9)
-    K_ref: np.ndarray = field(repr=False)  # (ng * 9, nen * nen)
+    qp_NN: np.ndarray = field(repr=False)  # (nen * nen, nq)
+    gp_MN: np.ndarray = field(repr=False)  # (ng * nen, nq)
+    lam_GG: np.ndarray = field(repr=False)  # (9, T)
+    K_ref: np.ndarray = field(repr=False)  # (nen * nen, ng * 9)
     chain: np.ndarray = field(repr=False)  # (m,)
     chain_op: sp.csr_matrix = field(repr=False)  # (m, m)
 
@@ -279,11 +284,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _entry_keys(nodes: np.ndarray, n: int) -> np.ndarray:
-    """row * n + col of every element-local (e, i, j) entry, in ravel order."""
-    k = nodes.shape[1]
-    rows = np.repeat(nodes, k, axis=1).astype(np.int64)
-    cols = np.tile(nodes, (1, k))
-    return (rows * n + cols).ravel()
+    """row * n + col of every element-local entry (i, j, e) of nodes (k, E), in ravel order."""
+    rows = nodes.astype(np.int64)[:, None, :]
+    return (rows * n + nodes[None, :, :]).ravel()
 
 
 def _row_pointer(rows: np.ndarray, n: int, dtype) -> np.ndarray:
@@ -298,9 +301,10 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
     if np.any(mesh.channel_lengths <= 0):
         raise ValueError("channel chain holds a zero-length edge")
     basis = elements.build_basis(mesh)  # through the module, so a rebound build_basis is called
-    tri_keys = _entry_keys(mesh.triangles, n)
+    tri_nodes = np.ascontiguousarray(mesh.triangles.T)
+    tri_keys = _entry_keys(tri_nodes, n)
     edges = mesh.channel_edges()
-    chan_keys, chan_entry = np.unique(_entry_keys(edges, n), return_inverse=True)
+    chan_keys, chan_entry = np.unique(_entry_keys(edges.T, n), return_inverse=True)
     keys, inverse = np.unique(np.concatenate([tri_keys, chan_keys]), return_inverse=True)
     idx = np.int32 if max(n, keys.size) < np.iinfo(np.int32).max else np.int64
     rows, cols = np.divmod(keys, n)
@@ -315,7 +319,7 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
     xi, wgt = GAUSS_1D_1 if mesh.element_order == 1 else GAUSS_1D_2
     block = np.einsum("g,gi,gj->ij", wgt, *edge_shape(mesh.element_order, xi))
     chan_rows, chan_cols = np.divmod(chan_keys, n)
-    chan_data = np.bincount(chan_entry, weights=np.tile(block.ravel(), len(edges)), minlength=chan_keys.size)
+    chan_data = np.bincount(chan_entry, weights=np.repeat(block.ravel(), len(edges)), minlength=chan_keys.size)
     chain = np.unique(edges)
     chain_op = sp.csr_matrix((
         chan_data, np.searchsorted(chain, chan_cols).astype(idx),
@@ -327,13 +331,13 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
         basis=basis,
         indptr=_read_only(_row_pointer(rows, n, idx)),
         indices=_read_only(cols.astype(idx)),
+        tri_nodes=_read_only(tri_nodes),
         tri_slots=_read_only(slot_of[:tri_keys.size]),
         chan_slots=_read_only(slot_of[tri_keys.size:]),
-        qp_Nt=_read_only(np.ascontiguousarray(N.T)),
-        qp_NN=_read_only(np.einsum("qi,qj->qij", N, N).reshape(len(N), -1)),
-        gp_MN=_read_only(np.einsum("qg,qj->qgj", M, N).reshape(len(N), -1)),
-        lam_GG=_read_only(np.einsum("tac,tbc->tab", basis.lam_grad, basis.lam_grad).reshape(-1, 9)),
-        K_ref=_read_only(np.einsum("gia,gjb->gabij", dNdlam, dNdlam).reshape(9 * len(dNdlam), -1)),
+        qp_NN=_read_only(np.einsum("qi,qj->ijq", N, N, order="C").reshape(-1, len(N))),
+        gp_MN=_read_only(np.einsum("qg,qj->gjq", M, N, order="C").reshape(-1, len(N))),
+        lam_GG=_read_only(np.einsum("tac,tbc->abt", basis.lam_grad, basis.lam_grad, order="C").reshape(9, -1)),
+        K_ref=_read_only(np.einsum("gia,gjb->ijgab", dNdlam, dNdlam, order="C").reshape(-1, 9 * len(dNdlam))),
         chain=_read_only(chain),
         chain_op=chain_op,
     )
@@ -395,15 +399,15 @@ def assemble_raw(
         raise ValueError(f"theta must have shape ({mesh.n_nodes},)")
     plan = plan_for(mesh)
     basis = plan.basis
-    tri = mesh.triangles
+    nodes = plan.tri_nodes  # (nen, T)
     d = mesh.domain.thickness
     surf = problem.surface
-    T, nen = tri.shape
+    nen, T = nodes.shape
     N = basis.qp_N  # (nq, nen)
 
-    theta_e = theta.take(tri)  # (T, nen)
-    th_q = theta_e @ plan.qp_Nt  # (T, nq)
-    w = basis.qp_dA  # (T, nq)
+    theta_e = theta.take(nodes)  # (nen, T)
+    th_q = N @ theta_e  # (nq, T)
+    w = basis.qp_dA  # (nq, T)
     R_e = J_e = 0.0  # the conduction part of the element tables
 
     if terms.conduction:
@@ -414,16 +418,17 @@ def assemble_raw(
                 f"(min {float(np.min(k_q)):.4g} W/(m*K))"
             )
         # grad theta at the gradient points, and their weights sum_q w d k(theta_q)
-        G = basis.gp_gradN  # (T, ng, 2, nen)
-        grad = np.einsum("tgci,ti->tgc", G, theta_e)
-        wbar = (w * d * k_q) @ basis.gp_map  # (T, ng)
-        R_e = np.einsum("tgci,tgc->ti", G, wbar[:, :, None] * grad)
+        G = basis.gp_gradN  # (ng, 2, nen, T)
+        grad = np.einsum("gcit,it->gct", G, theta_e)
+        wbar = basis.gp_map.T @ (w * d * k_q)  # (ng, T)
+        R_e = np.einsum("gcit,gct->it", G, wbar[:, None] * grad)
         if jacobian:
-            A = (wbar[:, :, None] * plan.lam_GG[:, None, :]).reshape(T, -1)  # geometry tensor
-            J_e = A @ plan.K_ref
-            gw = np.einsum("tgci,tgc->tig", G, grad)  # grad N_i . grad theta
+            A = (wbar[:, None] * plan.lam_GG).reshape(-1, T)  # geometry tensor
+            J_e = plan.K_ref @ A
+            gw = np.einsum("gcit,gct->git", G, grad)  # grad N_i . grad theta
             wdkp = w * d * curve_derivative(problem.solid.conductivity, th_q)
-            J_e += (gw @ (wdkp @ plan.gp_MN).reshape(T, -1, nen)).reshape(T, -1)
+            M = (plan.gp_MN @ wdkp).reshape(-1, nen, T)
+            J_e += np.einsum("git,gjt->ijt", gw, M).reshape(-1, T)
 
     # Every other term is a pointwise coefficient times N_i (residual) or N_i N_j
     # (Jacobian). The coefficients are summed at each quadrature point and weighted
@@ -445,17 +450,17 @@ def assemble_raw(
 
     if rate is not None and terms.mass:
         c_q = eval_curve(problem.solid.specific_heat, th_q)
-        thdot_q = (rate.coeff * theta + rate.rhs).take(tri) @ plan.qp_Nt
+        thdot_q = N @ (rate.coeff * theta + rate.rhs).take(nodes)
         rho_d = d * problem.solid.density
         coef_N += rho_d * c_q * thdot_q
         if jacobian:
             dc_q = curve_derivative(problem.solid.specific_heat, th_q)
             coef_NN += rho_d * (c_q * rate.coeff + dc_q * thdot_q)
 
-    R_e += (w * coef_N) @ N
-    R = np.bincount(tri.ravel(), weights=R_e.ravel(), minlength=mesh.n_nodes)
+    R_e += N.T @ (w * coef_N)
+    R = np.bincount(nodes.ravel(), weights=R_e.ravel(), minlength=mesh.n_nodes)
     if jacobian:
-        J_e += (w * coef_NN) @ plan.qp_NN
+        J_e += plan.qp_NN @ (w * coef_NN)
         data = np.bincount(plan.tri_slots, weights=J_e.ravel(), minlength=plan.nnz)
 
     chi = problem.chi

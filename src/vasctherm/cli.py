@@ -35,7 +35,14 @@ from .materials import (
     check_ellipticity,
     load_material_file,
 )
-from .mesh import MAX_MESH_N, build_structured_mesh, embed_vasculature, export_mesh_csv, mesh_stats
+from .mesh import (
+    MAX_MESH_N,
+    build_structured_mesh,
+    embed_vasculature,
+    export_mesh_csv,
+    mesh_stats,
+    structured_node_count,
+)
 from .postprocess import (
     BoundsReport,
     Observables,
@@ -281,11 +288,27 @@ def _versions() -> dict:
     return {"vasctherm": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_history_fits(config: ScenarioConfig, ts: TransientSettings) -> None:
+    """A transient stores every state: refuse one whose history alone outgrows physical memory."""
+    nodes = structured_node_count(int(config.mesh["n"]), int(config.mesh["element_order"]))
+    need, have = (ts.n_steps + 1) * nodes * 8, _physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"the transient's {ts.n_steps + 1} stored states of {nodes} nodes need "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory")
+
+
 def execute_run(config: ScenarioConfig) -> RunResult:
     """Solve one scenario (steady always; transient unless steady_only).
 
-    The transient settings are checked before anything is solved. The
-    steady solve runs chord Newton, as the transient steps do.
+    The transient settings, and that its stored history fits in physical
+    memory, are checked before the mesh is built. The steady solve runs
+    chord Newton, as the transient steps do.
     """
     t0 = time.perf_counter()
     ts = None if config.steady_only else TransientSettings(
@@ -293,6 +316,8 @@ def execute_run(config: ScenarioConfig) -> RunResult:
         t_end=float(config.transient["t_end"]),
         bdf_order=int(config.transient["bdf_order"]),
     )
+    if ts is not None:
+        _check_history_fits(config, ts)
     problem = build_problem(config)
     log: list = []
     steady = solve_steady(problem, log=log, factors=ChordFactor())

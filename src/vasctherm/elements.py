@@ -64,18 +64,21 @@ class ElementBasis:
     P1 gradients are constant, so P1 has one gradient point per triangle;
     P2 uses its quadrature points. gp_map[q, g] = 1 where point q takes its
     gradient from gradient point g: all ones for P1, the identity for P2.
+    The tables that assembly reads per triangle (qp_dA, gp_gradN) hold the
+    triangle index last, as the long contiguous axis, so each element-local
+    sum runs over whole-mesh rows. The arrays are read-only.
     """
 
     order: int
     areas: np.ndarray  # (T,)
     qp_weights: np.ndarray  # (nq,)
     qp_N: np.ndarray  # (nq, nen)
-    qp_dA: np.ndarray = field(repr=False)  # (T, nq): areas times rule weights
+    qp_dA: np.ndarray = field(repr=False)  # (nq, T): rule weights times areas
     qp_xy: np.ndarray = field(repr=False)  # (nq, T, 2)
     lam_grad: np.ndarray = field(repr=False)  # (T, 3, 2): barycentric gradients
     gp_map: np.ndarray = field(repr=False)  # (nq, ng)
     gp_dNdlam: np.ndarray = field(repr=False)  # (ng, nen, 3): dN_i/dlambda_a
-    gp_gradN: np.ndarray = field(repr=False)  # (T, ng, 2, nen), triangle-major
+    gp_gradN: np.ndarray = field(repr=False)  # (ng, 2, nen, T)
 
 
 def _grad_lambda(corners: np.ndarray, areas: np.ndarray) -> np.ndarray:
@@ -115,10 +118,13 @@ def build_basis(mesh) -> ElementBasis:
     lam, w = TRI_RULE_DEG2 if order == 1 else TRI_RULE_DEG4
     gp_lam, gp_map = (lam[:1], np.ones((len(w), 1))) if order == 1 else (lam, np.eye(len(w)))
     dNdlam = np.stack([grad_shape(order, g, np.eye(3)[None])[0] for g in gp_lam])  # grad lambda = I: dN/dlambda
-    return ElementBasis(
+    basis = ElementBasis(
         order=order, areas=areas, qp_weights=w, qp_N=tri_shape(order, lam),
-        qp_dA=areas[:, None] * w, qp_xy=np.stack([np.einsum("tic,i->tc", corners, q) for q in lam]),
+        qp_dA=w[:, None] * areas, qp_xy=np.stack([np.einsum("tic,i->tc", corners, q) for q in lam]),
         lam_grad=glam, gp_map=gp_map, gp_dNdlam=dNdlam,
-        # C order: the einsums of assemble_raw run about twice as fast on it at P2
-        gp_gradN=np.einsum("gia,tac->tgci", dNdlam, glam, order="C"),
+        gp_gradN=np.einsum("gia,tac->gcit", dNdlam, glam, order="C"),
     )
+    for a in vars(basis).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return basis

@@ -118,6 +118,11 @@ class MeshStats:
     total_area: float  # m^2
 
 
+def structured_node_count(n: int, element_order: int = 1) -> int:
+    """Nodes of build_structured_mesh(domain, n, element_order): corners and midsides form an (order n + 1)^2 grid."""
+    return (element_order * n + 1) ** 2
+
+
 def build_structured_mesh(domain: Domain2D, n: int, element_order: int = 1) -> BaseGrid:
     """(n+1)^2 corner nodes, 2n^2 right triangles (fixed lower-left diagonal).
 

@@ -61,7 +61,7 @@ class BoundsReport:
 def mean_surface_temperature(theta: np.ndarray, mesh: ChannelMesh) -> float:
     """Domain average of theta via element quadrature, interpolated as the assembly does."""
     plan = plan_for(mesh)
-    th_q = theta.take(mesh.triangles) @ plan.qp_Nt  # (T, nq)
+    th_q = plan.basis.qp_N @ theta.take(plan.tri_nodes)  # (nq, T)
     return float(np.sum(plan.basis.qp_dA * th_q)) / float(np.sum(plan.basis.areas))
 
 

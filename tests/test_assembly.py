@@ -457,6 +457,57 @@ def dense_reference_jacobian(prob, theta, rate):
     return J + prob.chi * per_edge_channel_matrix(mesh)
 
 
+def dense_reference_residual(prob, theta, time, rate):
+    """Triangle-by-triangle, point-by-point accumulation of every residual term.
+
+    Conduction, convection, radiation, the load (constant or callable), the
+    BDF mass term, the Neumann flux edge by edge and the channel from the
+    per-edge Gauss loop; nothing is read from the plan's element tables.
+    """
+    mesh, solid, surf = prob.mesh, prob.solid, prob.surface
+    lam, weights = elements.TRI_RULE_DEG2 if mesh.element_order == 1 else elements.TRI_RULE_DEG4
+    glam = barycentric_gradients(mesh)
+    d, es = mesh.domain.thickness, surf.emissivity * assembly.STEFAN_BOLTZMANN
+    R = np.zeros(prob.n_dofs)
+    thdot = rate.coeff * theta + rate.rhs
+    for e, nodes in enumerate(mesh.triangles):
+        corners = mesh.nodes[nodes[:3]]
+        (ux, uy), (vx, vy) = corners[1] - corners[0], corners[2] - corners[0]
+        area = 0.5 * abs(ux * vy - uy * vx)
+        th_e = theta[nodes]
+        for q, weight in enumerate(weights):
+            N = elements.tri_shape(mesh.element_order, lam[q:q + 1])[0]
+            G = elements.grad_shape(mesh.element_order, lam[q], glam[e:e + 1])[0]
+            x, y = lam[q] @ corners
+            f = prob.load(x, y, time) if callable(prob.load) else prob.load
+            th, w = N @ th_e, weight * area
+            R[nodes] += w * d * eval_curve(solid.conductivity, th) * (G @ (G.T @ th_e))
+            R[nodes] += w * N * (surf.h_T * (th - surf.theta_amb) + es * (th**4 - surf.theta_amb**4) - f)
+            R[nodes] += w * N * d * solid.density * eval_curve(solid.specific_heat, th) * (N @ thdot[nodes])
+    for edge, tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        if tag != NEUMANN:
+            continue
+        pa, pb = mesh.nodes[edge[0]], mesh.nodes[edge[1]]
+        for xi, wgt in zip(*GAUSS_1D_2):
+            N, _ = edge_shape(mesh.element_order, np.array([xi]))
+            x, y = pa + 0.5 * (1.0 + xi) * (pb - pa)
+            q_p = prob.bcs.q_p(x, y, time) if callable(prob.bcs.q_p) else prob.bcs.q_p
+            R[edge] += wgt * 0.5 * np.linalg.norm(pb - pa) * q_p * N[0]
+    return R + prob.chi * (per_edge_channel_matrix(mesh) @ theta)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("make", [mixed_boundary_problem, lambda order: channel_problem(n=4, order=order)],
+                         ids=["mixed", "channel"])
+def test_residual_matches_dense_reference(make, order, rng):
+    prob = make(order=order)
+    theta = rng.uniform(300.0, 360.0, prob.n_dofs)
+    rate = RateWeights(coeff=1.5, rhs=-rng.uniform(300.0, 360.0, prob.n_dofs))
+    R = assemble_raw(prob, theta, time=2.0, rate=rate, jacobian=False).residual
+    ref = dense_reference_residual(prob, theta, 2.0, rate)
+    assert np.max(np.abs(R - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_jacobian_matches_dense_reference(order, rng):
     prob = channel_problem(n=4, order=order, material=wide_material())
@@ -507,9 +558,11 @@ def test_cached_index_arrays_read_only(rng):
     system = apply_constraints(assemble_raw(prob, random_state(prob, rng, True)))
     plan, cut = plan_for(prob.mesh), system.restriction
     assert cut is prob.constraints
-    for arr in (plan.indptr, plan.indices, plan.tri_slots, plan.chan_slots, plan.chain,
+    basis = plan.basis
+    for arr in (plan.indptr, plan.indices, plan.tri_nodes, plan.tri_slots, plan.chan_slots, plan.chain,
                 plan.chain_op.data, plan.chain_op.indices, plan.chain_op.indptr,
-                plan.qp_Nt, plan.qp_NN, plan.gp_MN, plan.lam_GG, plan.K_ref):
+                plan.qp_NN, plan.gp_MN, plan.lam_GG, plan.K_ref,
+                basis.qp_N, basis.qp_dA, basis.qp_xy, basis.gp_map, basis.gp_gradN):
         assert not arr.flags.writeable
     J = system.jacobian
     assert np.shares_memory(J.indices, cut.indices)
@@ -523,6 +576,41 @@ def test_cached_index_arrays_read_only(rng):
         J.sort_indices()
     assert np.array_equal(
         plan.indices, assemble_raw(prob, random_state(prob, rng, True)).jacobian.indices)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_element_tables_put_the_triangle_last(order):
+    """Every per-triangle table that assemble_raw reads runs over the triangles last, contiguously."""
+    mesh = mixed_boundary_problem(order=order).mesh
+    plan = plan_for(mesh)
+    basis = plan.basis
+    T, nen = mesh.triangles.shape
+    nq, ng = basis.gp_map.shape
+    per_triangle = {
+        "tri_nodes": (plan.tri_nodes, (nen, T)),
+        "qp_dA": (basis.qp_dA, (nq, T)),
+        "gp_gradN": (basis.gp_gradN, (ng, 2, nen, T)),
+        "lam_GG": (plan.lam_GG, (9, T)),
+    }
+    constant = {  # contracted against a per-triangle table by one GEMM
+        "qp_N": (basis.qp_N, (nq, nen)),
+        "gp_map": (basis.gp_map, (nq, ng)),
+        "qp_NN": (plan.qp_NN, (nen * nen, nq)),
+        "gp_MN": (plan.gp_MN, (ng * nen, nq)),
+        "K_ref": (plan.K_ref, (nen * nen, ng * 9)),
+    }
+    for name, (arr, shape) in {**per_triangle, **constant}.items():
+        assert arr.shape == shape, name
+        assert arr.flags.c_contiguous and not arr.flags.writeable, name
+    assert np.array_equal(plan.tri_nodes, mesh.triangles.T)
+    assert plan.tri_slots.shape == (nen * nen * T,)
+    # entry (i, j) of triangle e sits at slot tri_slots[(i * nen + j) * T + e]
+    rows = np.repeat(np.arange(plan.n), np.diff(plan.indptr))
+    slots = plan.tri_slots.reshape(nen, nen, T)
+    for i in range(nen):
+        for j in range(nen):
+            assert np.array_equal(rows[slots[i, j]], mesh.triangles[:, i])
+            assert np.array_equal(plan.indices[slots[i, j]], mesh.triangles[:, j])
 
 
 def _gated(fn, builds):

@@ -425,6 +425,21 @@ def test_memory_error_exits_3(tmp_path, monkeypatch, capsys, exc, message):
     assert "Traceback" not in err
 
 
+def test_history_beyond_physical_memory_exits_2_before_the_mesh(tmp_path, monkeypatch, capsys):
+    # n=4 P2 has 81 nodes: 21 stored states take 13,608 bytes
+    built = []
+    monkeypatch.setattr(cli, "build_structured_mesh", lambda *args: built.append(args))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 13_607)
+    argv = ["solve", "--out", str(tmp_path / "big"), "--mesh-n", "4", "--order", "2", "--t-end", "20"]
+    assert main(argv) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "error: invalid input:" in err and "physical memory" in err and "Traceback" not in err
+    assert built == [] and not (tmp_path / "big").exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 13_608)
+    assert main(argv) == EXIT_OK
+
+
 def test_zero_load_summary_is_strict_json(tmp_path):
     out = tmp_path / "zl"
     run_scenario(fast_config(load={"f0": 0.0}), str(out))

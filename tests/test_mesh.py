@@ -11,6 +11,7 @@ from vasctherm.mesh import (
     export_mesh_csv,
     mesh_stats,
     mesh_without_channel,
+    structured_node_count,
     tag_boundary,
     triangle_areas,
 )
@@ -25,6 +26,12 @@ def test_grid_counts_n2():
     mesh = mesh_without_channel(grid)
     stats = mesh_stats(mesh)
     assert stats.total_area == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_structured_node_count_matches_the_grid(n, order):
+    assert structured_node_count(n, order) == len(build_structured_mesh(DOM, n, order).nodes)
 
 
 @pytest.mark.parametrize("n", [2, 5, 16])
