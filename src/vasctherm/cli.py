@@ -53,7 +53,14 @@ from .postprocess import (
     observables_for,
     series_observables,
 )
-from .solvers import ChordFactor, SolverError, TransientSettings, solve_steady, solve_transient
+from .solvers import (
+    ChordFactor,
+    NewtonIteration,
+    SolverError,
+    TransientSettings,
+    solve_steady,
+    solve_transient,
+)
 from .verification import (
     jacobian_check,
     mms_case_cmp,
@@ -389,12 +396,9 @@ def _write_run(run: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     _write_json(os.path.join(outdir, "config_echo.json"), run.config.to_dict())
     emit_plot_data(run, outdir)
-    _write_csv(
-        os.path.join(outdir, "solver_log.csv"),
-        ["step", "iteration", "residual_norm", "damping", "factorized"],
-        [[rec.step, rec.iteration, rec.residual_norm, rec.damping, int(rec.factorized)]
-         for rec in run.newton_log],
-    )
+    header = [f.name for f in dataclasses.fields(NewtonIteration)]
+    _write_csv(os.path.join(outdir, "solver_log.csv"), header,
+               map(operator.attrgetter(*header), run.newton_log))
     bounds_payload = {
         "steady": dataclasses.asdict(run.bounds),
         "note": "bounds are proven for the steady regime; transient entries are informational",

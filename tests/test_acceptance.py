@@ -314,7 +314,7 @@ def test_criterion_10_energy_balance(steady_sweep, cooled_sweep):
         resid = energy_balance(fld, prob)
         frac = abs(resid) / abs(supplied)
         rows.append((key, resid, frac))
-    failures = [(k, r, f) for k, r, f in rows if f > 0.005]
+    failures = [(k, r, f) for k, r, f in rows if not f <= 0.005]  # a NaN residual fails
     for k, r, f in failures:
         print(f"  balance violation {k}: residual {r:+.4f} W = {100 * f:.2f}% of supplied")
     if failures:
@@ -325,7 +325,7 @@ def test_criterion_10_energy_balance(steady_sweep, cooled_sweep):
             "0.5% target is unreachable there; low-conductivity materials close the "
             "balance to <0.05%"
         )
-    worst = max(f for _, _, f in rows)
+    worst = np.max([f for _, _, f in rows])
     _report(10, not failures,
             f"|energy residual| <= 0.5% of supplied power for all {len(rows)} steady runs "
             f"(worst {100 * worst:.2f}%)")

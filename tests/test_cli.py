@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -32,7 +33,7 @@ from vasctherm.geometry import LAYOUT_KINDS
 from vasctherm.materials import builtin_names
 from vasctherm.mesh import MAX_MESH_N
 from vasctherm.postprocess import arc_length_profile, channel_peclet, heat_flux_field
-from vasctherm.solvers import MAX_BDF_STEPS, solve_steady
+from vasctherm.solvers import MAX_BDF_STEPS, NewtonIteration, solve_steady
 from vasctherm.verification import mms_convergence
 
 FAST = {
@@ -121,9 +122,9 @@ def test_run_scenario_artifacts(tmp_path):
     assert obs[0] == "t,mst,theta_outlet,eta,energy_residual"
     assert len(obs) == 1 + 5  # one row per time step
     log = [row.split(",") for row in (out / "solver_log.csv").read_text().strip().splitlines()]
-    assert log[0] == ["step", "iteration", "residual_norm", "damping", "factorized"]
-    assert {row[4] for row in log[1:]} == {"0", "1"}
-    assert all(row[4] == "0" for row in log[1:] if row[1] == "0")  # initial-residual rows
+    assert log[0] == ["step", "iteration", "residual_norm", "update_norm", "damping", "factorized"]
+    assert {row[5] for row in log[1:]} == {"0", "1"}
+    assert all(row[3] == "nan" and row[5] == "0" for row in log[1:] if row[1] == "0")  # initial-residual rows
     snapshot = (out / "field_snapshot.csv").read_text().strip().splitlines()
     problem = build_problem(fast_config())
     assert len(snapshot) == 1 + problem.mesh.n_nodes
@@ -177,6 +178,7 @@ def test_solve_csvs_match_per_value_formatting(tmp_path, order):
     series = {"mst": [o.mst for o in obs], "theta_outlet": [o.theta_outlet for o in obs],
               "eta": [o.eta for o in obs]}
     times = [o.t for o in obs]
+    log_fields = [f.name for f in dataclasses.fields(NewtonIteration)]
     _assert_csvs(tmp_path, {
         "observables.csv": _per_value_csv(
             ["t", "mst", "theta_outlet", "eta", "energy_residual"],
@@ -191,9 +193,7 @@ def test_solve_csvs_match_per_value_formatting(tmp_path, order):
             [(x, y, v, qx, qy) for (x, y), v, (qx, qy)
              in zip(mesh.nodes, run.steady_field, _mean_flux_at_nodes(run))]),
         "solver_log.csv": _per_value_csv(
-            ["step", "iteration", "residual_norm", "damping", "factorized"],
-            [(r.step, r.iteration, r.residual_norm, r.damping, int(r.factorized))
-             for r in run.newton_log]),
+            log_fields, [[getattr(r, name) for name in log_fields] for r in run.newton_log]),
     })
 
 

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import channel_problem, no_channel_problem, wide_material
-from vasctherm import solvers
+from vasctherm import cli, solvers
 from vasctherm.assembly import (
     DiscreteSystem,
     RateWeights,
@@ -241,15 +241,15 @@ def _jump_load(t_jump, before, after):
     return lambda x, y, t: np.full(np.shape(x), after if t >= t_jump else before)
 
 
-def _count_splu(monkeypatch):
+def _count_calls(monkeypatch, module, name):
     calls = []
-    splu = spla.splu
+    fn = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return splu(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -334,13 +334,26 @@ def test_four_point_predictor_takes_fewer_chord_iterations(bdf_order):
 
 
 def test_chord_transient_reuses_one_factor_per_bdf_coefficient(monkeypatch):
-    calls = _count_splu(monkeypatch)
+    calls = _count_calls(monkeypatch, spla, "splu")
     log = []
     solve_transient(channel_problem(n=10), TransientSettings(dt=1.0, t_end=30.0), log=log)
     # one factor for the BDF1 start-up step and one for the BDF2 steps
     assert len(calls) == 2
     assert [(rec.step, rec.iteration) for rec in log if rec.factorized] == [(1, 1), (2, 1)]
     assert sum(1 for rec in log if rec.iteration > 0) > 30
+
+
+def _accepted_on_update(rec):
+    """A row whose iterate was accepted on its update size, with no residual assembled."""
+    return rec.iteration > 0 and np.isnan(rec.residual_norm)
+
+
+def _assert_rows_well_formed(log):
+    """Every iteration logs a finite update; every row but those accepted on an update of at
+    most STEP_TOL logs a finite residual."""
+    assert all(np.isfinite(rec.update_norm) for rec in log if rec.iteration > 0)
+    assert all(rec.update_norm <= solvers.STEP_TOL for rec in log if _accepted_on_update(rec))
+    assert all(np.isfinite(rec.residual_norm) for rec in log if not _accepted_on_update(rec))
 
 
 @pytest.mark.parametrize("after", [1e6, 1e8])
@@ -351,37 +364,41 @@ def test_load_jump_forces_a_fresh_factor(after):
     settings = NewtonSettings()
     log = []
     series = solve_transient(prob, TransientSettings(dt=1.0, t_end=12.0), settings, log=log)
+    _assert_rows_well_formed(log)
     assert not {rec.step for rec in log if rec.factorized} & set(range(3, 10))
     for before, rec in zip(log, log[1:]):
-        if rec.iteration > 0 and not rec.factorized:
+        if rec.iteration > 0 and not rec.factorized and not _accepted_on_update(rec):
             assert rec.residual_norm < before.residual_norm  # a stale step is kept only if it reduces
     jump = [rec for rec in log if rec.step == 10]
     assert any(rec.factorized for rec in jump)
-    assert jump[-1].residual_norm <= max(settings.abs_tol, settings.rel_tol * jump[0].residual_norm)
+    last = jump[-1]
+    assert (last.residual_norm <= max(settings.abs_tol, settings.rel_tol * jump[0].residual_norm)
+            or last.update_norm <= solvers.STEP_TOL)
     assert len(series) == 13
 
 
 @pytest.mark.parametrize("after, iterations, factors", [
     # the 1e8 jump step builds three factors, so the predictor restarts from its state
     # and never extrapolates across the jump; without the restart steps 11-14 build
-    # 12 factors, not 3, and the run takes 84 iterations, not 81
-    (1e8, [3, 2, 2, 2, 2, 2, 2, 2, 2, 7, 8, 5, 7, 6, 6, 5, 5, 5, 4, 4],
+    # 12 factors, not 3, and the run takes 83 iterations, not 75
+    (1e8, [3, 2, 2, 2, 2, 2, 2, 2, 2, 7, 8, 5, 6, 5, 5, 4, 4, 4, 4, 4],
      [1, 1, 0, 0, 0, 0, 0, 0, 0, 3, 2, 0, 0, 1, 0, 0, 0, 0, 0, 0]),
     # one factor per step throughout: the window never restarts
-    (1e6, [3, 2, 2, 2, 2, 2, 2, 2, 2, 7, 5, 4, 5, 5, 5, 5, 5, 5, 6, 6],
+    (1e6, [3, 2, 2, 2, 2, 2, 2, 2, 2, 6, 5, 4, 4, 5, 5, 5, 5, 5, 5, 5],
      [1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
 ])
 def test_predictor_restarts_after_a_step_with_several_factors(after, iterations, factors):
     prob = _with_load(channel_problem(n=10), _jump_load(10.0, 1000.0, after))
     log = []
     solve_transient(prob, TransientSettings(dt=1.0, t_end=20.0), log=log)
+    _assert_rows_well_formed(log)
     steps = range(1, 21)
     assert [sum(rec.iteration > 0 for rec in log if rec.step == k) for k in steps] == iterations
     assert [sum(rec.factorized for rec in log if rec.step == k) for k in steps] == factors
 
 
 def test_chord_factor_counts_its_builds(monkeypatch):
-    calls = _count_splu(monkeypatch)
+    calls = _count_calls(monkeypatch, spla, "splu")
     factors = solvers.ChordFactor()
     prob = channel_problem(n=6)
     solve_steady(prob, factors=factors)
@@ -403,14 +420,74 @@ def test_slowly_contracting_factor_is_replaced(after):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_stale_step_is_refactored_never_accepted(monkeypatch):
-    calls = _count_splu(monkeypatch)
+    calls = _count_calls(monkeypatch, spla, "splu")
     prob = _with_load(channel_problem(n=4), _jump_load(5.0, 1000.0, 1e120))
     log = []
     with pytest.raises(TransientError) as err:
         solve_transient(prob, TransientSettings(dt=1.0, t_end=10.0), log=log)
     assert isinstance(err.value.cause, NewtonError)
     assert len(err.value.series) == 5
-    assert all(np.isfinite(rec.residual_norm) for rec in log)
+    _assert_rows_well_formed(log)
     # the stale step of t = 5 s overflows; it is refactored (a third factor) and still fails
     assert len(calls) == 3
     assert [rec.iteration for rec in log if rec.step == 5] == [0]
+
+
+@pytest.mark.parametrize("bdf_order", [1, 2])
+def test_update_size_acceptance_matches_the_residual_test(monkeypatch, bdf_order):
+    # STEP_TOL = 0 accepts every step on its assembled residual, as before the update test
+    prob = channel_problem(n=10)
+    settings = TransientSettings(dt=1.0, t_end=150.0, bdf_order=bdf_order)
+    calls = _count_calls(monkeypatch, solvers, "assemble_raw")
+    log = []
+    series = solve_transient(prob, settings, log=log)
+    assemblies = len(calls)
+    _assert_rows_well_formed(log)
+    assert any(_accepted_on_update(rec) for rec in log)
+    monkeypatch.setattr(solvers, "STEP_TOL", 0.0)
+    del calls[:]
+    residual_log = []
+    oracle = solve_transient(prob, settings, log=residual_log)
+    assert not any(_accepted_on_update(rec) for rec in residual_log)
+    assert np.max(np.abs(series - oracle)) <= 1e-7
+    assert assemblies < len(calls)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad, code", [(np.nan, cli.EXIT_OK), (np.inf, cli.EXIT_SOLVER_FAILURE)])
+def test_non_finite_update_is_never_accepted(tmp_path, monkeypatch, capsys, bad, code):
+    # every update from a reused factor is corrupted, and STEP_TOL = inf lets any update that
+    # compares pass the size test: a NaN one does not, so its step is redone with a fresh factor;
+    # an infinite one does, and _accept refuses the iterate (a solver failure, exit 3)
+    monkeypatch.setattr(solvers, "STEP_TOL", np.inf)
+    solve, used, corrupted = solvers.linear_solve, [], []
+
+    def corrupting(system, lu=None):
+        delta = solve(system, lu)
+        if any(lu is seen for seen in used):
+            delta[0] = bad
+            corrupted.append(lu)
+        used.append(lu)
+        return delta
+
+    monkeypatch.setattr(solvers, "linear_solve", corrupting)
+    out = tmp_path / "run"
+    assert cli.main(["solve", "--out", str(out), "--mesh-n", "4", "--t-end", "5"]) == code
+    assert corrupted
+    if code == cli.EXIT_OK:
+        rows = np.loadtxt(out / "solver_log.csv", delimiter=",", skiprows=1, ndmin=2)
+        iterations = rows[rows[:, 1] > 0]
+        assert np.all(np.isfinite(iterations[:, 2:])) and np.all(iterations[:, 5] == 1)
+    else:
+        assert "converged iterate holds non-finite temperatures" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chord", [False, True], ids=["full", "chord"])
+def test_steady_solve_logs_every_residual(chord):
+    # the update test is for BDF steps: a steady solve assembles the residual it accepts
+    log = []
+    solve_steady(channel_problem(n=10, f0=5000.0), log=log,
+                 factors=solvers.ChordFactor() if chord else None)
+    assert len(log) > 2
+    assert all(np.isfinite(rec.residual_norm) for rec in log)
+    assert all(np.isfinite(rec.update_norm) for rec in log[1:])
