@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from . import elements
 from .elements import GAUSS_1D_1, GAUSS_1D_2, ElementBasis, edge_shape
 from .materials import Coolant, SolidMaterial, curve_derivative, eval_curve, heat_capacity_rate
-from .mesh import NEUMANN, ChannelMesh
+from .mesh import NEUMANN, ChannelMesh, nested_dissection
 
 STEFAN_BOLTZMANN = 5.67e-8  # W/(m^2 K^4)
 
@@ -173,10 +173,13 @@ class Constraints:
     coolant actually flows (chi > 0); with the flow off there is no fluid
     entering whose temperature could be prescribed, and the zero-flow
     limit must not depend on the nominal flow direction. free holds the
-    unconstrained DOF ids in ascending order, and slots[k] is the plan's
-    data slot of entry k of the restricted CSR pattern (indptr, indices),
-    so the restricted Jacobian's data is J.data[slots]. The arrays are
-    read-only.
+    unconstrained DOF ids in elimination order, the mesh's
+    nested_dissection order without the constrained ids: restricted DOF k
+    is node free[k], so the residual is R[free] and the LU factor needs no
+    fill-reducing ordering of its own. slots[k] is the plan's data slot of
+    entry k of the restricted CSR pattern (indptr, indices; each row
+    sorted), so the restricted Jacobian's data is J.data[slots]. The
+    arrays are read-only.
     """
 
     ids: np.ndarray = field(repr=False)
@@ -215,13 +218,14 @@ def _build_constraints(problem: ThermalProblem) -> Constraints:
     plan = plan_for(mesh)
     keep = np.ones(plan.n, dtype=bool)
     keep[ids] = False
-    row = np.repeat(np.arange(plan.n), np.diff(plan.indptr))
-    slots = np.flatnonzero(keep[row] & keep[plan.indices])
-    renumber = np.cumsum(keep) - 1  # DOF id -> free DOF id
-    free = np.flatnonzero(keep)
-    indptr = _row_pointer(renumber[row[slots]], free.size, plan.indptr.dtype)
-    indices = renumber[plan.indices[slots]].astype(plan.indices.dtype)
-    return Constraints(*(_read_only(a) for a in (ids, vals, free, slots, indptr, indices)))
+    order = nested_dissection(mesh)
+    free = order[keep[order]]
+    # The plan's data slots on its pattern, rows and columns taken in the order free.
+    slots = sp.csr_matrix((np.arange(plan.nnz), plan.indices, plan.indptr), shape=(plan.n,) * 2)[free][:, free]
+    slots.has_sorted_indices = False  # the column selection permutes each row
+    slots.sort_indices()
+    indptr, indices = (a.astype(plan.indices.dtype, copy=False) for a in (slots.indptr, slots.indices))
+    return Constraints(*(_read_only(a) for a in (ids, vals, free, slots.data, indptr, indices)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,12 +8,15 @@ Second-order elements add shared midside nodes on every edge.
 
 Numbering contract: corners and cells run row by row from the lower left,
 and midside nodes follow the corners in the order the triangles first use
-them. LU fill, every output file and run-to-run determinism depend on it.
+them. Every output file and run-to-run determinism depend on it. LU fill
+does not: the Newton system numbers its DOFs in the nested-dissection
+order of nested_dissection, which reads node coordinates, not ids.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from dataclasses import dataclass, field, replace
 
@@ -279,6 +282,63 @@ def tag_boundary(mesh: ChannelMesh, spec=None) -> ChannelMesh:
             tags.append(tag)
         tags = np.array(tags, dtype=object)
     return replace(mesh, boundary_tags=tags)
+
+
+# nested_dissection cuts no box of at most this many grid points.
+ND_LEAF_POINTS = 8
+
+
+def nested_dissection(mesh) -> np.ndarray:
+    """Every node id once, in nested-dissection elimination order (George 1973, SIAM J. Numer. Anal. 10:345).
+
+    Nodes sit on the grid of spacing (hx, hy) / element_order: node (x, y)
+    has grid index rint((x / (hx / order), y / (hy / order))). Starting
+    from the whole grid, a box of more than ND_LEAF_POINTS points is cut
+    along its longer side (x on a tie; the other side if that one holds
+    none) at the corner grid line nearest its middle (the upper one on a
+    tie). The order lists the part below the cut, then the part above it,
+    then the cut line. A corner line is a vertex separator for P1 and P2:
+    no triangle or channel edge crosses it, so no node on one side shares
+    a triangle or a chain edge with a node on the other, and eliminating
+    either side fills nothing in the other. Leaves and cut lines list
+    their points row by row. Boxes of one size and phase against the
+    corner lines dissect alike, so each such box is dissected once and
+    shifted into place.
+    """
+    k = mesh.element_order
+    m = k * mesh.n  # grid intervals per direction
+    spacing = np.array([mesh.domain.width, mesh.domain.height]) / m
+    ix, iy = np.rint(mesh.nodes / spacing).astype(np.int64).T
+    grid_id = iy * (m + 1) + ix
+    node_at = np.full((m + 1) ** 2, -1, dtype=np.int64)
+    on_grid = (ix >= 0) & (ix <= m) & (iy >= 0) & (iy <= m)
+    node_at[grid_id[on_grid]] = np.flatnonzero(on_grid)
+    if np.count_nonzero(node_at >= 0) != len(grid_id):
+        raise ValueError("nested dissection needs every node on its own point of the element grid")
+
+    @functools.cache
+    def dissect(wx: int, wy: int, px: int, py: int) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets (dx, dy), in order, of a wx x wy box's points from its low corner.
+
+        The low corner lies px, py grid points past a corner line.
+        """
+        cx = k * ((2 * px + wx - 1 + k) // (2 * k)) - px  # the corner lines nearest the middle, as offsets
+        cy = k * ((2 * py + wy - 1 + k) // (2 * k)) - py
+        cut_x, cut_y = 0 < cx < wx - 1, 0 < cy < wy - 1
+        if wx * wy <= ND_LEAF_POINTS or not (cut_x or cut_y):
+            dy, dx = np.divmod(np.arange(wx * wy), wx)
+            return dx, dy
+        if cut_x and (wx >= wy or not cut_y):  # the part above the cut starts one past a corner line
+            below, above = dissect(cx, wy, px, py), dissect(wx - cx - 1, wy, 1 % k, py)
+            return (np.concatenate([below[0], above[0] + cx + 1, np.full(wy, cx)]),
+                    np.concatenate([below[1], above[1], np.arange(wy)]))
+        below, above = dissect(wx, cy, px, py), dissect(wx, wy - cy - 1, px, 1 % k)
+        return (np.concatenate([below[0], above[0], np.arange(wx)]),
+                np.concatenate([below[1], above[1] + cy + 1, np.full(wx, cy)]))
+
+    dx, dy = dissect(m + 1, m + 1, 0, 0)
+    nodes = node_at[dy * (m + 1) + dx]
+    return nodes[nodes >= 0]
 
 
 def triangle_areas(mesh) -> np.ndarray:

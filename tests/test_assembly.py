@@ -23,7 +23,7 @@ from vasctherm.assembly import (
     assemble_raw,
     plan_for,
 )
-from vasctherm import assembly, elements
+from vasctherm import assembly, elements, verification
 from vasctherm.elements import GAUSS_1D_1, GAUSS_1D_2, edge_shape
 from vasctherm.geometry import LAYOUT_KINDS, Domain2D, LayoutParams, VasculaturePath, generate_layout
 from vasctherm.materials import (
@@ -41,6 +41,7 @@ from vasctherm.mesh import (
     build_structured_mesh,
     embed_vasculature,
     mesh_without_channel,
+    nested_dissection,
     tag_boundary,
 )
 from vasctherm.postprocess import energy_balance
@@ -315,7 +316,8 @@ def test_constrained_dof_eliminated_and_solution_exact(rng):
     raw = assemble_raw(prob, theta)
     system = apply_constraints(raw)
     inlet = prob.mesh.inlet_node
-    free = np.delete(np.arange(prob.n_dofs), inlet)
+    free = prob.constraints.free  # in elimination order
+    assert np.array_equal(np.sort(free), np.delete(np.arange(prob.n_dofs), inlet))
     assert system.jacobian.shape == (free.size, free.size)
     assert np.array_equal(system.residual, raw.residual[free])
     assert solve_steady(prob)[inlet] == 296.42
@@ -523,7 +525,8 @@ def test_restricted_jacobian_is_free_block_of_raw(order, rng):
     prob = mixed_boundary_problem(order=order)
     ids = prob.constraints.ids
     assert prob.mesh.inlet_node in ids and ids.size > 1  # the inlet and a dirichlet edge
-    free = np.delete(np.arange(prob.n_dofs), ids)
+    free = prob.constraints.free  # in elimination order
+    assert np.array_equal(np.sort(free), np.delete(np.arange(prob.n_dofs), ids))
     theta = random_state(prob, rng, True)
     rate = RateWeights(coeff=1.5, rhs=-rng.uniform(300.0, 360.0, prob.n_dofs))
     raw = assemble_raw(prob, theta, time=2.0, rate=rate)
@@ -562,7 +565,8 @@ def test_cached_index_arrays_read_only(rng):
     for arr in (plan.indptr, plan.indices, plan.tri_nodes, plan.tri_slots, plan.chan_slots, plan.chain,
                 plan.chain_op.data, plan.chain_op.indices, plan.chain_op.indptr,
                 plan.qp_NN, plan.gp_MN, plan.lam_GG, plan.K_ref,
-                basis.qp_N, basis.qp_dA, basis.qp_xy, basis.gp_map, basis.gp_gradN):
+                basis.qp_N, basis.qp_dA, basis.qp_xy, basis.gp_map, basis.gp_gradN,
+                cut.ids, cut.values, cut.free, cut.slots, cut.indptr, cut.indices):
         assert not arr.flags.writeable
     J = system.jacobian
     assert np.shares_memory(J.indices, cut.indices)
@@ -576,6 +580,92 @@ def test_cached_index_arrays_read_only(rng):
         J.sort_indices()
     assert np.array_equal(
         plan.indices, assemble_raw(prob, random_state(prob, rng, True)).jacobian.indices)
+
+
+def reference_dissection(mesh):
+    """Nested dissection by plain recursion over boxes of grid points: the order and every cut.
+
+    Each cut is the pair (node ids of the box below the cut line, node ids
+    of the box above it).
+    """
+    k = mesh.element_order
+    m = k * mesh.n
+    spacing = np.array([mesh.domain.width, mesh.domain.height]) / m
+    node_at = {tuple(p): i for i, p in enumerate(np.rint(mesh.nodes / spacing).astype(int).tolist())}
+    order, cuts = [], []
+
+    def points(lo, hi):  # row by row
+        return [node_at[x, y] for y in range(lo[1], hi[1] + 1) for x in range(lo[0], hi[0] + 1)
+                if (x, y) in node_at]
+
+    def visit(lo, hi):
+        extent = [hi[a] - lo[a] + 1 for a in (0, 1)]
+        # the corner line nearest the middle, the upper one on a tie
+        mid = [min(range(0, m + 1, k), key=lambda c: (abs(2 * c - lo[a] - hi[a]), -c)) for a in (0, 1)]
+        longer_first = sorted((0, 1), key=lambda a: -extent[a])  # x first on a tie
+        axes = [a for a in longer_first if lo[a] < mid[a] < hi[a]]
+        if extent[0] * extent[1] <= 8 or not axes:
+            order.extend(points(lo, hi))
+            return
+        a, c = axes[0], mid[axes[0]]
+        below_hi, above_lo, line_lo, line_hi = list(hi), list(lo), list(lo), list(hi)
+        below_hi[a], above_lo[a], line_lo[a], line_hi[a] = c - 1, c + 1, c, c
+        cuts.append((points(lo, below_hi), points(above_lo, hi)))
+        visit(lo, below_hi)
+        visit(above_lo, hi)
+        order.extend(points(line_lo, line_hi))
+
+    visit((0, 0), (m, m))
+    return order, cuts
+
+
+def _dissection_case(kind, n, order):
+    if kind == "mms_dirichlet":
+        return verification._mms_problem(verification.mms_case_cmp(), n, order)
+    if kind == "no_channel":
+        return no_channel_problem(n=n, order=order)
+    return channel_problem(n=n, order=order, layout=LayoutParams(kind=kind))
+
+
+DISSECTION_CASES = [
+    (kind, n, order)
+    for order in (1, 2)
+    for kind, sizes in (("u_shape", (3, 7, 40)), ("serpentine", (3, 7, 40)),
+                        ("mms_dirichlet", (2, 3, 7, 40)), ("no_channel", (2,)))
+    for n in sizes
+]
+
+
+@pytest.mark.parametrize("kind, n, order", DISSECTION_CASES)
+def test_free_dofs_are_numbered_in_nested_dissection_order(kind, n, order):
+    prob = _dissection_case(kind, n, order)
+    cut = prob.constraints
+    ids = set(cut.ids.tolist())
+    reference, cuts = reference_dissection(prob.mesh)
+    assert nested_dissection(prob.mesh).tolist() == reference
+    # a deterministic permutation of the unconstrained ids, in the dissection's order
+    assert cut.free.tolist() == [i for i in reference if i not in ids]
+    assert np.array_equal(cut.free, _dissection_case(kind, n, order).constraints.free)
+    # every row of the restricted pattern sorted, without duplicates
+    starts = np.zeros(cut.indices.size, dtype=bool)
+    starts[cut.indptr[:-1][np.diff(cut.indptr) > 0]] = True
+    assert np.all(np.diff(cut.indices)[~starts[1:]] > 0)
+    # no restricted entry couples the two sides of any cut
+    pattern = sp.csr_matrix((np.ones(cut.indices.size), cut.indices, cut.indptr), shape=(cut.free.size,) * 2)
+    rank = np.full(prob.n_dofs, -1)
+    rank[cut.free] = np.arange(cut.free.size)
+    assert len(cuts) > 0 or n == 2
+    for below, above in cuts:
+        rows, cols = (r[r >= 0] for r in (rank[below], rank[above]))
+        assert pattern[rows][:, cols].nnz == 0
+
+
+def test_nested_dissection_rejects_nodes_off_the_grid():
+    mesh = no_channel_problem(n=3).mesh
+    nodes = mesh.nodes.copy()
+    nodes[4] = nodes[5]  # two nodes on one grid point
+    with pytest.raises(ValueError, match="grid"):
+        nested_dissection(dataclasses.replace(mesh, nodes=nodes))
 
 
 @pytest.mark.parametrize("order", [1, 2])
