@@ -13,9 +13,10 @@ The nodal residual collects, per test function w_i:
 with material properties evaluated at quadrature-point temperatures. The
 Jacobian is the exact linearization, including the k_s' and c_s' terms
 from the temperature dependence. Dirichlet constraints (boundary
-temperatures plus the channel inlet) are eliminated: callers set the
-constrained DOFs to their prescribed values, and apply_constraints keeps
-the rows and columns of the free DOFs, so Newton solves for those alone.
+temperatures plus the channel inlet) are eliminated by the caller, not by
+assemble_raw, which covers every DOF: it sets the constrained DOFs to
+their values, and apply_constraints(system, constraints) keeps the rows
+and columns of the free DOFs, so Newton solves for those alone.
 
 The prescribed boundary flux q_p is stored already premultiplied by the
 thickness d (units W/m of boundary length), so no thickness factor is
@@ -139,17 +140,11 @@ class ThermalProblem:
         A constant load is returned as a float, which broadcasts against any
         (nq, T) table; only a callable one is tabulated, (nq, T).
         """
-        if not callable(self.load):
-            return float(self.load)
-        xy = plan_for(self.mesh).basis.qp_xy  # (nq, T, 2)
-        x, y = xy[..., 0], xy[..., 1]
-        return np.broadcast_to(self.load(x, y, t), x.shape).astype(float)
+        return _at_points(self.load, plan_for(self.mesh).basis.qp_xy, t)
 
-    def qp_at(self, x, y, t) -> float | np.ndarray:
-        """q_p at the points (x, y): a float if constant, else an array of their shape."""
-        if not callable(self.bcs.q_p):
-            return float(self.bcs.q_p)
-        return np.broadcast_to(self.bcs.q_p(x, y, t), np.shape(x)).astype(float)
+    def qp_at(self, t) -> float | np.ndarray:
+        """q_p at the plan's neumann quadrature points: a float if constant, else (2, E)."""
+        return _at_points(self.bcs.q_p, plan_for(self.mesh).neu_xy, t)
 
     @property
     def constraints(self) -> Constraints:
@@ -161,6 +156,14 @@ class ThermalProblem:
             if self._constraints is None:
                 self._constraints = _build_constraints(self)
         return self._constraints
+
+
+def _at_points(data, xy: np.ndarray, *t) -> float | np.ndarray:
+    """Prescribed data at the points xy (..., 2): a float if constant, else data(x, y, *t) in their shape."""
+    if not callable(data):
+        return float(data)
+    x, y = xy[..., 0], xy[..., 1]
+    return np.broadcast_to(data(x, y, *t), x.shape).astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,11 +200,7 @@ def _build_constraints(problem: ThermalProblem) -> Constraints:
     if ids.size:
         if problem.bcs.theta_p is None:
             raise ValueError("mesh has dirichlet edges but bcs.theta_p is unset")
-        if callable(problem.bcs.theta_p):
-            vals = problem.bcs.theta_p(mesh.nodes[ids, 0], mesh.nodes[ids, 1])
-            vals = np.broadcast_to(vals, ids.shape).astype(float)
-        else:
-            vals = np.full(ids.shape, float(problem.bcs.theta_p))
+        vals = np.full(ids.shape, _at_points(problem.bcs.theta_p, mesh.nodes[ids]))
     if mesh.has_channel and problem.chi > 0.0:
         inlet = int(mesh.inlet_node)
         theta_inlet = float(problem.bcs.theta_inlet)
@@ -250,9 +249,12 @@ class AssemblyPlan:
     the chain's DOFs, chain (ascending), the only rows the term touches,
     so the term adds chi * chain_op @ theta[chain] to the rows chain.
     chan_slots[m] is the data slot of chain_op.data[m], one distinct slot
-    per entry. Every array, the matrix's included, is read-only: all
-    Jacobians and threads of the mesh share them. basis is the mesh's
-    element basis.
+    per entry. The neumann edges (boundary_edges tagged neumann, in
+    boundary order) carry the two-point Gauss rule of the boundary flux:
+    neu_xy[g, e] is point g of edge e, neu_w[g, e] its weight times the
+    edge length, and neu_nodes[:, e] the edge's node ids. Every array, the
+    matrix's included, is read-only: all Jacobians and threads of the mesh
+    share them. basis is the mesh's element basis.
     """
 
     n: int
@@ -268,6 +270,9 @@ class AssemblyPlan:
     K_ref: np.ndarray = field(repr=False)  # (nen * nen, ng * 9)
     chain: np.ndarray = field(repr=False)  # (m,)
     chain_op: sp.csr_matrix = field(repr=False)  # (m, m)
+    neu_xy: np.ndarray = field(repr=False)  # (2, E, 2)
+    neu_w: np.ndarray = field(repr=False)  # (2, E)
+    neu_nodes: np.ndarray = field(repr=False)  # (k, E)
 
     @property
     def nnz(self) -> int:
@@ -330,6 +335,9 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
         _row_pointer(np.searchsorted(chain, chan_rows), chain.size, idx)), shape=(chain.size,) * 2)
     for a in (chain_op.data, chain_op.indices, chain_op.indptr):
         _read_only(a)
+    neumann = mesh.boundary_edges[mesh.boundary_tags == NEUMANN]
+    pa, pb = mesh.nodes[neumann[:, 0]], mesh.nodes[neumann[:, 1]]
+    xi, wgt = GAUSS_1D_2
     return AssemblyPlan(
         n=n,
         basis=basis,
@@ -344,6 +352,9 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
         K_ref=_read_only(np.einsum("gia,gjb->ijgab", dNdlam, dNdlam, order="C").reshape(-1, 9 * len(dNdlam))),
         chain=_read_only(chain),
         chain_op=chain_op,
+        neu_xy=_read_only(pa + (0.5 * (1.0 + xi))[:, None, None] * (pb - pa)),
+        neu_w=_read_only((wgt * 0.5)[:, None] * np.linalg.norm(pb - pa, axis=1)),
+        neu_nodes=_read_only(np.ascontiguousarray(neumann.T)),
     )
 
 
@@ -367,14 +378,13 @@ def plan_for(mesh: ChannelMesh) -> AssemblyPlan:
 class DiscreteSystem:
     """Assembled residual/Jacobian pair at a given state.
 
-    assemble_raw fills the rows and columns of every DOF and apply_constraints
-    keeps those of restriction.free: restriction is the problem's
-    constraints. jacobian is None for a residual-only assembly.
+    From assemble_raw it spans every DOF; from apply_constraints, the
+    free DOFs of the constraints passed. jacobian is None for a
+    residual-only assembly.
     """
 
     residual: np.ndarray
     jacobian: sp.csr_matrix | None
-    restriction: Constraints | None = field(default=None, repr=False)
 
 
 def assemble_raw(
@@ -476,24 +486,7 @@ def assemble_raw(
     if not _zero_flux(problem):
         R += _neumann_flux_vector(problem, time)
 
-    return DiscreteSystem(
-        residual=R, jacobian=_csr(data, plan) if jacobian else None,
-        restriction=problem.constraints,
-    )
-
-
-def neumann_quadrature(mesh: ChannelMesh):
-    """Two-point Gauss rule on the neumann edges.
-
-    Returns the points (2, E, 2), the weights (2, E) that carry the edge
-    length, and the edge node ids (E, k) in boundary_edges order.
-    """
-    edges = mesh.boundary_edges[mesh.boundary_tags == NEUMANN]
-    pa, pb = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-    xi, wgt = GAUSS_1D_2
-    points = pa + (0.5 * (1.0 + xi))[:, None, None] * (pb - pa)
-    weights = (wgt * 0.5)[:, None] * np.linalg.norm(pb - pa, axis=1)
-    return points, weights, edges
+    return DiscreteSystem(residual=R, jacobian=_csr(data, plan) if jacobian else None)
 
 
 def _zero_flux(problem: ThermalProblem) -> bool:
@@ -504,24 +497,23 @@ def _zero_flux(problem: ThermalProblem) -> bool:
 def _neumann_flux_vector(problem: ThermalProblem, time: float) -> np.ndarray:
     """int_Gq w_i q_p dGamma."""
     mesh = problem.mesh
-    points, weights, edges = neumann_quadrature(mesh)
+    plan = plan_for(mesh)
     N, _ = edge_shape(mesh.element_order, GAUSS_1D_2[0])  # (2, k)
-    scale = weights * problem.qp_at(points[..., 0], points[..., 1], time)  # (2, E)
+    scale = plan.neu_w * problem.qp_at(time)  # (2, E)
     contrib = scale[:, None, :] * N[:, :, None]  # (2, k, E)
-    nodes = np.broadcast_to(edges.T, contrib.shape)
+    nodes = np.broadcast_to(plan.neu_nodes, contrib.shape)
     return np.bincount(nodes.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
 
 
-def apply_constraints(system: DiscreteSystem) -> DiscreteSystem:
+def apply_constraints(system: DiscreteSystem, constraints: Constraints) -> DiscreteSystem:
     """Restrict a system from assemble_raw to the rows and columns of the free DOFs.
 
     This is the Newton system of the constrained problem at a state that
     satisfies the constraints: the constrained DOFs are fixed at their
     values, so their equations and their columns drop out.
     """
-    cut, J = system.restriction, system.jacobian
+    J = system.jacobian
     return DiscreteSystem(
-        residual=system.residual[cut.free],
-        jacobian=None if J is None else _csr(J.data[cut.slots], cut),
-        restriction=cut,
+        residual=system.residual[constraints.free],
+        jacobian=None if J is None else _csr(J.data[constraints.slots], constraints),
     )

@@ -37,9 +37,9 @@ from .materials import (
 )
 from .mesh import (
     MAX_MESH_N,
+    ChannelMesh,
     build_structured_mesh,
     embed_vasculature,
-    export_mesh_csv,
     mesh_stats,
     structured_node_count,
 )
@@ -350,15 +350,32 @@ def execute_run(config: ScenarioConfig) -> RunResult:
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Write one CSV table with the bytes csv.writer would write, without it.
 
-    Every row holds Python ints and floats, which csv.writer writes as their
-    repr, fields joined by commas and rows ended by CRLF; no header name holds
-    a character it would quote. Numeric tables come as ndarray.tolist() rows,
-    which converts every value to a Python number in one C loop rather than
-    one numpy scalar at a time.
+    Every row holds Python ints, floats and plain words, which csv.writer
+    writes as their str, fields joined by commas and rows ended by CRLF; no
+    header name or word holds a character it would quote. Numeric tables
+    come as ndarray.tolist() rows, which converts every value to a Python
+    number in one C loop rather than one numpy scalar at a time.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+
+
+def export_mesh_csv(mesh: ChannelMesh, outdir: str) -> list[str]:
+    """Write nodes/triangles/boundary/channel CSVs into outdir; returns file paths."""
+    os.makedirs(outdir, exist_ok=True)
+    paths = [os.path.join(outdir, f"{name}.csv")
+             for name in ("nodes", "triangles", "boundary_edges", "channel_chain")]
+    _write_csv(paths[0], ["node_id", "x", "y"], zip(range(mesh.n_nodes), *mesh.nodes.T.tolist()))
+    _write_csv(paths[1], [f"n{k}" for k in range(mesh.triangles.shape[1])], mesh.triangles.tolist())
+    _write_csv(paths[2], ["node_a", "node_b", "tag"],
+               zip(*mesh.boundary_edges[:, :2].T.tolist(), mesh.boundary_tags.tolist()))
+    s_coords = mesh.channel_arc_coords() if mesh.has_channel else np.empty(0)
+    # each chain node takes the tangent of the edge it starts; the outlet takes the last edge's
+    edge = np.minimum(np.arange(len(mesh.channel_nodes)), len(mesh.channel_lengths) - 1)
+    _write_csv(paths[3], ["node_id", "s", "t_x", "t_y"],
+               zip(mesh.channel_nodes.tolist(), s_coords.tolist(), *mesh.channel_tangents[edge].T.tolist()))
+    return paths
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -370,7 +387,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 def emit_plot_data(run: RunResult, outdir: str) -> None:
     """Figure-oriented CSVs: time series, arc-length profile, field snapshot."""
-    os.makedirs(outdir, exist_ok=True)
     if run.series_obs:
         header = [f.name for f in dataclasses.fields(Observables)]
         table = np.array(list(map(operator.attrgetter(*header), run.series_obs)), dtype=float)

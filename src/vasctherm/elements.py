@@ -69,7 +69,6 @@ class ElementBasis:
     sum runs over whole-mesh rows. The arrays are read-only.
     """
 
-    order: int
     areas: np.ndarray  # (T,)
     qp_weights: np.ndarray  # (nq,)
     qp_N: np.ndarray  # (nq, nen)
@@ -119,7 +118,7 @@ def build_basis(mesh) -> ElementBasis:
     gp_lam, gp_map = (lam[:1], np.ones((len(w), 1))) if order == 1 else (lam, np.eye(len(w)))
     dNdlam = np.stack([grad_shape(order, g, np.eye(3)[None])[0] for g in gp_lam])  # grad lambda = I: dN/dlambda
     basis = ElementBasis(
-        order=order, areas=areas, qp_weights=w, qp_N=tri_shape(order, lam),
+        areas=areas, qp_weights=w, qp_N=tri_shape(order, lam),
         qp_dA=w[:, None] * areas, qp_xy=np.stack([np.einsum("tic,i->tc", corners, q) for q in lam]),
         lam_grad=glam, gp_map=gp_map, gp_dNdlam=dNdlam,
         gp_gradN=np.einsum("gia,tac->gcit", dNdlam, glam, order="C"),

@@ -27,6 +27,12 @@ class Domain2D:
         if min(self.width, self.height, self.thickness) <= 0:
             raise ValueError("domain dimensions must be positive")
 
+    def contains(self, points: np.ndarray) -> bool:
+        """Whether every point of points (m, 2) lies in the closed rectangle, to 1e-12 m."""
+        x, y = points[:, 0], points[:, 1]
+        return not (np.any(x < -1e-12) or np.any(x > self.width + 1e-12)
+                    or np.any(y < -1e-12) or np.any(y > self.height + 1e-12))
+
 
 def _cross2(u, v) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
@@ -108,8 +114,7 @@ class LayoutParams:
 
 
 def _check_inside(domain: Domain2D, verts: np.ndarray, kind: str):
-    x, y = verts[:, 0], verts[:, 1]
-    if np.any(x < -1e-12) or np.any(x > domain.width + 1e-12) or np.any(y < -1e-12) or np.any(y > domain.height + 1e-12):
+    if not domain.contains(verts):
         raise ValueError(f"{kind} layout leaves the domain; adjust spacing/margin/offset")
     interior = verts[1:-1]
     if len(interior) and (

@@ -15,9 +15,7 @@ order of nested_dissection, which reads node coordinates, not ids.
 
 from __future__ import annotations
 
-import csv
 import functools
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -107,10 +105,7 @@ class ChannelMesh:
 
     def dirichlet_nodes(self) -> np.ndarray:
         """Unique node ids on dirichlet-tagged boundary edges (midside included)."""
-        sel = self.boundary_tags == DIRICHLET
-        if not np.any(sel):
-            return np.empty(0, dtype=int)
-        return np.unique(self.boundary_edges[sel].ravel())
+        return np.unique(self.boundary_edges[self.boundary_tags == DIRICHLET].ravel())
 
 
 @dataclass(frozen=True)
@@ -190,10 +185,13 @@ def _snap_index(value: float, h: float, n: int) -> int:
 def embed_vasculature(grid: BaseGrid, path: VasculaturePath) -> ChannelMesh:
     """Snap the path onto grid nodes and trace it as an edge chain.
 
-    Vertices snap to the nearest grid node (reported error is at most half
-    a cell); the snapped geometry replaces the requested path everywhere
-    downstream, including arc lengths.
+    Every vertex must lie in the domain, to 1e-12 m. Vertices snap to the
+    nearest grid node (reported error is at most half a cell); the snapped
+    geometry replaces the requested path everywhere downstream, including
+    arc lengths.
     """
+    if not grid.domain.contains(path.vertices):
+        raise ValueError("channel path leaves the domain: every vertex must lie on the plate")
     n, hx, hy = grid.n, grid.hx, grid.hy
     seg = np.diff(path.vertices, axis=0)
     if np.any(np.all(np.abs(seg) > 1e-12, axis=1)):
@@ -260,28 +258,23 @@ def _channel_mesh(grid: BaseGrid, chain: np.ndarray, snap_error: float) -> Chann
     )
 
 
-def tag_boundary(mesh: ChannelMesh, spec=None) -> ChannelMesh:
+def tag_boundary(mesh: ChannelMesh, spec) -> ChannelMesh:
     """Assign dirichlet/neumann tags to every boundary edge.
 
-    spec is a callable mapping an edge midpoint (x, y) to a tag string;
-    None keeps the default all-neumann partition (adiabatic lateral
-    boundary with q_p = 0).
+    spec is a callable mapping an edge midpoint (x, y) to a tag string. A
+    mesh starts all-neumann (adiabatic lateral boundary with q_p = 0).
     """
-    if spec is None:
-        tags = np.full(len(mesh.boundary_edges), NEUMANN, dtype=object)
-    else:
-        tags = []
-        for edge in mesh.boundary_edges:
-            mid = 0.5 * (mesh.nodes[edge[0]] + mesh.nodes[edge[1]])
-            tag = spec(mid[0], mid[1])
-            if tag not in (DIRICHLET, NEUMANN):
-                raise ValueError(
-                    f"boundary spec returned {tag!r} at {tuple(mid)}; each edge "
-                    f"needs exactly one of '{DIRICHLET}'/'{NEUMANN}'"
-                )
-            tags.append(tag)
-        tags = np.array(tags, dtype=object)
-    return replace(mesh, boundary_tags=tags)
+    tags = []
+    for edge in mesh.boundary_edges:
+        mid = 0.5 * (mesh.nodes[edge[0]] + mesh.nodes[edge[1]])
+        tag = spec(mid[0], mid[1])
+        if tag not in (DIRICHLET, NEUMANN):
+            raise ValueError(
+                f"boundary spec returned {tag!r} at {tuple(mid)}; each edge "
+                f"needs exactly one of '{DIRICHLET}'/'{NEUMANN}'"
+            )
+        tags.append(tag)
+    return replace(mesh, boundary_tags=np.array(tags, dtype=object))
 
 
 # nested_dissection cuts no box of at most this many grid points.
@@ -363,30 +356,3 @@ def mesh_stats(mesh: ChannelMesh) -> MeshStats:
         h_max=float(edges.max()),
         total_area=float(np.sum(np.abs(triangle_areas(mesh)))),
     )
-
-
-def export_mesh_csv(mesh: ChannelMesh, outdir: str) -> list[str]:
-    """Write nodes/triangles/boundary/channel CSVs; returns file paths."""
-    os.makedirs(outdir, exist_ok=True)
-    written = []
-
-    def emit(name, header, rows):
-        fp = os.path.join(outdir, name)
-        with open(fp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-        written.append(fp)
-
-    # tolist() converts a whole column to Python numbers in one C loop, and csv.writer
-    # writes a float as its repr
-    emit("nodes.csv", ["node_id", "x", "y"], zip(range(mesh.n_nodes), *mesh.nodes.T.tolist()))
-    emit("triangles.csv", [f"n{k}" for k in range(mesh.triangles.shape[1])], mesh.triangles.tolist())
-    emit("boundary_edges.csv", ["node_a", "node_b", "tag"],
-         zip(*mesh.boundary_edges[:, :2].T.tolist(), mesh.boundary_tags.tolist()))
-    s_coords = mesh.channel_arc_coords() if mesh.has_channel else np.empty(0)
-    # each chain node takes the tangent of the edge it starts; the outlet takes the last edge's
-    edge = np.minimum(np.arange(len(mesh.channel_nodes)), len(mesh.channel_lengths) - 1)
-    emit("channel_chain.csv", ["node_id", "s", "t_x", "t_y"],
-         zip(mesh.channel_nodes.tolist(), s_coords.tolist(), *mesh.channel_tangents[edge].T.tolist()))
-    return written

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import TermMask, ThermalProblem, assemble_raw, neumann_quadrature, plan_for
+from .assembly import TermMask, ThermalProblem, assemble_raw, plan_for
 from .elements import edge_shape, grad_shape, tri_shape
 from .materials import eval_curve
 from .mesh import ChannelMesh
@@ -151,10 +151,9 @@ def _load_sign_range(problem: ThermalProblem, time: float) -> tuple[float, float
 
 
 def _qp_sign_range(problem: ThermalProblem, time: float) -> tuple[float, float]:
-    points, _, edges = neumann_quadrature(problem.mesh)
-    if not len(edges):
+    if not plan_for(problem.mesh).neu_w.size:
         return 0.0, 0.0
-    qv = problem.qp_at(points[..., 0], points[..., 1], time)
+    qv = problem.qp_at(time)
     return float(np.min(qv)), float(np.max(qv))
 
 

@@ -74,18 +74,16 @@ class SingularSystemError(SolverError):
 
 
 class NewtonError(SolverError):
-    def __init__(self, message, log=None, theta=None, residual_norm=None):
+    def __init__(self, message, theta=None, residual_norm=None):
         super().__init__(message)
-        self.log = log or []
         self.theta = theta
         self.residual_norm = residual_norm
 
 
 class TransientError(SolverError):
-    def __init__(self, message, series=None, cause=None):
+    def __init__(self, message, series=None):
         super().__init__(message)
         self.series = series
-        self.cause = cause
 
 
 @dataclass(frozen=True)
@@ -170,14 +168,8 @@ def factorize(jacobian) -> spla.SuperLU:
     return lu
 
 
-def linear_solve(system: DiscreteSystem, lu: spla.SuperLU | None = None) -> np.ndarray:
-    """Newton update: solve J delta = -R by sparse LU.
-
-    lu is a factor to back-solve with; without one, system.jacobian is
-    factored first.
-    """
-    if lu is None:
-        lu = factorize(system.jacobian)
+def linear_solve(system: DiscreteSystem, lu: spla.SuperLU) -> np.ndarray:
+    """Newton update: solve J delta = -R by back-solving with lu, a factor of some J."""
     delta = lu.solve(-system.residual)
     if not np.all(np.isfinite(delta)):
         raise SingularSystemError("linear solve produced non-finite update (singular system?)")
@@ -204,8 +196,9 @@ def solve_steady(
     it. A trial whose residual is not finite counts as failed, and Newton
     never accepts one.
 
-    Without factors every iteration factors a fresh Jacobian (full
-    Newton). With factors (chord Newton: solve_transient's steps, and a
+    Without factors (full Newton) the first residual is assembled with
+    its Jacobian, and every iteration factors a fresh one into a private
+    ChordFactor. With factors (chord Newton: solve_transient's steps, and a
     steady solve passed a fresh ChordFactor()) the first residual is
     assembled residual-only and the stored factor is reused; a fresh one
     is built when none exists for rate.coeff, when the last accepted
@@ -234,10 +227,11 @@ def solve_steady(
 
     def assemble(state, jacobian=True):
         return apply_constraints(
-            assemble_raw(problem, state, time=time, rate=rate, jacobian=jacobian)
+            assemble_raw(problem, state, time=time, rate=rate, jacobian=jacobian), constraints
         )
 
     chord = factors is not None
+    factors = factors or ChordFactor()
     system = assemble(theta, jacobian=not chord)
     free = constraints.free
     rnorm = float(np.linalg.norm(system.residual))
@@ -247,14 +241,14 @@ def solve_steady(
     if not np.isfinite(rnorm):
         raise NewtonError(
             f"non-finite residual norm ({rnorm}) at the initial guess",
-            log=log, theta=theta, residual_norm=rnorm,
+            theta=theta, residual_norm=rnorm,
         )
     if rnorm <= settings.abs_tol:
         return _accept(theta)
     target = max(settings.abs_tol, settings.rel_tol * r0)
 
     key = None if rate is None else rate.coeff
-    fresh = not chord or factors.lu is None or factors.key != key
+    fresh = factors.lu is None or factors.key != key
     for it in range(1, settings.max_iters + 1):
         if not fresh:
             delta = linear_solve(system, factors.lu)
@@ -270,14 +264,12 @@ def solve_steady(
             trial_norm = float(np.linalg.norm(trial_system.residual))
             fresh = not (np.isfinite(trial_norm) and trial_norm < rnorm)
         if fresh:
-            if chord:
-                factors.lu = None  # free the stale factor before the Jacobian and its factor are built
+            factors.lu = None  # free the stale factor before the Jacobian and its factor are built
             if system.jacobian is None:
                 system = assemble(theta)
-            if chord:
-                factors.lu, factors.key = factorize(system.jacobian), key
-                factors.builds += 1
-            delta = linear_solve(system, factors.lu if chord else None)  # full Newton: freed on return
+            factors.lu, factors.key = factorize(system.jacobian), key
+            factors.builds += 1
+            delta = linear_solve(system, factors.lu)
             update = float(np.max(np.abs(delta)))
             lam = 1.0
             while True:
@@ -293,7 +285,7 @@ def solve_steady(
                         raise NewtonError(
                             f"non-finite residual norm ({trial_norm}) in Newton iteration {it} "
                             f"even at damping {lam:g} (residual before it {rnorm:.3e} W)",
-                            log=log, theta=theta, residual_norm=rnorm,
+                            theta=theta, residual_norm=rnorm,
                         )
                     break
                 lam *= 0.5
@@ -308,7 +300,7 @@ def solve_steady(
     raise NewtonError(
         f"Newton did not converge in {settings.max_iters} iterations "
         f"(residual {rnorm:.3e} W, started at {r0:.3e} W)",
-        log=log, theta=theta, residual_norm=rnorm,
+        theta=theta, residual_norm=rnorm,
     )
 
 
@@ -383,7 +375,7 @@ def solve_transient(
         except SolverError as exc:
             raise TransientError(
                 f"time step {k + 1} (t={t_next:g} s) failed: {exc}",
-                series=series[: k + 1], cause=exc,
+                series=series[: k + 1],
             ) from exc
         if factors.builds - builds > 1:
             start = k + 1

@@ -281,7 +281,7 @@ def jacobian_check(
             rate = RateWeights(coeff=1.0 / FD_RATE_DT, rhs=-prev / FD_RATE_DT)
         else:
             rate = None
-        base = apply_constraints(assemble_raw(problem, theta, rate=rate, terms=terms))
+        base = apply_constraints(assemble_raw(problem, theta, rate=rate, terms=terms), constraints)
         J = base.jacobian.toarray()
         J_fd = np.empty_like(J)
         for col, j in enumerate(constraints.free):
@@ -291,7 +291,7 @@ def jacobian_check(
             tm[j] -= h
             rp, rm = (
                 apply_constraints(
-                    assemble_raw(problem, state, rate=rate, terms=terms, jacobian=False)
+                    assemble_raw(problem, state, rate=rate, terms=terms, jacobian=False), constraints
                 ).residual
                 for state in (tp, tm)
             )

@@ -67,7 +67,7 @@ def single_triangle_mesh(thickness=1.0):
 def test_equilibrium_residual_vanishes():
     prob = channel_problem(n=10, f0=0.0)
     theta = np.full(prob.n_dofs, prob.surface.theta_amb)
-    system = apply_constraints(assemble_raw(prob, theta))
+    system = apply_constraints(assemble_raw(prob, theta), prob.constraints)
     assert np.max(np.abs(system.residual)) < 1e-12
 
 
@@ -99,9 +99,9 @@ def test_jacobian_matches_finite_differences_small_state():
 def test_transient_zero_rate_reduces_to_steady(rng):
     prob = channel_problem(n=6)
     theta = rng.uniform(300.0, 360.0, prob.n_dofs)
-    steady = apply_constraints(assemble_raw(prob, theta))
+    steady = apply_constraints(assemble_raw(prob, theta), prob.constraints)
     rate = RateWeights(coeff=0.0, rhs=np.zeros(prob.n_dofs))
-    trans = apply_constraints(assemble_raw(prob, theta, rate=rate))
+    trans = apply_constraints(assemble_raw(prob, theta, rate=rate), prob.constraints)
     assert np.allclose(trans.residual, steady.residual, atol=1e-14)
     assert np.allclose((trans.jacobian - steady.jacobian).toarray(), 0.0, atol=1e-14)
 
@@ -253,8 +253,7 @@ def test_constraints_built_once_and_read_only(rng):
     )
     constraints = prob.constraints
     for _ in range(3):
-        system = apply_constraints(assemble_raw(prob, random_state(prob, rng, True), jacobian=False))
-        assert system.restriction is constraints
+        apply_constraints(assemble_raw(prob, random_state(prob, rng, True), jacobian=False), prob.constraints)
     assert len(calls) == 1
     assert prob.constraints is constraints
     for arr in (constraints.ids, constraints.values, constraints.free,
@@ -267,6 +266,16 @@ def test_all_neumann_constrains_only_inlet():
     constraints = prob.constraints
     assert constraints.ids.tolist() == [prob.mesh.inlet_node]
     assert constraints.values[0] == pytest.approx(296.42)
+
+
+def test_assembly_and_energy_audit_build_no_constraints():
+    # assemble_raw fills every DOF; only a caller that eliminates the constraints builds them
+    prob = mixed_boundary_problem()
+    theta = np.full(prob.n_dofs, prob.surface.theta_amb)
+    assemble_raw(prob, theta)
+    assemble_raw(prob, theta, jacobian=False)
+    energy_balance(theta, prob)
+    assert prob._constraints is None
 
 
 def test_zero_flow_removes_inlet_constraint():
@@ -314,7 +323,7 @@ def test_constrained_dof_eliminated_and_solution_exact(rng):
     prob = channel_problem(n=6)
     theta = rng.uniform(300.0, 340.0, prob.n_dofs)
     raw = assemble_raw(prob, theta)
-    system = apply_constraints(raw)
+    system = apply_constraints(raw, prob.constraints)
     inlet = prob.mesh.inlet_node
     free = prob.constraints.free  # in elimination order
     assert np.array_equal(np.sort(free), np.delete(np.arange(prob.n_dofs), inlet))
@@ -327,7 +336,7 @@ def test_linear_case_matrix_symmetric_positive_definite():
     # eps = 0, chi = 0, constant k: steady operator is linear and SPD
     prob = no_channel_problem(n=5, emissivity=0.0)
     theta = np.full(prob.n_dofs, 310.0)
-    system = apply_constraints(assemble_raw(prob, theta))
+    system = apply_constraints(assemble_raw(prob, theta), prob.constraints)
     J = system.jacobian.toarray()
     assert np.allclose(J, J.T, atol=1e-14)
     assert np.min(np.linalg.eigvalsh(J)) > 0.0
@@ -393,13 +402,13 @@ def test_ellipticity_violation_raises():
     )
     theta = np.full(prob.n_dofs, 400.0)
     with pytest.raises(EllipticityError):
-        apply_constraints(assemble_raw(prob, theta))
+        apply_constraints(assemble_raw(prob, theta), prob.constraints)
 
 
 def test_apply_constraints_preserves_symmetric_pattern(rng):
     prob = channel_problem(n=5)
     theta = rng.uniform(300.0, 340.0, prob.n_dofs)
-    system = apply_constraints(assemble_raw(prob, theta))
+    system = apply_constraints(assemble_raw(prob, theta), prob.constraints)
     pattern = (system.jacobian != 0).astype(int)
     assert (pattern != pattern.T).nnz == 0
 
@@ -426,7 +435,8 @@ def test_residual_only_matches_full_bitwise(order, transient, on_constraints, rn
             assert np.array_equal(lean.residual, full.residual)
             assert lean.jacobian is None
             assert np.array_equal(
-                apply_constraints(lean).residual, apply_constraints(full).residual)
+                apply_constraints(lean, prob.constraints).residual,
+                apply_constraints(full, prob.constraints).residual)
 
 
 def dense_reference_jacobian(prob, theta, rate):
@@ -530,7 +540,7 @@ def test_restricted_jacobian_is_free_block_of_raw(order, rng):
     theta = random_state(prob, rng, True)
     rate = RateWeights(coeff=1.5, rhs=-rng.uniform(300.0, 360.0, prob.n_dofs))
     raw = assemble_raw(prob, theta, time=2.0, rate=rate)
-    system = apply_constraints(raw)
+    system = apply_constraints(raw, prob.constraints)
     assert np.array_equal(system.jacobian.toarray(), raw.jacobian.toarray()[np.ix_(free, free)])
     assert np.array_equal(system.residual, raw.residual[free])
 
@@ -545,7 +555,7 @@ def test_csr_pattern_canonical_and_fixed(rng):
         assemble_raw(prob, random_state(prob, rng, True), rate=rate),
     ]
     n_free = prob.n_dofs - prob.constraints.ids.size
-    for systems in (raw, [apply_constraints(s) for s in raw]):
+    for systems in (raw, [apply_constraints(s, prob.constraints) for s in raw]):
         first = systems[0].jacobian
         for J in (s.jacobian for s in systems):
             for i in range(J.shape[0]):
@@ -558,13 +568,12 @@ def test_csr_pattern_canonical_and_fixed(rng):
 
 def test_cached_index_arrays_read_only(rng):
     prob = mixed_boundary_problem()
-    system = apply_constraints(assemble_raw(prob, random_state(prob, rng, True)))
-    plan, cut = plan_for(prob.mesh), system.restriction
-    assert cut is prob.constraints
+    system = apply_constraints(assemble_raw(prob, random_state(prob, rng, True)), prob.constraints)
+    plan, cut = plan_for(prob.mesh), prob.constraints
     basis = plan.basis
     for arr in (plan.indptr, plan.indices, plan.tri_nodes, plan.tri_slots, plan.chan_slots, plan.chain,
                 plan.chain_op.data, plan.chain_op.indices, plan.chain_op.indptr,
-                plan.qp_NN, plan.gp_MN, plan.lam_GG, plan.K_ref,
+                plan.qp_NN, plan.gp_MN, plan.lam_GG, plan.K_ref, plan.neu_xy, plan.neu_w, plan.neu_nodes,
                 basis.qp_N, basis.qp_dA, basis.qp_xy, basis.gp_map, basis.gp_gradN,
                 cut.ids, cut.values, cut.free, cut.slots, cut.indptr, cut.indices):
         assert not arr.flags.writeable
@@ -741,18 +750,18 @@ def test_plan_shared_across_threads(monkeypatch, rng):
 
     # assemblies running concurrently on the shared plan agree bitwise with serial ones
     thetas = [random_state(base, rng, True) for _ in range(8)]
-    serial = [apply_constraints(assemble_raw(base, th)) for th in thetas]
+    serial = [apply_constraints(assemble_raw(base, th), base.constraints) for th in thetas]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(lambda th: apply_constraints(assemble_raw(base, th)), thetas))
+            threaded = list(pool.map(
+                lambda th: apply_constraints(assemble_raw(base, th), base.constraints), thetas))
     finally:
         sys.setswitchinterval(switch)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.residual, b.residual)
         assert np.array_equal(a.jacobian.data, b.jacobian.data)
-        assert b.restriction is base.constraints
 
 
 def test_zero_length_channel_edge_rejected():

@@ -243,6 +243,7 @@ def test_csv_writer_writes_the_bytes_of_csv_writer(tmp_path):
         [3, 2, 1.2345678901234567e-09, 0.5, 1],  # a solver-log row: ints and floats
         [0, 0, 16.93, 0.0, 0],
         np.array([[296.42, 1e-5, -0.0, 3.0, np.nan]]).tolist()[0],
+        [7, float("nan"), float("inf"), -0.0, 1e-300, 0.1, "neumann"],  # a mesh table's tag is a word
     ]
     cli._write_csv(str(tmp_path / "new.csv"), header, rows)
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
@@ -621,6 +622,21 @@ def test_oversized_integer_fields_exit_2(tmp_path, capsys, data, message):
     assert code == EXIT_INVALID_INPUT
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("vertices", [
+    [[1e308, 0.1], [1e308, 0.0]],  # x / h overflows to inf while snapping
+    [[1e300, 0.1], [1e300, 0.0]],
+    [[0.2, 0.1], [0.2, 0.0]],  # would clamp onto the right edge, 0.1 m from where it was asked
+], ids=["overflowing", "far-off-the-plate", "past-the-right-edge"])
+def test_channel_vertex_outside_the_plate_exits_2(tmp_path, capsys, vertices):
+    cfg = tmp_path / "outside.json"
+    cfg.write_text(json.dumps({"layout": {"vertices": vertices}}))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                 "--mesh-n", "4", "--t-end", "2"])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "leaves the domain" in err and "Traceback" not in err
 
 
 def test_ambient_with_overflowing_fourth_power_exits_2(tmp_path, capsys):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vasctherm.cli import export_mesh_csv
 from vasctherm.geometry import Domain2D, LayoutParams, VasculaturePath, arc_length, generate_layout
 from vasctherm.mesh import (
     DIRICHLET,
     NEUMANN,
     build_structured_mesh,
     embed_vasculature,
-    export_mesh_csv,
     mesh_stats,
     mesh_without_channel,
     structured_node_count,
@@ -114,6 +114,23 @@ def test_embed_rejects_diagonal_path():
     grid = build_structured_mesh(DOM, 10)
     with pytest.raises(ValueError, match="axis-aligned"):
         embed_vasculature(grid, VasculaturePath(np.array([[0.0, 0.0], [0.1, 0.1]])))
+
+
+@pytest.mark.parametrize("verts", [
+    [[0.2, 0.1], [0.2, 0.0]],  # would clamp onto the right edge, 0.1 m from where it was asked
+    [[1e300, 0.1], [1e300, 0.0]],
+    [[0.05, 0.1 + 1e-9], [0.05, 0.0]],
+])
+def test_embed_rejects_vertex_outside_the_plate(verts):
+    grid = build_structured_mesh(DOM, 4)
+    with pytest.raises(ValueError, match="leaves the domain"):
+        embed_vasculature(grid, VasculaturePath(np.array(verts)))
+
+
+def test_embed_accepts_vertex_within_round_off_of_the_edge():
+    grid = build_structured_mesh(DOM, 4)
+    mesh = embed_vasculature(grid, VasculaturePath(np.array([[0.05, 0.1 + 5e-13], [0.05, -5e-13]])))
+    assert mesh.snap_error <= 1e-12
 
 
 def test_default_tags_all_neumann():

@@ -158,21 +158,21 @@ def test_linear_solve_identity_jacobian(rng):
     n = 12
     residual = rng.normal(size=n)
     system = DiscreteSystem(residual=residual, jacobian=sp.identity(n, format="csr"))
-    assert np.allclose(linear_solve(system), -residual)
+    assert np.allclose(linear_solve(system, solvers.factorize(system.jacobian)), -residual)
 
 
 def test_linear_solve_permutation_invariance(rng):
     prob = no_channel_problem(n=5, emissivity=0.0)
     theta = rng.uniform(300.0, 340.0, prob.n_dofs)
-    system = apply_constraints(assemble_raw(prob, theta))
+    system = apply_constraints(assemble_raw(prob, theta), prob.constraints)
     n = system.residual.size
     perm = rng.permutation(n)
     P = sp.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
     permuted = DiscreteSystem(
         residual=P @ system.residual, jacobian=(P @ system.jacobian @ P.T).tocsr(),
     )
-    d_perm = P.T @ linear_solve(permuted)
-    assert np.allclose(d_perm, linear_solve(system), atol=1e-10)
+    d_perm = P.T @ linear_solve(permuted, solvers.factorize(permuted.jacobian))
+    assert np.allclose(d_perm, linear_solve(system, solvers.factorize(system.jacobian)), atol=1e-10)
 
 
 def test_nested_dissection_fills_less_than_mmd():
@@ -181,7 +181,7 @@ def test_nested_dissection_fills_less_than_mmd():
     cut = prob.constraints
     theta = np.full(prob.n_dofs, AMB)
     theta[cut.ids] = cut.values
-    J = apply_constraints(assemble_raw(prob, theta)).jacobian
+    J = apply_constraints(assemble_raw(prob, theta), prob.constraints).jacobian
     ascending = np.argsort(cut.free)
     mmd = spla.splu(J[ascending][:, ascending].tocsc(), permc_spec="MMD_AT_PLUS_A")  # the reference only
     assert solvers.factorize(J).nnz <= 0.95 * mmd.nnz  # measured 0.879
@@ -204,7 +204,7 @@ def test_factorize_solves_the_restricted_newton_system(n, order, kind, dirichlet
     x, y = prob.mesh.nodes.T
     theta = AMB + 400.0 * x + 150.0 * y  # K, varying over the plate
     theta[prob.constraints.ids] = prob.constraints.values
-    system = apply_constraints(assemble_raw(prob, theta))
+    system = apply_constraints(assemble_raw(prob, theta), prob.constraints)
     delta = solvers.factorize(system.jacobian).solve(-system.residual)
     gap = np.linalg.norm(system.jacobian @ delta + system.residual)
     assert gap <= 1e-10 * np.linalg.norm(system.residual)
@@ -220,9 +220,9 @@ def test_singular_system_reported():
         surface=SurfaceExchange(h_T=0.0, emissivity=0.0, theta_amb=AMB),
     )
     theta = np.full(prob.n_dofs, 300.0)
-    system = apply_constraints(assemble_raw(prob, theta))
+    system = apply_constraints(assemble_raw(prob, theta), prob.constraints)
     with pytest.raises(SingularSystemError):
-        linear_solve(system)
+        linear_solve(system, solvers.factorize(system.jacobian))
 
 
 def test_solver_log_rows_have_step_and_damping():
@@ -445,6 +445,17 @@ def test_chord_factor_counts_its_builds(monkeypatch):
     assert factors.builds == len(calls) >= 2
 
 
+def test_full_newton_factors_once_per_linear_solve_and_chord_less(monkeypatch):
+    factorizations = _count_calls(monkeypatch, spla, "splu")
+    solves = _count_calls(monkeypatch, solvers, "linear_solve")
+    prob = channel_problem(n=10, f0=5000.0)
+    solve_steady(prob)
+    assert len(factorizations) == len(solves) >= 2
+    del factorizations[:], solves[:]
+    solve_steady(prob, factors=solvers.ChordFactor())
+    assert 1 <= len(factorizations) < len(solves)
+
+
 @pytest.mark.parametrize("after", [2e6, 5e6, 1e7])
 def test_slowly_contracting_factor_is_replaced(after):
     # after these jumps the stale factor cuts the residual by a steady 0.17-0.19 per iteration,
@@ -464,7 +475,7 @@ def test_non_finite_stale_step_is_refactored_never_accepted(monkeypatch):
     log = []
     with pytest.raises(TransientError) as err:
         solve_transient(prob, TransientSettings(dt=1.0, t_end=10.0), log=log)
-    assert isinstance(err.value.cause, NewtonError)
+    assert isinstance(err.value.__cause__, NewtonError)
     assert len(err.value.series) == 5
     _assert_rows_well_formed(log)
     # the stale step of t = 5 s overflows; it is refactored (a third factor) and still fails
@@ -501,7 +512,7 @@ def test_non_finite_update_is_never_accepted(tmp_path, monkeypatch, capsys, bad,
     monkeypatch.setattr(solvers, "STEP_TOL", np.inf)
     solve, used, corrupted = solvers.linear_solve, [], []
 
-    def corrupting(system, lu=None):
+    def corrupting(system, lu):
         delta = solve(system, lu)
         if any(lu is seen for seen in used):
             delta[0] = bad
