@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .assembly import (
     BoundaryData,
     DiscreteSystem,
-    EllipticityError,
     RateWeights,
     SurfaceExchange,
     TermMask,
@@ -24,11 +23,9 @@ from .assembly import (
 from .geometry import Domain2D, LayoutParams, VasculaturePath, arc_length, generate_layout
 from .materials import (
     Coolant,
-    EllipticityReport,
     PropertyCurve,
     SolidMaterial,
     builtin_material,
-    check_ellipticity,
     eval_curve,
     heat_capacity_rate,
     load_material_file,

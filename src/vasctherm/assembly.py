@@ -40,10 +40,6 @@ from .mesh import NEUMANN, ChannelMesh, nested_dissection
 STEFAN_BOLTZMANN = 5.67e-8  # W/(m^2 K^4)
 
 
-class EllipticityError(ValueError):
-    """k_s evaluated non-positive at a quadrature point."""
-
-
 def _check_kelvin(label: str, theta: float) -> None:
     """Radiation takes theta**4: a temperature must be positive with a finite fourth power."""
     if not 0.0 < theta <= np.finfo(float).max ** 0.25:
@@ -426,11 +422,6 @@ def assemble_raw(
 
     if terms.conduction:
         k_q = eval_curve(problem.solid.conductivity, th_q)
-        if k_q.min() <= 0.0:
-            raise EllipticityError(
-                "conductivity non-positive at a quadrature point "
-                f"(min {float(np.min(k_q)):.4g} W/(m*K))"
-            )
         # grad theta at the gradient points, and their weights sum_q w d k(theta_q)
         G = basis.gp_gradN  # (ng, 2, nen, T)
         grad = np.einsum("gcit,it->gct", G, theta_e)
@@ -483,13 +474,13 @@ def assemble_raw(
         if jacobian:
             data[plan.chan_slots] += chi * plan.chain_op.data
 
-    if not _zero_flux(problem):
+    if not zero_flux(problem):
         R += _neumann_flux_vector(problem, time)
 
     return DiscreteSystem(residual=R, jacobian=_csr(data, plan) if jacobian else None)
 
 
-def _zero_flux(problem: ThermalProblem) -> bool:
+def zero_flux(problem: ThermalProblem) -> bool:
     """q_p is the constant zero (the adiabatic default)."""
     return np.isscalar(problem.bcs.q_p) and float(problem.bcs.q_p) == 0.0
 

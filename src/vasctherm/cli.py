@@ -29,11 +29,18 @@ from . import __version__
 from .assembly import BoundaryData, SurfaceExchange, ThermalProblem
 from .geometry import LAYOUT_KINDS, Domain2D, LayoutParams, VasculaturePath, generate_layout
 from .materials import (
+    MODES,
+    NUMBER,
+    NUMBERS,
+    TEXT_OR_NULL,
+    ConfigError,
     Coolant,
     builtin_material,
     builtin_names,
-    check_ellipticity,
+    check_types,
+    is_kind,
     load_material_file,
+    water_coolant,
 )
 from .mesh import (
     MAX_MESH_N,
@@ -77,10 +84,6 @@ REVERSAL_THRESHOLDS = {"steady": 0.05, "transient": 0.2}
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_INVALID_INPUT, EXIT_SOLVER_FAILURE = 0, 1, 2, 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class CheckFailed(Exception):
     """A steady min/max bound fails while its hypothesis holds; raised after the files are written."""
 
@@ -92,49 +95,25 @@ def _json_safe(x):
     return x
 
 
-_NUMBER = (int, float)
-_TEXT_OR_NULL = (str, type(None))
-_KIND_NAMES = {_NUMBER: "a finite number", int: "an integer", str: "a string",
-               bool: "true or false", list: "a list", _TEXT_OR_NULL: "a string or null"}
-
 # section -> key -> accepted JSON type; "config" is the top level. A bool is
 # never a number, and the integer fields reject 40.0 as well as "40".
 CONFIG_TYPES = {
     "config": {"domain": dict, "layout": dict, "mesh": dict, "material": dict, "coolant": dict,
                "load": dict, "surface": dict, "inlet": dict, "transient": dict,
-               "flow_direction": str, "steady_only": bool, "output_dir": _TEXT_OR_NULL},
-    "domain": {"width": _NUMBER, "height": _NUMBER, "thickness": _NUMBER},
-    "layout": {"kind": str, "spacing": _NUMBER, "margin": _NUMBER, "pass_count": int,
-               "offset": _NUMBER, "inlet_edge": str},
+               "flow_direction": str, "steady_only": bool, "output_dir": TEXT_OR_NULL},
+    "domain": {"width": NUMBER, "height": NUMBER, "thickness": NUMBER},
+    "layout": {"kind": str, "spacing": NUMBER, "margin": NUMBER, "pass_count": int,
+               "offset": NUMBER, "inlet_edge": str},
     "vertex layout": {"vertices": list},
     "mesh": {"n": int, "element_order": int},
-    "material": {"name": str, "mode": str, "file": _TEXT_OR_NULL},
-    "coolant": {"density": _NUMBER, "specific_heat": _NUMBER, "flow_rate_ml_per_min": _NUMBER},
-    "load": {"f0": _NUMBER},
-    "surface": {"h_T": _NUMBER, "emissivity": _NUMBER, "theta_amb": _NUMBER},
-    "inlet": {"theta_inlet": _NUMBER},
-    "transient": {"dt": _NUMBER, "t_end": _NUMBER, "bdf_order": int},
+    "material": {"name": str, "mode": str, "file": TEXT_OR_NULL},
+    "coolant": {"density": NUMBER, "specific_heat": NUMBER, "flow_rate_ml_per_min": NUMBER},
+    "load": {"f0": NUMBER},
+    "surface": {"h_T": NUMBER, "emissivity": NUMBER, "theta_amb": NUMBER},
+    "inlet": {"theta_inlet": NUMBER},
+    "transient": {"dt": NUMBER, "t_end": NUMBER, "bdf_order": int},
 }
 SECTIONS = tuple(key for key, kind in CONFIG_TYPES["config"].items() if kind is dict)
-
-
-def _is_kind(value, kind) -> bool:
-    if kind is bool:
-        return isinstance(value, bool)
-    if kind is _NUMBER and isinstance(value, _NUMBER) and not abs(value) <= sys.float_info.max:
-        return False  # NaN and Infinity, which json reads, and integers beyond float range
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _check_types(d: dict, where: str):
-    """Reject unknown keys and values of the wrong JSON type in one config section."""
-    spec = CONFIG_TYPES[where]
-    unknown = set(d) - set(spec)
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}; allowed: {sorted(spec)}")
-    for key, value in d.items():
-        if not _is_kind(value, spec[key]):
-            raise ConfigError(f"{where}.{key} must be {_KIND_NAMES[spec[key]]}, got {value!r}")
 
 
 @dataclass
@@ -157,9 +136,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        _check_types(data, "config")
+        check_types(data, CONFIG_TYPES["config"], "config")
         cfg = cls()
         for key, value in data.items():
             if key in SECTIONS:  # a custom channel replaces the generated layout's defaults
@@ -173,11 +150,10 @@ class ScenarioConfig:
 
     def validate(self):
         for group in SECTIONS:
-            _check_types(getattr(self, group),
-                         "vertex layout" if group == "layout" and "vertices" in self.layout else group)
+            where = "vertex layout" if group == "layout" and "vertices" in self.layout else group
+            check_types(getattr(self, group), CONFIG_TYPES[where], where)
         if "vertices" in self.layout:
-            if not all(isinstance(v, list) and len(v) == 2 and all(_is_kind(c, _NUMBER) for c in v)
-                       for v in self.layout["vertices"]):
+            if not all(is_kind(v, NUMBERS) and len(v) == 2 for v in self.layout["vertices"]):
                 raise ConfigError("layout.vertices must be a list of [x, y] number pairs")
         elif self.layout["kind"] not in LAYOUT_KINDS:
             raise ConfigError(f"layout.kind must be one of {LAYOUT_KINDS}")
@@ -251,9 +227,6 @@ def build_problem(config: ScenarioConfig) -> ThermalProblem:
         solid = load_material_file(config.material["file"], config.material.get("name"), mode)
     else:
         solid = builtin_material(config.material["name"], mode)
-    rep = check_ellipticity(solid)
-    if not rep.passed:
-        raise ConfigError(f"material {solid.name} fails uniform ellipticity (k1={rep.k1})")
 
     coolant = Coolant(
         density=float(config.coolant["density"]),
@@ -581,7 +554,7 @@ def _verify_problem() -> ThermalProblem:
     )
     return ThermalProblem(
         mesh=mesh, solid=solid,
-        coolant=Coolant(1000.0, 4183.0, 1e-6 / 60.0), load=1000.0,
+        coolant=water_coolant(1.0), load=1000.0,
     )
 
 
@@ -592,7 +565,7 @@ def _scalar_problem() -> ThermalProblem:
     mesh = mesh_without_channel(build_structured_mesh(dom, 2))
     return ThermalProblem(
         mesh=mesh, solid=builtin_material("cfrp_like", "CMP"),
-        coolant=Coolant(1000.0, 4183.0, 0.0), load=1000.0,
+        coolant=water_coolant(0.0), load=1000.0,
     )
 
 
@@ -602,7 +575,7 @@ OVERRIDES = {
     "--layout": (("layout", "kind"), {"choices": LAYOUT_KINDS, "help": "override layout kind"}),
     "--material": (("material", "name"),
                    {"help": f"override material name ({', '.join(builtin_names())})"}),
-    "--mode": (("material", "mode"), {"choices": ("CMP", "TDMP"), "help": "override property mode"}),
+    "--mode": (("material", "mode"), {"choices": MODES, "help": "override property mode"}),
     "--reverse": ((None, "flow_direction"),
                   {"action": "store_const", "const": "reverse", "help": "reverse the flow direction"}),
     "--steady-only": ((None, "steady_only"),

@@ -1,14 +1,17 @@
 """Temperature-dependent solid properties and the constant-property coolant.
 
 Host-material specific heat and conductivity are polynomial fits of
-temperature (kelvin), clamped to the fitted range so that positivity and
-uniform ellipticity survive extrapolation. The coolant is characterized by
-a single heat capacity rate chi = rho_f * Q * c_f (W/K).
+temperature (kelvin), clamped to the fitted range. A SolidMaterial is
+positive over each range by construction, so the clamped curves stay
+positive at every temperature (uniform ellipticity). The coolant is
+characterized by a single heat capacity rate chi = rho_f * Q * c_f (W/K).
+This module also holds the one JSON field checker of the input files.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -16,18 +19,45 @@ import numpy as np
 
 MODES = ("CMP", "TDMP")
 REFERENCE_TEMPERATURE = 296.15  # K, room temperature at which CMP values are sampled
-ELLIPTICITY_SAMPLES = 101  # equispaced k_s samples over the fitted range
 
-_NUMBER, _NUMBERS = (int, float), "numbers"
-_KIND_NAMES = {_NUMBER: "a number", _NUMBERS: "a list of numbers", str: "a string",
-               dict: "an object"}
+NUMBER, NUMBERS, TEXT_OR_NULL = (int, float), "numbers", (str, type(None))
+_KIND_NAMES = {NUMBER: "a finite number", NUMBERS: "a list of finite numbers", int: "an integer",
+              str: "a string", bool: "true or false", list: "a list", dict: "an object",
+              TEXT_OR_NULL: "a string or null"}
 
-# record kind -> field -> accepted JSON type of a coefficients-file record. A
-# bool is never a number; a missing field raises KeyError where it is read.
+# record kind -> field -> accepted JSON type of a coefficients-file record; a
+# missing field raises KeyError where it is read.
 RECORD_TYPES = {
-    "material": {"name": str, "density": _NUMBER, "c_s": dict, "k_s": dict},
-    "curve": {"coeffs": _NUMBERS, "range": _NUMBERS, "unit": str},
+    "material": {"name": str, "density": NUMBER, "c_s": dict, "k_s": dict},
+    "curve": {"coeffs": NUMBERS, "range": NUMBERS, "unit": str},
 }
+
+
+class ConfigError(ValueError):
+    """Invalid scenario or material input, refused where it is read (the CLI exits 2)."""
+
+
+def is_kind(value, kind) -> bool:
+    """value has the JSON type kind; a bool is never a number, and a number is finite."""
+    if kind is NUMBERS:
+        return isinstance(value, list) and all(is_kind(v, NUMBER) for v in value)
+    if kind is bool:
+        return isinstance(value, bool)
+    if kind is NUMBER and isinstance(value, NUMBER) and not abs(value) <= sys.float_info.max:
+        return False  # NaN and Infinity, which json reads, and integers beyond float range
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_types(d, spec: dict, where: str):
+    """Reject d unless it is an object whose every key spec names, holding a value of its kind."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
+    unknown = set(d) - set(spec)
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}; allowed: {sorted(spec)}")
+    for key, value in d.items():
+        if not is_kind(value, spec[key]):
+            raise ConfigError(f"{where}.{key} must be {_KIND_NAMES[spec[key]]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,9 +141,25 @@ def curve_derivative(curve: PropertyCurve, theta):
     return out
 
 
+def _extreme_values(curve: PropertyCurve) -> np.ndarray:
+    """The curve at its range ends and at the real parts of its derivative's roots.
+
+    Its minimum and maximum over the range are among these values. A root
+    outside the range clamps to an end, and the real part of a complex root
+    only adds one more point of the range.
+    """
+    c = curve.coefficients
+    critical = np.roots([k * c[k] for k in range(len(c) - 1, 0, -1)]).real
+    return eval_curve(curve, np.concatenate([curve.valid_range, critical]))
+
+
 @dataclass(frozen=True)
 class SolidMaterial:
-    """Host solid: density plus temperature-dependent c_s and k_s."""
+    """Host solid: density plus temperature-dependent c_s and k_s.
+
+    Both curves must be positive and finite over their whole fitted range,
+    and so, being clamped, at every temperature.
+    """
 
     name: str
     density: float  # kg/m^3
@@ -123,6 +169,11 @@ class SolidMaterial:
     def __post_init__(self):
         if not 0 < self.density < np.inf:
             raise ValueError(f"density must be positive and finite, got {self.density}")
+        for label, curve in (("c_s", self.specific_heat), ("k_s", self.conductivity)):
+            values = _extreme_values(curve)
+            if not (values.min() > 0 and values.max() < np.inf):
+                raise ValueError(f"{label} of {self.name} must be positive and finite over "
+                                 f"{curve.valid_range}; it reaches {values.min():.6g}")
 
 
 @dataclass(frozen=True)
@@ -140,47 +191,13 @@ class Coolant:
             raise ValueError("flow rate must be non-negative")
 
 
-@dataclass(frozen=True)
-class EllipticityReport:
-    k1: float  # W/(m*K), sampled lower bound of k_s
-    passed: bool
-
-
 def heat_capacity_rate(coolant: Coolant) -> float:
     """chi = rho_f * Q * c_f in W/K."""
     return coolant.density * coolant.flow_rate * coolant.specific_heat
 
 
-def check_ellipticity(material: SolidMaterial) -> EllipticityReport:
-    """Sample k_s over its fitted range and report the lower bound k1.
-
-    passed is True iff k1 > 0. Non-positive minima produce a failing
-    report rather than an exception, so invalid curves can be surfaced.
-    """
-    lo, hi = material.conductivity.valid_range
-    theta = np.linspace(lo, hi, ELLIPTICITY_SAMPLES)
-    values = eval_curve(material.conductivity, theta)
-    k1 = float(np.min(values))
-    return EllipticityReport(k1=k1, passed=k1 > 0.0)
-
-
-def _is_kind(value, kind) -> bool:
-    if kind is _NUMBERS:
-        return isinstance(value, list) and all(_is_kind(v, _NUMBER) for v in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _check_types(d, where: str):
-    """Reject a record that is not an object, or a field of the wrong JSON type."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} record must be an object, got {d!r}")
-    for key, kind in RECORD_TYPES[where].items():
-        if key in d and not _is_kind(d[key], kind):
-            raise ValueError(f"{where}.{key} must be {_KIND_NAMES[kind]}, got {d[key]!r}")
-
-
-def _curve_from_dict(d: dict, unit_default: str = "") -> PropertyCurve:
-    _check_types(d, "curve")
+def _curve_from_dict(d: dict, where: str, unit_default: str) -> PropertyCurve:
+    check_types(d, RECORD_TYPES["curve"], where)
     return PropertyCurve(
         coefficients=tuple(d["coeffs"]),
         valid_range=tuple(d["range"]),
@@ -192,15 +209,16 @@ def material_from_dict(d: dict, mode: str = "TDMP") -> SolidMaterial:
     """Build a SolidMaterial from the coefficients-file record format.
 
     mode="CMP" collapses both curves to constants sampled at room
-    temperature (296.15 K), mode="TDMP" keeps the fitted polynomials. A
-    field of the wrong JSON type (RECORD_TYPES) raises ValueError.
+    temperature (296.15 K), mode="TDMP" keeps the fitted polynomials. An
+    unknown key or a field of the wrong JSON type (RECORD_TYPES) raises
+    ConfigError, a curve not positive over its range ValueError.
     """
     mode = mode.upper()
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    _check_types(d, "material")
-    c_s = _curve_from_dict(d["c_s"], "J/(kg*K)")
-    k_s = _curve_from_dict(d["k_s"], "W/(m*K)")
+    check_types(d, RECORD_TYPES["material"], "material")
+    c_s = _curve_from_dict(d["c_s"], "material.c_s", "J/(kg*K)")
+    k_s = _curve_from_dict(d["k_s"], "material.k_s", "W/(m*K)")
     if mode == "CMP":
         c_s = PropertyCurve((eval_curve(c_s, REFERENCE_TEMPERATURE),), c_s.valid_range, c_s.unit)
         k_s = PropertyCurve((eval_curve(k_s, REFERENCE_TEMPERATURE),), k_s.valid_range, k_s.unit)

@@ -26,10 +26,11 @@ from .assembly import (
     ThermalProblem,
     apply_constraints,
     assemble_raw,
+    zero_flux,
 )
 from .elements import TRI_RULE_DEG4, tri_shape
 from .geometry import Domain2D, VasculaturePath
-from .materials import Coolant, PropertyCurve, SolidMaterial, constant_curve, water_coolant
+from .materials import PropertyCurve, SolidMaterial, constant_curve, water_coolant
 from .mesh import (
     DIRICHLET,
     build_structured_mesh,
@@ -202,15 +203,10 @@ def _mms_problem(case: MMSCase, n: int, element_order: int) -> ThermalProblem:
         specific_heat=constant_curve(900.0, _WIDE, "J/(kg*K)"),
         conductivity=case.conductivity,
     )
-    coolant = (
-        water_coolant(case.chi_flow_ml_per_min)
-        if case.chi_flow_ml_per_min > 0
-        else Coolant(1000.0, 4183.0, 0.0)
-    )
     return ThermalProblem(
         mesh=mesh,
         solid=solid,
-        coolant=coolant,
+        coolant=water_coolant(case.chi_flow_ml_per_min),
         load=lambda x, y, t: case.source(x, y),
         surface=SurfaceExchange(h_T=MMS_H_T, emissivity=0.0, theta_amb=MMS_THETA_AMB),
         bcs=BoundaryData(theta_inlet=MMS_THETA_AMB, theta_p=case.theta_exact, q_p=0.0),
@@ -358,7 +354,7 @@ def scalar_reference(
         raise ValueError("scalar reference needs chi = 0 (no active channel)")
     if np.any(problem.mesh.boundary_tags == DIRICHLET):
         raise ValueError("scalar reference needs an all-neumann boundary")
-    if not (np.isscalar(problem.bcs.q_p) and float(problem.bcs.q_p) == 0.0):
+    if not zero_flux(problem):
         raise ValueError("scalar reference needs q_p = 0")
 
     f0 = float(problem.load)

@@ -14,7 +14,6 @@ from conftest import (
 )
 from vasctherm.assembly import (
     BoundaryData,
-    EllipticityError,
     RateWeights,
     SurfaceExchange,
     TermMask,
@@ -28,7 +27,6 @@ from vasctherm.elements import GAUSS_1D_1, GAUSS_1D_2, edge_shape
 from vasctherm.geometry import LAYOUT_KINDS, Domain2D, LayoutParams, VasculaturePath, generate_layout
 from vasctherm.materials import (
     Coolant,
-    PropertyCurve,
     SolidMaterial,
     constant_curve,
     curve_derivative,
@@ -391,18 +389,6 @@ def test_neumann_flux_enters_residual():
     raw = assemble_raw(prob, theta)
     # sum over all hats = total outward boundary flux = q_p * perimeter
     assert np.sum(raw.residual) == pytest.approx(2.5 * 0.4, rel=1e-12)
-
-
-def test_ellipticity_violation_raises():
-    sinking = PropertyCurve((3.0, -0.01), WIDE)  # negative above 300 K
-    prob = no_channel_problem(n=3, material=wide_material(k=(3.0, -0.01)))
-    prob = ThermalProblem(
-        mesh=prob.mesh, solid=SolidMaterial("bad", 1600.0, constant_curve(900.0), sinking),
-        coolant=prob.coolant, load=prob.load, surface=prob.surface,
-    )
-    theta = np.full(prob.n_dofs, 400.0)
-    with pytest.raises(EllipticityError):
-        apply_constraints(assemble_raw(prob, theta), prob.constraints)
 
 
 def test_apply_constraints_preserves_symmetric_pattern(rng):

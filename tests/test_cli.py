@@ -597,6 +597,7 @@ def _ends_in_an_exit_code(data, *flags):
             code = main(["solve", "--config", cfg, "--out", os.path.join(tmp, "run"), *flags])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    return code
 
 
 @given(data=_configs())
@@ -665,6 +666,8 @@ def _material_record(**fields):
     return record
 
 
+_T0 = 421.245  # K
+
 MALFORMED_MATERIALS = [
     _material_record(c_s={"coeffs": 5.0, "range": [280.0, 450.0]}),
     _material_record(density=None),
@@ -682,6 +685,13 @@ MALFORMED_MATERIALS = [
     _material_record(k_s={"coeffs": [1.25], "range": [280.0, 450.0], "unit": 1}),
     _material_record(c_s=[800.0, 0.5]),
     {"materials": [_material_record(density=False)]},
+    _material_record(density=10**400),  # integers beyond float range
+    _material_record(k_s={"coeffs": [10**400], "range": [280.0, 450.0]}),
+    _material_record(c_s={"coeffs": [-800.0], "range": [280.0, 450.0]}),
+    _material_record(c_s={"coeffs": [0.0], "range": [280.0, 450.0]}),
+    # (theta - T0)^2 - 0.01 reaches -0.01 W/(m*K) at T0, midway between two of 101 samples
+    _material_record(k_s={"coeffs": [_T0 * _T0 - 0.01, -2.0 * _T0, 1.0], "range": [296.15, 423.15]}),
+    _material_record(k_s={"coeffs": [1.25], "range": [280.0, 450.0], "units": "W/(m*K)"}),
 ]
 
 
@@ -697,6 +707,35 @@ def test_malformed_material_file_exits_2(record, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid input" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+_BAD_NUMBER = st.sampled_from([10**400, float("nan"), -800.0, 0.0])
+
+
+@st.composite
+def _material_records(draw):
+    """_material_record() with up to two of its numbers made a huge int, NaN, negative or zero,
+    and perhaps with a key its schema lacks."""
+    record = _material_record()
+    slots = [(record, "density")] + [(record[curve][key], i) for curve in ("c_s", "k_s")
+                                     for key in ("coeffs", "range") for i in range(len(record[curve][key]))]
+    for where, key in draw(st.lists(st.sampled_from(slots), max_size=2)):
+        where[key] = draw(_BAD_NUMBER)
+    extra = draw(st.sampled_from([None, record, record["c_s"], record["k_s"]]))
+    if extra is not None:
+        extra["units"] = "W/(m*K)"
+    return record
+
+
+@given(record=_material_records())
+def test_arbitrary_material_record_exits_0_or_2(record):
+    with tempfile.TemporaryDirectory() as tmp:
+        mat_file = os.path.join(tmp, "mat.json")
+        with open(mat_file, "w") as fh:
+            json.dump(record, fh)
+        code = _ends_in_an_exit_code({"material": {"file": mat_file}, "mesh": {"n": 6}}, "--steady-only")
+    assert code in (EXIT_OK, EXIT_INVALID_INPUT)
 
 
 def test_invalid_transient_block_rejected_before_the_steady_solve(tmp_path, monkeypatch, capsys):

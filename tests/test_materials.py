@@ -10,7 +10,6 @@ from vasctherm.materials import (
     SolidMaterial,
     builtin_material,
     builtin_names,
-    check_ellipticity,
     constant_curve,
     curve_derivative,
     eval_curve,
@@ -104,26 +103,29 @@ def test_water_coolant_ml_per_min():
     assert water_coolant(1.0).flow_rate == pytest.approx(1.6666666666666667e-08)
 
 
-def _mat(curve):
-    return SolidMaterial("m", 1600.0, constant_curve(900.0), curve)
+T0 = 421.245  # K, midway between two of 101 equispaced samples of (296.15, 423.15)
 
 
-def test_ellipticity_constant():
-    rep = check_ellipticity(_mat(constant_curve(0.5)))
-    assert rep.passed and rep.k1 == pytest.approx(0.5)
+@pytest.mark.parametrize("c_s, k_s", [
+    (constant_curve(900.0), PropertyCurve((3.0, -0.01), (296.15, 423.15))),  # zero at 300 K
+    (constant_curve(900.0), PropertyCurve((T0 * T0 - 0.01, -2.0 * T0, 1.0), (296.15, 423.15))),
+    (constant_curve(0.0), LINEAR),
+    (constant_curve(-800.0), LINEAR),
+], ids=["k_s-zero-crossing", "k_s-dip-to-minus-0.01-at-T0", "c_s-zero", "c_s-negative"])
+def test_material_not_positive_over_its_range_is_refused(c_s, k_s):
+    with pytest.raises(ValueError, match="positive"):
+        SolidMaterial("m", 1600.0, c_s, k_s)
 
 
-def test_ellipticity_zero_crossing_reports_failure():
-    crossing = PropertyCurve((3.0, -0.01), (296.15, 423.15))  # crosses zero at 300 K
-    rep = check_ellipticity(_mat(crossing))
-    assert not rep.passed
-    assert rep.k1 <= 0.0
-
-
-def test_ellipticity_linear_minimum_at_low_end():
-    rep = check_ellipticity(_mat(LINEAR))
-    assert rep.passed
-    assert rep.k1 == pytest.approx(7.9615, abs=1e-12)
+@pytest.mark.parametrize("curve", [
+    constant_curve(0.5),
+    LINEAR,  # least at the low end
+    PropertyCurve((T0 * T0 + 0.01, -2.0 * T0, 1.0), (296.15, 423.15)),  # least, 0.01, at T0
+    PropertyCurve((3.0, -0.01), (200.0, 290.0)),  # zero at 300 K, beyond the range
+], ids=["constant", "linear", "interior-minimum", "zero-beyond-the-range"])
+def test_material_positive_over_its_range_constructs(curve):
+    mat = SolidMaterial("m", 1600.0, curve, curve)
+    assert mat.specific_heat == mat.conductivity == curve
 
 
 def test_builtin_cmp_is_degree_zero():
@@ -140,7 +142,9 @@ def test_builtin_cfrp_tdmp_conductivity_slope():
 @pytest.mark.parametrize("name", ["cfrp_like", "gfrp_like", "epoxy_like"])
 @pytest.mark.parametrize("mode", ["CMP", "TDMP"])
 def test_builtins_pass_ellipticity(name, mode):
-    assert check_ellipticity(builtin_material(name, mode)).passed
+    mat = builtin_material(name, mode)  # construction refuses a curve not positive over its range
+    lo, hi = mat.conductivity.valid_range
+    assert np.all(eval_curve(mat.conductivity, np.linspace(lo, hi, 401)) > 0.0)
 
 
 @pytest.mark.parametrize("name", ["cfrp_like", "gfrp_like", "epoxy_like"])
@@ -148,9 +152,7 @@ def test_builtins_positive_over_extended_range(name):
     mat = builtin_material(name, "TDMP")
     theta = np.linspace(250.0, 500.0, 401)
     assert np.all(eval_curve(mat.specific_heat, theta) > 0.0)
-    k1 = check_ellipticity(mat).k1
-    assert k1 > 0.0
-    assert np.all(eval_curve(mat.conductivity, theta) >= k1 - 1e-12)
+    assert np.all(eval_curve(mat.conductivity, theta) > 0.0)
 
 
 @pytest.mark.parametrize("name", ["cfrp_like", "gfrp_like", "epoxy_like"])
