@@ -34,7 +34,6 @@ from .materials import (
     NUMBERS,
     TEXT_OR_NULL,
     ConfigError,
-    Coolant,
     builtin_material,
     builtin_names,
     check_types,
@@ -228,10 +227,10 @@ def build_problem(config: ScenarioConfig) -> ThermalProblem:
     else:
         solid = builtin_material(config.material["name"], mode)
 
-    coolant = Coolant(
+    coolant = water_coolant(
+        float(config.coolant["flow_rate_ml_per_min"]),
         density=float(config.coolant["density"]),
         specific_heat=float(config.coolant["specific_heat"]),
-        flow_rate=float(config.coolant["flow_rate_ml_per_min"]) * 1e-6 / 60.0,
     )
     return ThermalProblem(
         mesh=mesh,

@@ -1,9 +1,10 @@
 """Domain and vasculature geometry.
 
-The coolant channel is an arc-length-parameterized polyline with the
-inlet at s = 0. Layout generators emit axis-aligned polylines (U-shape,
-serpentine, asymmetric U) whose endpoints sit on the domain boundary, so
-they can later be embedded exactly into a structured triangulation.
+The coolant channel is a simple axis-aligned polyline, parameterized by
+arc length with the inlet at s = 0; VasculaturePath refuses any other.
+Layout generators emit such polylines (U-shape, serpentine, asymmetric
+U) with their endpoints on the domain boundary, so they can later be
+embedded exactly into a structured triangulation.
 """
 
 from __future__ import annotations
@@ -34,32 +35,16 @@ class Domain2D:
                     or np.any(y < -1e-12) or np.any(y > self.height + 1e-12))
 
 
-def _cross2(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
-def _segments_intersect(p, q, r, s):
-    """Proper or improper intersection of segments pq and rs."""
-    d1 = _cross2(q - p, r - p)
-    d2 = _cross2(q - p, s - p)
-    d3 = _cross2(s - r, p - r)
-    d4 = _cross2(s - r, q - r)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-
-    def on_seg(a, b, c):
-        return (
-            abs(_cross2(b - a, c - a)) < 1e-14
-            and min(a[0], b[0]) - 1e-14 <= c[0] <= max(a[0], b[0]) + 1e-14
-            and min(a[1], b[1]) - 1e-14 <= c[1] <= max(a[1], b[1]) + 1e-14
-        )
-
-    return on_seg(p, q, r) or on_seg(p, q, s) or on_seg(r, s, p) or on_seg(r, s, q)
-
-
 @dataclass(frozen=True, eq=False)
 class VasculaturePath:
-    """Ordered polyline; first vertex is the inlet (s = 0), last the outlet."""
+    """Simple axis-aligned polyline; first vertex is the inlet (s = 0), last the outlet.
+
+    Each segment is horizontal or vertical: a segment whose |dx| and |dy|
+    both exceed 1e-12 m is refused. No two non-adjacent segments may meet,
+    so a path that crosses, touches or overlaps itself, or ends where it
+    began, is refused. embed_vasculature refuses what snapping then folds
+    back or collapses.
+    """
 
     vertices: np.ndarray = field(repr=False)  # (m, 2) in meters
 
@@ -68,16 +53,18 @@ class VasculaturePath:
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
             raise ValueError("path needs at least two 2D vertices")
         seg = np.diff(v, axis=0)
-        lengths = np.hypot(seg[:, 0], seg[:, 1])
-        if np.any(lengths == 0.0):
+        if np.any(np.all(seg == 0.0, axis=1)):
             raise ValueError("consecutive path vertices must be distinct")
-        # adjacent segments share an endpoint; test all non-adjacent pairs
-        for i in range(len(seg)):
-            for j in range(i + 2, len(seg)):
-                if i == 0 and j == len(seg) - 1 and np.allclose(v[0], v[-1]):
-                    raise ValueError("path is closed (inlet equals outlet)")
-                if _segments_intersect(v[i], v[i + 1], v[j], v[j + 1]):
-                    raise ValueError(f"path self-intersects (segments {i} and {j})")
+        if np.any(np.all(np.abs(seg) > 1e-12, axis=1)):
+            raise ValueError("path must be axis-aligned to embed in a structured grid")
+        # An axis-aligned segment is its own bounding box, so two segments meet
+        # exactly when their closed boxes overlap. Adjacent ones share a vertex.
+        lo, hi = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
+        for i in range(len(seg) - 2):
+            meets = np.all((lo[i + 2:] <= hi[i]) & (lo[i] <= hi[i + 2:]), axis=1)
+            if meets.any():
+                j = i + 2 + int(np.argmax(meets))
+                raise ValueError(f"path self-intersects (segments {i} and {j})")
         object.__setattr__(self, "vertices", v)
 
     def reversed(self) -> "VasculaturePath":

@@ -269,10 +269,12 @@ def load_material_file(path, name: str | None = None, mode: str = "TDMP") -> Sol
         raise ValueError(f"malformed material file {path}: {exc}") from exc
 
 
-def water_coolant(flow_rate_ml_per_min: float = 1.0) -> Coolant:
-    """Table-defaults coolant: water at rho=1000, c_f=4183, Q in mL/min."""
+def water_coolant(
+    flow_rate_ml_per_min: float = 1.0, density: float = 1000.0, specific_heat: float = 4183.0
+) -> Coolant:
+    """Coolant with its flow rate Q given in mL/min; rho and c_f default to water's."""
     return Coolant(
-        density=1000.0,
-        specific_heat=4183.0,
+        density=density,
+        specific_heat=specific_heat,
         flow_rate=flow_rate_ml_per_min * 1e-6 / 60.0,
     )

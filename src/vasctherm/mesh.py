@@ -188,15 +188,14 @@ def embed_vasculature(grid: BaseGrid, path: VasculaturePath) -> ChannelMesh:
     Every vertex must lie in the domain, to 1e-12 m. Vertices snap to the
     nearest grid node (reported error is at most half a cell); the snapped
     geometry replaces the requested path everywhere downstream, including
-    arc lengths.
+    arc lengths. The path is simple and axis-aligned (VasculaturePath
+    checks that), but snapping can still collapse it to one node, tilt a
+    segment up to 1e-12 m off its axis by rounding its ends apart, fold it
+    back onto itself or move an end off the boundary; each is refused.
     """
     if not grid.domain.contains(path.vertices):
         raise ValueError("channel path leaves the domain: every vertex must lie on the plate")
     n, hx, hy = grid.n, grid.hx, grid.hy
-    seg = np.diff(path.vertices, axis=0)
-    if np.any(np.all(np.abs(seg) > 1e-12, axis=1)):
-        raise ValueError("path must be axis-aligned to embed in a structured grid")
-
     snapped = []
     snap_error = 0.0
     for x, y in path.vertices:

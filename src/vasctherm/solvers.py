@@ -128,7 +128,7 @@ class NewtonIteration:
     iteration: int
     residual_norm: float  # W; nan on a row accepted on its update without assembling
     update_norm: float  # max |delta| of the Newton update before damping, K; nan on the initial-residual row
-    damping: float
+    damping: float  # 0 on the initial-residual row and on a round-off-floor stop, which keeps the iterate
     factorized: int  # 1 when the step came from a fresh LU factor, 0 when reused and on the initial-residual row
 
 
@@ -215,7 +215,10 @@ def solve_steady(
     as theta + delta without assembling its residual; its log row has a
     nan residual_norm. _accept still rejects an iterate that is not
     finite. The steady solve, full Newton and every step with a fresh
-    factor accept on the residual test alone.
+    factor accept on the residual test, or when a fresh factor's update
+    has max |delta| <= STEP_TOL and no damping down to 1/64 lowers the
+    residual: the residual then sits at its round-off floor, above the
+    tolerance, and the current iterate is returned, logged with damping 0.
     """
     settings = settings or NewtonSettings()
     if theta_guess is None:
@@ -287,6 +290,10 @@ def solve_steady(
                             f"even at damping {lam:g} (residual before it {rnorm:.3e} W)",
                             theta=theta, residual_norm=rnorm,
                         )
+                    if update <= STEP_TOL:  # the residual's round-off floor: keep the iterate
+                        if log is not None:
+                            log.append(NewtonIteration(step_index, it, rnorm, update, 0.0, 1))
+                        return _accept(theta)
                     break
                 lam *= 0.5
         theta, system, rnorm_before, rnorm = trial, trial_system, rnorm, trial_norm

@@ -30,10 +30,10 @@ from vasctherm.cli import (
     run_scenario,
 )
 from vasctherm.geometry import LAYOUT_KINDS
-from vasctherm.materials import builtin_names
+from vasctherm.materials import Coolant, builtin_names
 from vasctherm.mesh import MAX_MESH_N
 from vasctherm.postprocess import arc_length_profile, channel_peclet, heat_flux_field
-from vasctherm.solvers import MAX_BDF_STEPS, NewtonIteration, solve_steady
+from vasctherm.solvers import MAX_BDF_STEPS, STEP_TOL, NewtonIteration, NewtonSettings, solve_steady
 from vasctherm.verification import mms_convergence
 
 FAST = {
@@ -76,6 +76,12 @@ def test_defaults_are_table_values():
     assert cfg.transient == {"dt": 1.0, "t_end": 1500.0, "bdf_order": 2}
     assert cfg.mesh["n"] == 40
     assert cfg.theta_inlet == cfg.surface["theta_amb"] == 296.42
+
+
+def test_build_problem_converts_the_coolant_flow_rate_once():
+    cfg = ScenarioConfig.from_dict({"coolant": {"flow_rate_ml_per_min": 2.5, "density": 998.0,
+                                                "specific_heat": 4180.0}, "mesh": {"n": 4}})
+    assert build_problem(cfg).coolant == Coolant(998.0, 4180.0, 2.5 * 1e-6 / 60.0)  # bitwise
 
 
 def test_config_rejects_unknown_keys():
@@ -738,6 +744,26 @@ def test_arbitrary_material_record_exits_0_or_2(record):
     assert code in (EXIT_OK, EXIT_INVALID_INPUT)
 
 
+def test_large_conductivity_stops_at_the_residual_round_off_floor(tmp_path, capsys):
+    # k_s of 6e7 to 1.6e8 W/(m*K): the residual stalls at 1.3e-7 W, above the 1e-8 W tolerance
+    record = _material_record(density=1600.0, c_s={"coeffs": [560.0, 1.2], "range": [280.0, 450.0]},
+                              k_s={"coeffs": [0.01, 0.01, 800.0], "range": [280.0, 450.0]})
+    mat_file = tmp_path / "mat.json"
+    mat_file.write_text(json.dumps(record))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"material": {"file": str(mat_file)}}))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out", str(out), "--steady-only", "--mesh-n", "6"]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    with open(out / "solver_log.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert all(len(row) == len(header) for row in rows)
+    assert max(int(row[1]) for row in rows) < NewtonSettings().max_iters
+    assert rows[-1][4] == "0.0" and float(rows[-1][3]) <= STEP_TOL  # kept the iterate: no damped step lowered it
+    field = np.loadtxt(out / "field_snapshot.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(field))
+
+
 def test_invalid_transient_block_rejected_before_the_steady_solve(tmp_path, monkeypatch, capsys):
     argv = ["solve", "--out", str(tmp_path / "run"), "--mesh-n", "4", "--dt", "7", "--t-end", "100"]
     with monkeypatch.context() as patch:
@@ -754,6 +780,27 @@ def test_transient_beyond_the_step_bound_rejected_before_the_steady_solve(tmp_pa
         assert main(argv + ["--dt", str(dt), "--t-end", str(t_end)]) == EXIT_INVALID_INPUT
         err = capsys.readouterr().err
         assert f"exceeds the {MAX_BDF_STEPS} steps" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("vertices, expected", [
+    ([[0.02, 0.1], [0.02, 0.05], [0.08, 0.05], [0.08, 0.08], [0.0, 0.08]], EXIT_INVALID_INPUT),
+    ([[0.05, 0.1], [0.05, 0.05], [0.02, 0.05], [0.02, 0.08], [0.08, 0.08], [0.08, 0.0]], EXIT_INVALID_INPUT),
+    ([[0.05, 0.1], [0.05, 0.05], [0.02, 0.05], [0.02, 0.08], [0.05, 0.08]], EXIT_INVALID_INPUT),
+    ([[0.05, 0.1], [0.05, 0.05], [0.08, 0.05], [0.08, 0.1], [0.05, 0.1]], EXIT_INVALID_INPUT),
+    ([[0.05, 0.1], [0.05, 0.0], [0.05, 0.1]], EXIT_INVALID_INPUT),
+    ([[0.0, 0.0], [0.1, 0.1]], EXIT_INVALID_INPUT),
+    ([[0.05, 0.1], [0.0501, 0.1]], EXIT_INVALID_INPUT),
+    ([[0.0449999999996, 0.1], [0.0450000000004, 0.0]], EXIT_INVALID_INPUT),
+    ([[0.05, 0.1], [0.05, 0.0]], EXIT_OK),
+], ids=["crossing", "crossing-the-inlet-leg", "T-touch", "closed", "fold-back", "diagonal",
+        "collapse", "tilted-by-snapping", "straight"])
+def test_channel_path_exit_code(tmp_path, capsys, vertices, expected):
+    """Whether the path or the mesh refuses a channel, the run exits with the same code."""
+    cfg = tmp_path / "path.json"
+    cfg.write_text(json.dumps({"layout": {"vertices": vertices}}))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run"), "--steady-only", "--mesh-n", "10"])
+    assert code == expected
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_custom_vertex_channel_runs(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vasctherm.geometry import (
     Domain2D,
@@ -97,11 +99,57 @@ def test_reversal_maps_arclength_and_flips_tangent():
     assert np.array_equal(np.diff(rev.vertices, axis=0), -np.diff(path.vertices, axis=0)[::-1])
 
 
-def test_path_validation():
-    with pytest.raises(ValueError):
-        VasculaturePath(np.array([[0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        VasculaturePath(np.array([[0.0, 0.0], [0.0, 0.0]]))
-    crossing = np.array([[0.0, 0.0], [0.1, 0.0], [0.05, 0.05], [0.05, -0.05]])
-    with pytest.raises(ValueError):
-        VasculaturePath(crossing)
+@pytest.mark.parametrize("verts, message", [
+    ([[0.0, 0.0]], "at least two"),
+    ([[0.0, 0.0], [0.0, 0.0]], "distinct"),
+    ([[0.0, 0.0], [0.1, 0.1]], "axis-aligned"),
+    ([[0.02, 0.1], [0.02, 0.05], [0.08, 0.05], [0.08, 0.08], [0.0, 0.08]], "segments 0 and 3"),  # crossing
+    ([[0.05, 0.1], [0.05, 0.05], [0.02, 0.05], [0.02, 0.08], [0.05, 0.08]],
+     "segments 0 and 3"),  # T-touch: segment 3 ends inside segment 0
+    ([[0.02, 0.1], [0.02, 0.05], [0.06, 0.05], [0.06, 0.03], [0.08, 0.03], [0.08, 0.05],
+      [0.04, 0.05], [0.04, 0.0]], "segments 1 and 5"),  # collinear overlap: both run along y = 0.05
+    ([[0.05, 0.1], [0.05, 0.05], [0.08, 0.05], [0.08, 0.1], [0.05, 0.1]], "segments 0 and 3"),  # closed
+], ids=["one-vertex", "repeated-vertex", "diagonal", "crossing", "T-touch", "collinear-overlap", "closed"])
+def test_path_validation(verts, message):
+    with pytest.raises(ValueError, match=message):
+        VasculaturePath(np.array(verts))
+
+
+def test_path_axis_rule_allows_round_off():
+    # |dx| <= 1e-12 m is round-off on a vertical segment; beyond it the segment is tilted
+    VasculaturePath(np.array([[0.05, 0.1], [0.05 + 1e-12, 0.0]]))
+    with pytest.raises(ValueError, match="axis-aligned"):
+        VasculaturePath(np.array([[0.05, 0.1], [0.05 + 2e-12, 0.0]]))
+
+
+LATTICE = 6  # lattice points per side, scaled onto the 0.1 m plate
+
+
+@st.composite
+def _lattice_paths(draw):
+    """Axis-aligned paths whose vertices lie on a LATTICE x LATTICE grid, as integer points."""
+    coord = st.integers(0, LATTICE - 1)
+    pts = [(draw(coord), draw(coord))]
+    for _ in range(draw(st.integers(1, 7))):
+        axis = draw(st.integers(0, 1))
+        value = draw(coord.filter(lambda c, a=axis: c != pts[-1][a]))
+        pts.append((value, pts[-1][1]) if axis == 0 else (pts[-1][0], value))
+    return pts
+
+
+def _lattice_points(a, b):
+    """Every lattice point on the axis-aligned segment from a to b."""
+    (x0, x1), (y0, y1) = sorted((a[0], b[0])), sorted((a[1], b[1]))
+    return {(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)}
+
+
+@given(pts=_lattice_paths())
+def test_path_refused_exactly_when_non_adjacent_segments_share_a_lattice_point(pts):
+    cells = [_lattice_points(a, b) for a, b in zip(pts[:-1], pts[1:])]
+    meet = any(cells[i] & cells[j] for i in range(len(cells)) for j in range(i + 2, len(cells)))
+    verts = np.array(pts, dtype=float) * (DOM.width / (LATTICE - 1))
+    if meet:
+        with pytest.raises(ValueError, match="self-intersects"):
+            VasculaturePath(verts)
+    else:
+        VasculaturePath(verts)

@@ -101,6 +101,8 @@ def test_heat_capacity_rate_linearity():
 
 def test_water_coolant_ml_per_min():
     assert water_coolant(1.0).flow_rate == pytest.approx(1.6666666666666667e-08)
+    assert water_coolant(1.0) == Coolant(1000.0, 4183.0, 1e-6 / 60.0)  # bitwise
+    assert water_coolant(2.5, density=998.0, specific_heat=4180.0) == Coolant(998.0, 4180.0, 2.5 * 1e-6 / 60.0)
 
 
 T0 = 421.245  # K, midway between two of 101 equispaced samples of (296.15, 423.15)

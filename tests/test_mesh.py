@@ -110,10 +110,17 @@ def test_embed_rejects_snapped_overlap():
         embed_vasculature(grid, VasculaturePath(verts))
 
 
-def test_embed_rejects_diagonal_path():
-    grid = build_structured_mesh(DOM, 10)
-    with pytest.raises(ValueError, match="axis-aligned"):
-        embed_vasculature(grid, VasculaturePath(np.array([[0.0, 0.0], [0.1, 0.1]])))
+def test_embed_rejects_path_collapsing_to_one_node():
+    grid = build_structured_mesh(DOM, 10)  # h = 1 cm; both ends snap to (0.05, 0.1)
+    with pytest.raises(ValueError, match="collapses to a single node"):
+        embed_vasculature(grid, VasculaturePath(np.array([[0.05, 0.1], [0.0501, 0.1]])))
+
+
+def test_embed_rejects_segment_tilted_by_snapping():
+    grid = build_structured_mesh(DOM, 10)  # 0.045 m is a cell midpoint: the ends round apart
+    path = VasculaturePath(np.array([[0.045 - 4e-13, 0.1], [0.045 + 4e-13, 0.0]]))
+    with pytest.raises(ValueError, match="snapped path segment is not axis-aligned"):
+        embed_vasculature(grid, path)
 
 
 @pytest.mark.parametrize("verts", [

@@ -19,6 +19,7 @@ from vasctherm.geometry import LAYOUT_KINDS, LayoutParams
 from vasctherm.materials import Coolant
 from vasctherm.mesh import DIRICHLET, NEUMANN, tag_boundary
 from vasctherm.solvers import (
+    STEP_TOL,
     NewtonError,
     NewtonSettings,
     SingularSystemError,
@@ -75,6 +76,21 @@ def test_solve_steady_nonconvergence_reports():
         solve_steady(prob, NewtonSettings(abs_tol=1e-12, rel_tol=1e-16, max_iters=1))
     assert err.value.theta is not None
     assert err.value.residual_norm > 0
+
+
+def test_newton_stops_at_the_residual_round_off_floor():
+    # k_s near 1e8 W/(m*K): the residual stalls near 1.3e-7 W, above the 1e-8 W tolerance
+    prob = channel_problem(n=6, material=wide_material(k=(0.01, 0.01, 800.0)))
+    log = []
+    theta = solve_steady(prob, log=log)
+    assert np.all(np.isfinite(theta))
+    assert len(log) - 1 < NewtonSettings().max_iters
+    stop, before = log[-1], log[-2]
+    assert stop.damping == 0.0 and stop.factorized == 1 and stop.update_norm <= STEP_TOL
+    assert stop.residual_norm == before.residual_norm > NewtonSettings().abs_tol
+    with pytest.raises(NewtonError) as err:  # one iteration fewer ends on the iterate the stop keeps
+        solve_steady(prob, NewtonSettings(max_iters=before.iteration))
+    assert np.array_equal(theta, err.value.theta)
 
 
 def test_kelvin_positivity_flagged():
