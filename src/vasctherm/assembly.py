@@ -56,8 +56,8 @@ class SurfaceExchange:
 
     def __post_init__(self):
         _check_kelvin("ambient", self.theta_amb)
-        if self.h_T < 0:
-            raise ValueError("heat transfer coefficient must be non-negative")
+        if not 0.0 <= self.h_T <= 1e6:  # ten times boiling or condensing water, W/(m^2 K)
+            raise ValueError(f"heat transfer coefficient must lie in [0, 1e6] W/(m^2 K), got {self.h_T:g}")
         if not 0.0 <= self.emissivity <= 1.0:
             raise ValueError("emissivity must lie in [0, 1]")
 
@@ -83,11 +83,10 @@ class TermMask:
     """Toggles for individual residual terms.
 
     The Jacobian check differences each combination; the energy audit in
-    postprocess sums the residual with conduction and channel masked.
+    postprocess masks conduction and channel. h_T = 0 leaves out convection.
     """
 
     conduction: bool = True
-    convection: bool = True
     radiation: bool = True
     channel: bool = True
     mass: bool = True
@@ -442,7 +441,7 @@ def assemble_raw(
     coef_N = -problem.load_at_qp(time)
     coef_NN = 0.0
 
-    if terms.convection and surf.h_T != 0.0:
+    if surf.h_T != 0.0:
         coef_N += surf.h_T * (th_q - surf.theta_amb)
         coef_NN += surf.h_T
 

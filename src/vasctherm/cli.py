@@ -60,7 +60,6 @@ from .postprocess import (
     series_observables,
 )
 from .solvers import (
-    ChordFactor,
     NewtonIteration,
     SolverError,
     TransientSettings,
@@ -143,6 +142,8 @@ class ScenarioConfig:
                 value = {**base, **value}
             setattr(cfg, key, value)
         if "margins" in cfg.layout:  # documented alias of margin
+            if "margin" in cfg.layout:
+                raise ConfigError("layout sets both margin and its alias margins; give one")
             cfg.layout["margin"] = cfg.layout.pop("margins")
         cfg.validate()
         return cfg
@@ -286,8 +287,8 @@ def execute_run(config: ScenarioConfig) -> RunResult:
     """Solve one scenario (steady always; transient unless steady_only).
 
     The transient settings, and that its stored history fits in physical
-    memory, are checked before the mesh is built. The steady solve runs
-    chord Newton, as the transient steps do.
+    memory, are checked before the mesh is built. The steady solve and
+    the transient steps run solve_steady's one Newton policy, chord Newton.
     """
     t0 = time.perf_counter()
     ts = None if config.steady_only else TransientSettings(
@@ -299,7 +300,7 @@ def execute_run(config: ScenarioConfig) -> RunResult:
         _check_history_fits(config, ts)
     problem = build_problem(config)
     log: list = []
-    steady = solve_steady(problem, log=log, factors=ChordFactor())
+    steady = solve_steady(problem, log=log)
     bounds = check_bounds(steady, problem)
     series = None
     sobs: list = []
@@ -503,7 +504,7 @@ def compare_cmp_tdmp(config: ScenarioConfig, outdir: str) -> dict:
 
 
 def run_verify(outdir: str, full: bool = False, seed: int = 0) -> int:
-    """MMS slopes, Jacobian toggle masks, scalar-reference consistency."""
+    """MMS slopes (solved by the scenario runs' chord Newton), Jacobian toggle masks, scalar reference."""
     os.makedirs(outdir, exist_ok=True)
     sizes = (8, 16, 32, 64) if full else (8, 16, 32)
     failures = []

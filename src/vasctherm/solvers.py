@@ -8,15 +8,15 @@ the cubic through the last four states (fewer at the first three steps).
 On the smooth trajectory of a fixed step this extrapolated starting value
 (Fischer 1998, CMAME 163:193) lands closer to the root than DASSL's
 predictor through the k+1 states of a formula of order k, so a step needs
-fewer chord iterations. BDF steps, and the steady solve of a scenario run,
-use chord Newton: one LU factor is reused across iterations and steps
-while it keeps contracting the residual fast enough (Hairer & Wanner,
-Solving ODEs II, IV.8). A BDF step whose update with the reused factor is
-at most STEP_TOL in every component is accepted on that update, without
+fewer chord iterations. Every solve, steady or BDF step, runs chord
+Newton: one LU factor is reused across iterations and steps while it
+keeps contracting the residual fast enough (Hairer & Wanner, Solving
+ODEs II, IV.8). A BDF step whose update with the reused factor is at
+most STEP_TOL in every component is accepted on that update, without
 assembling the residual that would only confirm it (the correction test
 of CVODE's nonlinear solver, Hindmarsh et al. 2005, ACM TOMS 31:363).
-Full Newton, which factors at every iteration, stays the default of
-solve_steady.
+With REFACTOR_RATIO = 0 every iteration refactors: full Newton, the
+limit that tests compare against.
 
 A temperature state is a nodal ndarray (K), one value per mesh node:
 solve_steady returns the accepted iterate, and solve_transient returns the
@@ -42,7 +42,8 @@ from .assembly import (
 
 # Chord Newton refactors once an accepted iterate cuts the residual by less than
 # 1 / REFACTOR_RATIO, or when, at the rate it did cut it, reaching the tolerance
-# would take more than REFACTOR_ITERS further iterations.
+# would take more than REFACTOR_ITERS further iterations. At REFACTOR_RATIO = 0 it
+# refactors at every iteration: full Newton.
 REFACTOR_RATIO = 0.2
 REFACTOR_ITERS = 8
 
@@ -136,9 +137,9 @@ class NewtonIteration:
 class ChordFactor:
     """The LU factor that chord Newton reuses, keyed by the BDF coefficient.
 
-    Pass a fresh ChordFactor() as solve_steady's factors to run one steady
-    solve as chord Newton; solve_transient shares one across its steps.
-    builds counts the factors built into it.
+    solve_steady keeps a private one unless passed factors;
+    solve_transient shares one across its steps. builds counts the
+    factors built into it.
     """
 
     key: float | None = None
@@ -196,26 +197,25 @@ def solve_steady(
     it. A trial whose residual is not finite counts as failed, and Newton
     never accepts one.
 
-    Without factors (full Newton) the first residual is assembled with
-    its Jacobian, and every iteration factors a fresh one into a private
-    ChordFactor. With factors (chord Newton: solve_transient's steps, and a
-    steady solve passed a fresh ChordFactor()) the first residual is
-    assembled residual-only and the stored factor is reused; a fresh one
-    is built when none exists for rate.coeff, when the last accepted
-    iterate cut the residual by a ratio rho above REFACTOR_RATIO, when
-    REFACTOR_ITERS more iterations at that rate would still leave the
-    residual above the tolerance (rnorm * rho**REFACTOR_ITERS > target,
-    the convergence-rate test of CVODE's nonlinear solver), or when a
-    step with the stale factor does not reduce the residual or is not
-    finite. Such a step is never damped or accepted: the iteration is
-    redone from the same iterate with a fresh factor.
+    Newton is chord Newton on factors, or on a private ChordFactor when
+    none is passed (solve_transient shares one across its steps). The
+    first residual is assembled residual-only and the stored factor is
+    reused; a fresh one is built when none exists for rate.coeff, when
+    the last accepted iterate cut the residual by a ratio rho above
+    REFACTOR_RATIO, when REFACTOR_ITERS more iterations at that rate
+    would still leave the residual above the tolerance
+    (rnorm * rho**REFACTOR_ITERS > target, the convergence-rate test of
+    CVODE's nonlinear solver), or when a step with the stale factor does
+    not reduce the residual or is not finite. Such a step is never damped
+    or accepted: the iteration is redone from the same iterate with a
+    fresh factor.
 
-    At a BDF step (rate given, in chord mode) a step with the reused
-    factor whose update delta has max |delta| <= STEP_TOL (K) is accepted
-    as theta + delta without assembling its residual; its log row has a
-    nan residual_norm. _accept still rejects an iterate that is not
-    finite. The steady solve, full Newton and every step with a fresh
-    factor accept on the residual test, or when a fresh factor's update
+    At a BDF step (rate given) a step with the reused factor whose update
+    delta has max |delta| <= STEP_TOL (K) is accepted as theta + delta
+    without assembling its residual; its log row has a nan
+    residual_norm. _accept still rejects an iterate that is not finite.
+    The steady solve and every step with a fresh factor accept on the
+    residual test, or when a fresh factor's update
     has max |delta| <= STEP_TOL and no damping down to 1/64 lowers the
     residual: the residual then sits at its round-off floor, above the
     tolerance, and the current iterate is returned, logged with damping 0.
@@ -233,9 +233,8 @@ def solve_steady(
             assemble_raw(problem, state, time=time, rate=rate, jacobian=jacobian), constraints
         )
 
-    chord = factors is not None
     factors = factors or ChordFactor()
-    system = assemble(theta, jacobian=not chord)
+    system = assemble(theta, jacobian=False)
     free = constraints.free
     rnorm = float(np.linalg.norm(system.residual))
     r0 = rnorm
@@ -268,8 +267,7 @@ def solve_steady(
             fresh = not (np.isfinite(trial_norm) and trial_norm < rnorm)
         if fresh:
             factors.lu = None  # free the stale factor before the Jacobian and its factor are built
-            if system.jacobian is None:
-                system = assemble(theta)
+            system = assemble(theta)
             factors.lu, factors.key = factorize(system.jacobian), key
             factors.builds += 1
             delta = linear_solve(system, factors.lu)
@@ -302,7 +300,7 @@ def solve_steady(
         if rnorm <= target:
             return _accept(theta)
         ratio = rnorm / rnorm_before
-        fresh = not chord or ratio > REFACTOR_RATIO or rnorm * ratio**REFACTOR_ITERS > target
+        fresh = ratio > REFACTOR_RATIO or rnorm * ratio**REFACTOR_ITERS > target
 
     raise NewtonError(
         f"Newton did not converge in {settings.max_iters} iterations "

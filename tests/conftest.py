@@ -32,7 +32,7 @@ def wide_material(name="wide", k=(5.0, 0.01), c=(560.0, 1.2), density=1600.0):
     )
 
 
-def no_channel_problem(n=4, f0=1000.0, emissivity=0.0, material=None, order=1):
+def no_channel_problem(n=4, f0=1000.0, emissivity=0.0, material=None, order=1, h_T=21.0):
     dom = Domain2D()
     mesh = mesh_without_channel(build_structured_mesh(dom, n, order))
     return ThermalProblem(
@@ -40,12 +40,12 @@ def no_channel_problem(n=4, f0=1000.0, emissivity=0.0, material=None, order=1):
         solid=material or builtin_material("cfrp_like", "CMP"),
         coolant=Coolant(1000.0, 4183.0, 0.0),
         load=f0,
-        surface=SurfaceExchange(h_T=21.0, emissivity=emissivity, theta_amb=296.42),
+        surface=SurfaceExchange(h_T=h_T, emissivity=emissivity, theta_amb=296.42),
     )
 
 
 def channel_problem(n=10, f0=1000.0, material=None, layout=None, order=1,
-                    flow_ml_per_min=1.0, emissivity=0.97, reverse=False):
+                    flow_ml_per_min=1.0, emissivity=0.97, reverse=False, h_T=21.0):
     dom = Domain2D()
     path = generate_layout(dom, layout or LayoutParams(kind="u_shape"))
     if reverse:
@@ -56,7 +56,7 @@ def channel_problem(n=10, f0=1000.0, material=None, layout=None, order=1,
         solid=material or builtin_material("cfrp_like", "TDMP"),
         coolant=water_coolant(flow_ml_per_min),
         load=f0,
-        surface=SurfaceExchange(h_T=21.0, emissivity=emissivity, theta_amb=296.42),
+        surface=SurfaceExchange(h_T=h_T, emissivity=emissivity, theta_amb=296.42),
         bcs=BoundaryData(theta_inlet=296.42),
     )
 

@@ -78,7 +78,7 @@ def test_single_triangle_conduction_is_cotangent_stiffness():
         surface=SurfaceExchange(h_T=0.0, emissivity=0.0, theta_amb=300.0),
     )
     theta = np.array([300.0, 310.0, 320.0])
-    system = assemble_raw(prob, theta, terms=TermMask(convection=False, radiation=False))
+    system = assemble_raw(prob, theta, terms=TermMask(radiation=False))
     expected = d * k * 0.5 * np.array([
         [2.0, -1.0, -1.0],
         [-1.0, 1.0, 0.0],
@@ -108,10 +108,10 @@ def test_mass_matrix_row_sums_are_lumped_areas():
     # with constant c_s and theta_dot == 1, the mass residual row i is
     # d rho c times the nodal area share int N_i
     n = 5
-    prob = no_channel_problem(n=n, f0=0.0, material=wide_material(c=(900.0, 0.0)))
+    prob = no_channel_problem(n=n, f0=0.0, material=wide_material(c=(900.0, 0.0)), h_T=0.0)
     theta = np.full(prob.n_dofs, 320.0)
     rate = RateWeights(coeff=0.0, rhs=np.ones(prob.n_dofs))
-    only_mass = TermMask(conduction=False, convection=False, radiation=False, channel=False)
+    only_mass = TermMask(conduction=False, radiation=False, channel=False)
     system = assemble_raw(prob, theta, rate=rate, terms=only_mass)
     mass_rows = system.residual  # load term is zero (f0 = 0)
     d, rho, c = prob.mesh.domain.thickness, prob.solid.density, 900.0
@@ -123,12 +123,12 @@ def test_mass_matrix_row_sums_are_lumped_areas():
 
 
 def test_mass_jacobian_matches_finite_differences():
-    prob = no_channel_problem(n=3, material=wide_material())
-    mask = TermMask(conduction=False, convection=False, radiation=False, channel=False)
+    prob = no_channel_problem(n=3, material=wide_material(), h_T=0.0)
+    mask = TermMask(conduction=False, radiation=False, channel=False)
     assert jacobian_check(prob, trials=2, terms=mask, seed=1) <= 1e-6
 
 
-CHANNEL_ONLY = TermMask(conduction=False, convection=False, radiation=False, mass=False)
+CHANNEL_ONLY = TermMask(conduction=False, radiation=False, mass=False)  # on a problem with h_T = 0
 
 
 def per_edge_channel_matrix(mesh):
@@ -151,7 +151,7 @@ def channel_matrix(plan):
 
 
 def test_channel_term_uniform_field_vanishes():
-    prob = channel_problem(n=8, f0=0.0)
+    prob = channel_problem(n=8, f0=0.0, h_T=0.0)
     theta = np.full(prob.n_dofs, 310.0)
     res = assemble_raw(prob, theta, terms=CHANNEL_ONLY).residual
     assert np.max(np.abs(res)) == 0.0
@@ -184,7 +184,7 @@ def test_channel_term_orientation_flips_sign():
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_channel_operator_matches_per_edge_gauss_loop(order, rng):
-    prob = channel_problem(n=6, order=order, f0=0.0)
+    prob = channel_problem(n=6, order=order, f0=0.0, h_T=0.0)
     theta = rng.uniform(300.0, 360.0, prob.n_dofs)
     ref = per_edge_channel_matrix(prob.mesh)
     plan = plan_for(prob.mesh)

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
-from vasctherm import cli
+from vasctherm import cli, solvers
 from vasctherm.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID_INPUT,
@@ -270,14 +270,17 @@ def test_zero_load_reports_nan_eta_and_ambient_mst(tmp_path):
 
 
 def test_run_steady_solve_factors_once(monkeypatch):
-    # execute_run's steady solve is chord Newton; full Newton is the oracle
+    # execute_run's steady solve is chord Newton; full Newton, its REFACTOR_RATIO = 0 limit,
+    # is the oracle
     calls = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
     run = execute_run(fast_config(steady_only=True))
     assert len(calls) == 1
     assert sum(rec.factorized for rec in run.newton_log) == 1
+    monkeypatch.setattr(solvers, "REFACTOR_RATIO", 0.0)
     oracle = solve_steady(run.problem)
+    assert len(calls) > 2
     assert np.max(np.abs(run.steady_field - oracle)) <= 1e-6
 
 
@@ -884,6 +887,26 @@ def test_margins_alias_accepted():
     cfg = ScenarioConfig.from_dict({"layout": {"kind": "u_shape", "margins": 0.03}})
     assert cfg.layout["margin"] == 0.03
     assert "margins" not in cfg.layout
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"surface": {"h_T": 1e300}}, "heat transfer coefficient"),
+    ({"surface": {"h_T": 1e20}}, "heat transfer coefficient"),
+    ({"layout": {"margin": 0.03, "margins": 0.01}}, "margin and its alias margins"),
+], ids=["h_T=1e300", "h_T=1e20", "margin+margins"])
+@pytest.mark.parametrize("steady_only", [True, False], ids=["steady", "transient"])
+def test_out_of_range_or_conflicting_config_exits_2(data, message, steady_only, tmp_path, capsys):
+    # unrefused, such an h_T leaves a steady run at ambient with the whole load unaccounted
+    # for (exit 0) and overflows a transient's residual norm (exit 3)
+    cfg = tmp_path / "range.json"
+    cfg.write_text(json.dumps(data))
+    extra = ["--steady-only"] if steady_only else ["--t-end", "5"]
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run"), "--mesh-n", "6", *extra])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "error: invalid input:" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_output_dir_from_config(tmp_path):

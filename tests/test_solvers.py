@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -59,10 +61,12 @@ def test_radiative_equilibrium_matches_bisection_oracle():
     assert fld[0] == pytest.approx(root, abs=1e-4)
 
 
-def test_newton_quadratic_convergence_near_root():
+def test_newton_quadratic_convergence_near_root(monkeypatch):
+    monkeypatch.setattr(solvers, "REFACTOR_RATIO", 0.0)  # full Newton: a fresh factor every iteration
     prob = channel_problem(n=10)
     log = []
     solve_steady(prob, log=log)
+    assert all(rec.factorized for rec in log[1:])
     norms = [rec.residual_norm for rec in log if rec.residual_norm > 0]
     # ratio ||R_{k+1}|| / ||R_k||^2 stays bounded over the tail iterations
     ratios = [norms[k + 1] / norms[k] ** 2 for k in range(len(norms) - 2, len(norms) - 1)]
@@ -327,11 +331,12 @@ def _rate(fields, k, dt, bdf_order):
 
 
 @pytest.mark.parametrize("n, order", [(10, 1), (6, 2)])
-def test_chord_steps_match_full_newton(n, order):
-    # each chord-Newton step against full Newton on the same step inputs
+def test_chord_steps_match_full_newton(monkeypatch, n, order):
+    # each chord-Newton step against full Newton (REFACTOR_RATIO = 0) on the same step inputs
     prob = channel_problem(n=n, order=order)
     dt = 1.0
     fields = solve_transient(prob, TransientSettings(dt=dt, t_end=30.0))
+    monkeypatch.setattr(solvers, "REFACTOR_RATIO", 0.0)
     for k in range(1, len(fields)):
         oracle = solve_steady(prob, theta_guess=_predictor(fields, k), time=k * dt,
                               rate=_rate(fields, k, dt, 2))
@@ -462,14 +467,29 @@ def test_chord_factor_counts_its_builds(monkeypatch):
 
 
 def test_full_newton_factors_once_per_linear_solve_and_chord_less(monkeypatch):
+    # full Newton is chord Newton's REFACTOR_RATIO = 0 limit
     factorizations = _count_calls(monkeypatch, spla, "splu")
     solves = _count_calls(monkeypatch, solvers, "linear_solve")
     prob = channel_problem(n=10, f0=5000.0)
     solve_steady(prob)
-    assert len(factorizations) == len(solves) >= 2
-    del factorizations[:], solves[:]
-    solve_steady(prob, factors=solvers.ChordFactor())
     assert 1 <= len(factorizations) < len(solves)
+    del factorizations[:], solves[:]
+    monkeypatch.setattr(solvers, "REFACTOR_RATIO", 0.0)
+    solve_steady(prob)
+    assert len(factorizations) == len(solves) >= 2
+
+
+@pytest.mark.parametrize("n, order", [(10, 1), (6, 2)])
+def test_steady_solve_without_factors_is_chord_newton(n, order):
+    # a solve with no factors passed runs the same chord policy on a private ChordFactor
+    prob = channel_problem(n=n, order=order, f0=5000.0)
+    own_log, passed_log = [], []
+    own = solve_steady(prob, log=own_log)
+    passed = solve_steady(prob, log=passed_log, factors=solvers.ChordFactor())
+    assert np.array_equal(own, passed)
+    rows = [[dataclasses.astuple(rec) for rec in log] for log in (own_log, passed_log)]
+    assert np.array_equal(*np.array(rows, dtype=float), equal_nan=True)
+    assert sum(rec.factorized for rec in own_log) < len(own_log) - 1
 
 
 @pytest.mark.parametrize("after", [2e6, 5e6, 1e7])
@@ -548,12 +568,12 @@ def test_non_finite_update_is_never_accepted(tmp_path, monkeypatch, capsys, bad,
         assert "converged iterate holds non-finite temperatures" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("chord", [False, True], ids=["full", "chord"])
-def test_steady_solve_logs_every_residual(chord):
+@pytest.mark.parametrize("ratio", [0.0, solvers.REFACTOR_RATIO], ids=["full", "chord"])
+def test_steady_solve_logs_every_residual(monkeypatch, ratio):
     # the update test is for BDF steps: a steady solve assembles the residual it accepts
+    monkeypatch.setattr(solvers, "REFACTOR_RATIO", ratio)
     log = []
-    solve_steady(channel_problem(n=10, f0=5000.0), log=log,
-                 factors=solvers.ChordFactor() if chord else None)
+    solve_steady(channel_problem(n=10, f0=5000.0), log=log)
     assert len(log) > 2
     assert all(np.isfinite(rec.residual_norm) for rec in log)
     assert all(np.isfinite(rec.update_norm) for rec in log[1:])

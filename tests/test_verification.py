@@ -5,7 +5,7 @@ import pytest
 
 from conftest import channel_problem, no_channel_problem, wide_material
 from vasctherm import cli, verification
-from vasctherm.assembly import STEFAN_BOLTZMANN, SurfaceExchange
+from vasctherm.assembly import STEFAN_BOLTZMANN, SurfaceExchange, TermMask
 from vasctherm.materials import builtin_material, constant_curve
 from vasctherm.verification import (
     ConvergenceRow,
@@ -118,7 +118,7 @@ def test_toggle_masks_enumeration():
     assert len(masks) == 16
     combos = {(m.conduction, m.radiation, m.channel, m.mass) for m in masks}
     assert len(combos) == 16
-    assert all(m.convection for m in masks)
+    assert {f.name for f in dataclasses.fields(TermMask)} == {"conduction", "radiation", "channel", "mass"}
 
 
 def test_scalar_reference_flat_without_load():
