@@ -400,7 +400,10 @@ def assemble_raw(
     weights qp_dA multiply once. A constant load enters that sum as a
     scalar; a callable one is tabulated at the points. The Jacobian's
     N_i N_j coefficient is summed and weighted the same way, and the
-    channel term is applied through the chain's rows only.
+    channel term is applied through the chain's rows only. Every table is
+    scaled and summed in place, in the order of the formulas written out
+    beside each step, so no operation is added or reordered; theta and
+    rate.rhs are only read.
     """
     mesh = problem.mesh
     theta = np.asarray(theta, dtype=float)
@@ -420,56 +423,77 @@ def assemble_raw(
     R_e = J_e = 0.0  # the conduction part of the element tables
 
     if terms.conduction:
-        k_q = eval_curve(problem.solid.conductivity, th_q)
         # grad theta at the gradient points, and their weights sum_q w d k(theta_q)
         G = basis.gp_gradN  # (ng, 2, nen, T)
         grad = np.einsum("gcit,it->gct", G, theta_e)
-        wbar = basis.gp_map.T @ (w * d * k_q)  # (ng, T)
-        R_e = np.einsum("gcit,gct->it", G, wbar[:, None] * grad)
+        wdk = w * d
+        if jacobian:
+            wdkp = curve_derivative(problem.solid.conductivity, th_q)
+            wdkp *= wdk  # w d k'(theta_q)
+            gw = np.einsum("gcit,gct->git", G, grad)  # grad N_i . grad theta
+        wdk *= eval_curve(problem.solid.conductivity, th_q)  # w d k(theta_q)
+        wbar = basis.gp_map.T @ wdk  # (ng, T)
+        grad *= wbar[:, None]
+        R_e = np.einsum("gcit,gct->it", G, grad)
         if jacobian:
             A = (wbar[:, None] * plan.lam_GG).reshape(-1, T)  # geometry tensor
             J_e = plan.K_ref @ A
-            gw = np.einsum("gcit,gct->git", G, grad)  # grad N_i . grad theta
-            wdkp = w * d * curve_derivative(problem.solid.conductivity, th_q)
             M = (plan.gp_MN @ wdkp).reshape(-1, nen, T)
             J_e += np.einsum("git,gjt->ijt", gw, M).reshape(-1, T)
 
     # Every other term is a pointwise coefficient times N_i (residual) or N_i N_j
-    # (Jacobian). The coefficients are summed at each quadrature point and weighted
-    # by w once; a constant load stays a scalar, and += on a scalar rebinds it to
-    # a fresh array, so no table is ever zero-filled.
+    # (Jacobian). Each term is built in its own table, added to the sum of the
+    # terms before it (_add), and the sum is weighted by w once; a constant load
+    # stays a scalar, so no table is ever zero-filled.
     coef_N = -problem.load_at_qp(time)
     coef_NN = 0.0
 
     if surf.h_T != 0.0:
-        coef_N += surf.h_T * (th_q - surf.theta_amb)
+        conv = th_q - surf.theta_amb
+        conv *= surf.h_T  # h_T (theta - theta_amb)
+        coef_N = _add(coef_N, conv)
         coef_NN += surf.h_T
 
     if terms.radiation and surf.emissivity != 0.0:
         es = surf.emissivity * STEFAN_BOLTZMANN
         th2 = th_q * th_q  # theta^4 as (theta^2)^2: a product, not a call to pow
-        coef_N += es * (th2 * th2 - surf.theta_amb**4)
         if jacobian:
-            coef_NN += (4.0 * es) * th2 * th_q
+            rad = (4.0 * es) * th2
+            rad *= th_q  # 4 es theta^2 theta
+            coef_NN = _add(coef_NN, rad)
+        th2 *= th2
+        th2 -= surf.theta_amb**4
+        th2 *= es  # es (theta^4 - theta_amb^4)
+        coef_N = _add(coef_N, th2)
 
     if rate is not None and terms.mass:
         c_q = eval_curve(problem.solid.specific_heat, th_q)
-        thdot_q = N @ (rate.coeff * theta + rate.rhs).take(nodes)
+        rd = rate.coeff * theta
+        rd += rate.rhs
+        thdot_q = N @ rd.take(nodes)
         rho_d = d * problem.solid.density
-        coef_N += rho_d * c_q * thdot_q
         if jacobian:
+            mass = c_q * rate.coeff
             dc_q = curve_derivative(problem.solid.specific_heat, th_q)
-            coef_NN += rho_d * (c_q * rate.coeff + dc_q * thdot_q)
+            dc_q *= thdot_q
+            mass += dc_q
+            mass *= rho_d  # rho_d (c rate.coeff + c' theta_dot)
+            coef_NN = _add(coef_NN, mass)
+        c_q *= rho_d
+        c_q *= thdot_q  # rho_d c theta_dot
+        coef_N = _add(coef_N, c_q)
 
-    R_e += N.T @ (w * coef_N)
+    R_e += N.T @ _weighted(coef_N, w)
     R = np.bincount(nodes.ravel(), weights=R_e.ravel(), minlength=mesh.n_nodes)
     if jacobian:
-        J_e += plan.qp_NN @ (w * coef_NN)
+        J_e += plan.qp_NN @ _weighted(coef_NN, w)
         data = np.bincount(plan.tri_slots, weights=J_e.ravel(), minlength=plan.nnz)
 
     chi = problem.chi
     if terms.channel and chi != 0.0:
-        R[plan.chain] += chi * (plan.chain_op @ theta.take(plan.chain))
+        flow = plan.chain_op @ theta.take(plan.chain)
+        flow *= chi
+        R[plan.chain] += flow
         if jacobian:
             data[plan.chan_slots] += chi * plan.chain_op.data
 
@@ -477,6 +501,26 @@ def assemble_raw(
         R += _neumann_flux_vector(problem, time)
 
     return DiscreteSystem(residual=R, jacobian=_csr(data, plan) if jacobian else None)
+
+
+def _add(total, term: np.ndarray) -> np.ndarray:
+    """total + term, in total's table when it is one, else in term's.
+
+    Addition commutes bitwise, so either table yields the same sum.
+    """
+    if isinstance(total, np.ndarray):
+        total += term
+        return total
+    term += total
+    return term
+
+
+def _weighted(coef, w: np.ndarray) -> np.ndarray:
+    """coef * w, in coef's table when it is one (it is then a table of assemble_raw's own)."""
+    if isinstance(coef, np.ndarray):
+        coef *= w
+        return coef
+    return w * coef
 
 
 def zero_flux(problem: ThermalProblem) -> bool:

@@ -141,10 +141,7 @@ class ScenarioConfig:
                 base = {} if key == "layout" and "vertices" in value else getattr(cfg, key)
                 value = {**base, **value}
             setattr(cfg, key, value)
-        if "margins" in cfg.layout:  # documented alias of margin
-            if "margin" in cfg.layout:
-                raise ConfigError("layout sets both margin and its alias margins; give one")
-            cfg.layout["margin"] = cfg.layout.pop("margins")
+        cfg.layout = _margin_alias(cfg.layout)
         cfg.validate()
         return cfg
 
@@ -181,6 +178,8 @@ class ScenarioConfig:
         data = self.to_dict()
         for key, val in groups.items():
             if key in SECTIONS and isinstance(val, dict):
+                if key == "layout":  # so an override's margins replaces the margin set before
+                    val = _margin_alias(val)
                 data[key] = {**data[key], **val}
             else:
                 data[key] = val
@@ -189,6 +188,17 @@ class ScenarioConfig:
     @property
     def theta_inlet(self) -> float:
         return float(self.inlet.get("theta_inlet", self.surface["theta_amb"]))
+
+
+def _margin_alias(layout: dict) -> dict:
+    """layout with its documented alias margins renamed margin; giving both is refused."""
+    if "margins" not in layout:
+        return layout
+    if "margin" in layout:
+        raise ConfigError("layout sets both margin and its alias margins; give one")
+    layout = dict(layout)
+    layout["margin"] = layout.pop("margins")
+    return layout
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> ScenarioConfig:

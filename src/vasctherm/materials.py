@@ -26,7 +26,7 @@ _KIND_NAMES = {NUMBER: "a finite number", NUMBERS: "a list of finite numbers", i
               TEXT_OR_NULL: "a string or null"}
 
 # record kind -> field -> accepted JSON type of a coefficients-file record; a
-# missing field raises KeyError where it is read.
+# missing field other than a curve's unit raises ConfigError where it is read.
 RECORD_TYPES = {
     "material": {"name": str, "density": NUMBER, "c_s": dict, "k_s": dict},
     "curve": {"coeffs": NUMBERS, "range": NUMBERS, "unit": str},
@@ -58,6 +58,15 @@ def check_types(d, spec: dict, where: str):
     for key, value in d.items():
         if not is_kind(value, spec[key]):
             raise ConfigError(f"{where}.{key} must be {_KIND_NAMES[spec[key]]}, got {value!r}")
+
+
+def _required(d: dict, key: str, where: str):
+    """d[key]; a missing key is a ConfigError that names the record and the field."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
+    if key not in d:
+        raise ConfigError(f"{where} lacks the required field {key!r}")
+    return d[key]
 
 
 @dataclass(frozen=True)
@@ -96,14 +105,23 @@ def constant_curve(value: float, valid_range=(250.0, 500.0), unit: str = "") -> 
 def _horner(coefficients: tuple[float, ...], t):
     """sum_k c_k t**k by one in-place Horner loop.
 
-    It takes numpy polyval's operations in polyval's order, so the result
-    is bitwise equal to np.polynomial.polynomial.polyval(t, coefficients).
+    A constant is t * 0 + c_0, which keeps a NaN argument NaN. A higher
+    degree starts from t * c_n, then alternates += c_k and *= t in place.
+    numpy's polyval starts from (c_n + 0 * t) * t instead, which equals
+    t * c_n for a finite or NaN t (it differs at an infinite one). Both
+    callers pass a temperature clamped to the fitted range, finite or
+    NaN, so the result is bitwise equal to
+    np.polynomial.polynomial.polyval(t, coefficients).
     """
-    out = t * 0
-    out += coefficients[-1]
-    for c in coefficients[-2::-1]:
-        out *= t
+    if len(coefficients) == 1:
+        out = t * 0
+        out += coefficients[0]
+        return out
+    out = t * coefficients[-1]
+    for c in coefficients[-2:0:-1]:
         out += c
+        out *= t
+    out += coefficients[0]
     return out
 
 
@@ -199,8 +217,8 @@ def heat_capacity_rate(coolant: Coolant) -> float:
 def _curve_from_dict(d: dict, where: str, unit_default: str) -> PropertyCurve:
     check_types(d, RECORD_TYPES["curve"], where)
     return PropertyCurve(
-        coefficients=tuple(d["coeffs"]),
-        valid_range=tuple(d["range"]),
+        coefficients=tuple(_required(d, "coeffs", where)),
+        valid_range=tuple(_required(d, "range", where)),
         unit=d.get("unit", unit_default),
     )
 
@@ -210,21 +228,25 @@ def material_from_dict(d: dict, mode: str = "TDMP") -> SolidMaterial:
 
     mode="CMP" collapses both curves to constants sampled at room
     temperature (296.15 K), mode="TDMP" keeps the fitted polynomials. An
-    unknown key or a field of the wrong JSON type (RECORD_TYPES) raises
-    ConfigError, a curve not positive over its range ValueError.
+    unknown key, a missing field or a field of the wrong JSON type
+    (RECORD_TYPES) raises ConfigError, a curve not positive over its range
+    ValueError.
     """
     mode = mode.upper()
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     check_types(d, RECORD_TYPES["material"], "material")
-    c_s = _curve_from_dict(d["c_s"], "material.c_s", "J/(kg*K)")
-    k_s = _curve_from_dict(d["k_s"], "material.k_s", "W/(m*K)")
+    name = _required(d, "name", "material")
+    where = f"material {name!r}"
+    density = _required(d, "density", where)
+    c_s = _curve_from_dict(_required(d, "c_s", where), f"{where}.c_s", "J/(kg*K)")
+    k_s = _curve_from_dict(_required(d, "k_s", where), f"{where}.k_s", "W/(m*K)")
     if mode == "CMP":
         c_s = PropertyCurve((eval_curve(c_s, REFERENCE_TEMPERATURE),), c_s.valid_range, c_s.unit)
         k_s = PropertyCurve((eval_curve(k_s, REFERENCE_TEMPERATURE),), k_s.valid_range, k_s.unit)
     return SolidMaterial(
-        name=f"{d['name']}:{mode}",
-        density=float(d["density"]),
+        name=f"{name}:{mode}",
+        density=float(density),
         specific_heat=c_s,
         conductivity=k_s,
     )
@@ -240,7 +262,7 @@ def builtin_material(name: str, mode: str = "TDMP") -> SolidMaterial:
     """One of the shipped host materials (cfrp_like, gfrp_like, epoxy_like)."""
     records = _builtin_records()
     if name not in records:
-        raise KeyError(f"unknown material {name!r}; built-ins: {sorted(records)}")
+        raise ConfigError(f"unknown material {name!r}; built-ins: {sorted(records)}")
     return material_from_dict(records[name], mode)
 
 
@@ -251,18 +273,20 @@ def builtin_names() -> list[str]:
 def load_material_file(path, name: str | None = None, mode: str = "TDMP") -> SolidMaterial:
     """Load a material from a user coefficients file (same schema as the
     shipped material_coefficients.json; a file holding a single record is
-    also accepted). A record or field of the wrong JSON type raises ValueError."""
+    also accepted). A record or field of the wrong JSON type, a missing field
+    or an unknown name raises ValueError (ConfigError where the record is read)."""
     with open(path) as fh:
         data = json.load(fh)
     try:
         if "materials" in data:
-            records = {rec["name"]: rec for rec in data["materials"]}
+            records = {_required(rec, "name", f"materials[{i}] of {path}"): rec
+                       for i, rec in enumerate(data["materials"])}
             if name is None:
                 if len(records) != 1:
                     raise ValueError(f"file holds {sorted(records)}; pass name=")
                 name = next(iter(records))
             if name not in records:
-                raise KeyError(f"material {name!r} not in file; found {sorted(records)}")
+                raise ConfigError(f"unknown material {name!r} in {path}; found {sorted(records)}")
             return material_from_dict(records[name], mode)
         return material_from_dict(data, mode)
     except TypeError as exc:

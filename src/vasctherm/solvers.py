@@ -25,6 +25,7 @@ solve_steady returns the accepted iterate, and solve_transient returns the
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -169,12 +170,23 @@ def factorize(jacobian) -> spla.SuperLU:
     return lu
 
 
-def linear_solve(system: DiscreteSystem, lu: spla.SuperLU) -> np.ndarray:
-    """Newton update: solve J delta = -R by back-solving with lu, a factor of some J."""
+def linear_solve(system: DiscreteSystem, lu: spla.SuperLU) -> tuple[np.ndarray, float]:
+    """Newton update: solve J delta = -R by back-solving with lu, a factor of some J.
+
+    Returns delta and its size max |delta| (K), the one reduction that both
+    refuses a non-finite delta (NaN or infinity propagates into the
+    maximum) and gives solve_steady its update size.
+    """
     delta = lu.solve(-system.residual)
-    if not np.all(np.isfinite(delta)):
+    update = float(np.abs(delta).max())
+    if not math.isfinite(update):
         raise SingularSystemError("linear solve produced non-finite update (singular system?)")
-    return delta
+    return delta, update
+
+
+def _norm(residual: np.ndarray) -> float:
+    """The residual's 2-norm as np.linalg.norm computes it: the square root of its dot product."""
+    return math.sqrt(residual @ residual)
 
 
 def solve_steady(
@@ -236,11 +248,11 @@ def solve_steady(
     factors = factors or ChordFactor()
     system = assemble(theta, jacobian=False)
     free = constraints.free
-    rnorm = float(np.linalg.norm(system.residual))
+    rnorm = _norm(system.residual)
     r0 = rnorm
     if log is not None:
         log.append(NewtonIteration(step_index, 0, rnorm, np.nan, 0.0, 0))
-    if not np.isfinite(rnorm):
+    if not math.isfinite(rnorm):
         raise NewtonError(
             f"non-finite residual norm ({rnorm}) at the initial guess",
             theta=theta, residual_norm=rnorm,
@@ -253,32 +265,30 @@ def solve_steady(
     fresh = factors.lu is None or factors.key != key
     for it in range(1, settings.max_iters + 1):
         if not fresh:
-            delta = linear_solve(system, factors.lu)
+            delta, update = linear_solve(system, factors.lu)
             lam, trial = 1.0, theta.copy()
             trial[free] += delta
-            update = float(np.max(np.abs(delta)))
             if rate is not None and update <= STEP_TOL:
                 theta = _accept(trial)
                 if log is not None:
                     log.append(NewtonIteration(step_index, it, np.nan, update, lam, 0))
                 return theta
             trial_system = assemble(trial, jacobian=False)
-            trial_norm = float(np.linalg.norm(trial_system.residual))
-            fresh = not (np.isfinite(trial_norm) and trial_norm < rnorm)
+            trial_norm = _norm(trial_system.residual)
+            fresh = not (math.isfinite(trial_norm) and trial_norm < rnorm)
         if fresh:
             factors.lu = None  # free the stale factor before the Jacobian and its factor are built
             system = assemble(theta)
             factors.lu, factors.key = factorize(system.jacobian), key
             factors.builds += 1
-            delta = linear_solve(system, factors.lu)
-            update = float(np.max(np.abs(delta)))
+            delta, update = linear_solve(system, factors.lu)
             lam = 1.0
             while True:
                 trial = theta.copy()
                 trial[free] += lam * delta
                 trial_system = assemble(trial, jacobian=False)
-                trial_norm = float(np.linalg.norm(trial_system.residual))
-                finite = bool(np.isfinite(trial_norm))
+                trial_norm = _norm(trial_system.residual)
+                finite = math.isfinite(trial_norm)
                 if finite and trial_norm < rnorm:
                     break
                 if lam <= 1.0 / 64.0:
@@ -311,9 +321,10 @@ def solve_steady(
 
 def _accept(theta: np.ndarray) -> np.ndarray:
     """The converged iterate; a non-finite value is a Newton failure, never a solution."""
-    if not np.all(np.isfinite(theta)):
+    lo, hi = float(theta.min()), float(theta.max())  # NaN propagates into both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NewtonError("converged iterate holds non-finite temperatures", theta=theta)
-    if not np.all(theta > 0.0):
+    if not lo > 0.0:
         warnings.warn(
             "accepted solution violates kelvin positivity (theta <= 0 somewhere)",
             RuntimeWarning,

@@ -425,6 +425,29 @@ def test_residual_only_matches_full_bitwise(order, transient, on_constraints, rn
                 apply_constraints(full, prob.constraints).residual)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("transient", [False, True])
+@pytest.mark.parametrize("make", [mixed_boundary_problem, lambda order: channel_problem(n=4, order=order)],
+                         ids=["callable-load", "constant-load"])
+def test_assembly_only_reads_its_inputs_and_repeats_bitwise(make, order, transient, rng):
+    # assemble_raw scales and sums its own tables in place; it must write none it was given
+    prob = make(order=order)
+    theta = random_state(prob, rng, True)
+    rate = RateWeights(coeff=1.5, rhs=-rng.uniform(300.0, 360.0, prob.n_dofs)) if transient else None
+    given = [theta] if rate is None else [theta, rate.rhs]
+    copies = [a.copy() for a in given]
+    for a in given:
+        a.flags.writeable = False
+    first = assemble_raw(prob, theta, time=2.0, rate=rate)
+    for jacobian in (False, True, False, True):
+        again = assemble_raw(prob, theta, time=2.0, rate=rate, jacobian=jacobian)
+        assert np.array_equal(again.residual, first.residual)
+        if jacobian:
+            assert again.jacobian.data is not first.jacobian.data
+            assert np.array_equal(again.jacobian.data, first.jacobian.data)
+    assert all(np.array_equal(a, c) for a, c in zip(given, copies))
+
+
 def dense_reference_jacobian(prob, theta, rate):
     """Element-by-element accumulation of the exact linearization.
 

@@ -719,6 +719,47 @@ def test_malformed_material_file_exits_2(record, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _without(record: dict, key: str) -> dict:
+    return {k: v for k, v in record.items() if k != key}
+
+
+MISSING_FIELDS = [
+    (_without(_material_record(), "name"), "material lacks the required field 'name'"),
+    *((_without(_material_record(), key), f"material 'custom' lacks the required field '{key}'")
+      for key in ("density", "c_s", "k_s")),
+    (_material_record(c_s={"range": [280.0, 450.0]}), "material 'custom'.c_s lacks the required field 'coeffs'"),
+    (_material_record(k_s={"coeffs": [1.25]}), "material 'custom'.k_s lacks the required field 'range'"),
+    ({"materials": [_material_record(name="a"), _without(_material_record(), "name")]},
+     "materials[1] of {path} lacks the required field 'name'"),
+]
+
+
+@pytest.mark.parametrize("record, message", MISSING_FIELDS,
+                         ids=["name", "density", "c_s", "k_s", "coeffs", "range", "unnamed"])
+def test_material_record_without_a_field_names_it_and_exits_2(record, message, tmp_path, capsys):
+    mat_file = tmp_path / "mat.json"
+    mat_file.write_text(json.dumps(record))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"material": {"file": str(mat_file), "name": "a"}}))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run"), "--steady-only", "--mesh-n", "6"])
+    assert code == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == f"error: invalid input: {message.format(path=mat_file)}\n"
+
+
+def test_unknown_material_exits_2_with_an_unquoted_message(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["solve", "--out", out, "--steady-only", "--mesh-n", "6", "--material", "unobtanium"]) == \
+        EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == ("error: invalid input: unknown material 'unobtanium'; "
+                                       f"built-ins: {builtin_names()}\n")
+    mat_file = tmp_path / "mat.json"
+    mat_file.write_text(json.dumps({"materials": [_material_record()]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"material": {"file": str(mat_file), "name": "other"}}))
+    assert main(["solve", "--config", str(cfg), "--out", out, "--steady-only", "--mesh-n", "6"]) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == f"error: invalid input: unknown material 'other' in {mat_file}; found ['custom']\n"
+
+
 _BAD_NUMBER = st.sampled_from([10**400, float("nan"), -800.0, 0.0])
 
 
@@ -887,6 +928,16 @@ def test_margins_alias_accepted():
     cfg = ScenarioConfig.from_dict({"layout": {"kind": "u_shape", "margins": 0.03}})
     assert cfg.layout["margin"] == 0.03
     assert "margins" not in cfg.layout
+
+
+@pytest.mark.parametrize("given", ["margin", "margins"])
+@pytest.mark.parametrize("override", ["margin", "margins"])
+def test_margin_override_replaces_either_spelling(given, override):
+    cfg = ScenarioConfig.from_dict({"layout": {given: 0.02}}).replace(layout={override: 0.01})
+    assert cfg.layout["margin"] == 0.01
+    assert "margins" not in cfg.layout
+    with pytest.raises(ConfigError, match="margin and its alias margins"):
+        cfg.replace(layout={"margin": 0.01, "margins": 0.03})
 
 
 @pytest.mark.parametrize("data, message", [

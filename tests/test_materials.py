@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vasctherm.materials import (
+    ConfigError,
     Coolant,
     PropertyCurve,
     SolidMaterial,
@@ -57,18 +58,23 @@ def test_eval_vectorized_matches_scalar():
 
 @pytest.mark.parametrize("coeffs", [(7.5,), (5.0, 0.01), (560.0, 1.2, -3e-4), (2.0, -0.03, 1e-4, 7e-8)])
 def test_horner_bitwise_equals_polyval(coeffs):
+    # bit patterns are compared, so a NaN must come out as the same NaN and a zero with its sign
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64)
+
     curve = PropertyCurve(coeffs, (296.15, 423.15))
     lo, hi = curve.valid_range
-    theta = np.concatenate([[lo, hi, 0.0, -50.0, 1e6], np.linspace(250.0, 480.0, 97)])
+    ends = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo), np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)]
+    theta = np.concatenate([ends, [np.nan, 0.0, -50.0, 1e6, np.inf, -np.inf], np.linspace(250.0, 480.0, 97)])
     t = np.clip(theta, lo, hi)
     dcoeffs = tuple(k * coeffs[k] for k in range(1, len(coeffs))) or (0.0,)
     polyval = np.polynomial.polynomial.polyval
-    assert np.array_equal(eval_curve(curve, theta), polyval(t, coeffs))
+    assert np.array_equal(bits(eval_curve(curve, theta)), bits(polyval(t, coeffs)))
     inside = (theta >= lo) & (theta <= hi)
-    assert np.array_equal(curve_derivative(curve, theta), np.where(inside, polyval(t, dcoeffs), 0.0))
-    for x, tx, ok in zip(theta, t, inside):  # scalars, the range endpoints among them
-        assert eval_curve(curve, float(x)) == float(polyval(tx, coeffs))
-        assert curve_derivative(curve, float(x)) == (float(polyval(tx, dcoeffs)) if ok else 0.0)
+    assert np.array_equal(bits(curve_derivative(curve, theta)), bits(np.where(inside, polyval(t, dcoeffs), 0.0)))
+    for x, tx, ok in zip(theta, t, inside):  # scalars, the range ends and NaN among them
+        assert bits(eval_curve(curve, float(x))) == bits(polyval(tx, coeffs))
+        assert bits(curve_derivative(curve, float(x))) == bits(polyval(tx, dcoeffs) if ok else 0.0)
 
 
 def test_curve_derivative_clamp_rule():
@@ -182,7 +188,7 @@ def test_builtin_records_load_as_shipped(name):
 
 
 def test_builtin_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match="unknown material 'unobtanium'"):
         builtin_material("unobtanium")
     assert builtin_names() == ["cfrp_like", "epoxy_like", "gfrp_like"]
 

@@ -178,7 +178,9 @@ def test_linear_solve_identity_jacobian(rng):
     n = 12
     residual = rng.normal(size=n)
     system = DiscreteSystem(residual=residual, jacobian=sp.identity(n, format="csr"))
-    assert np.allclose(linear_solve(system, solvers.factorize(system.jacobian)), -residual)
+    delta, update = linear_solve(system, solvers.factorize(system.jacobian))
+    assert np.allclose(delta, -residual)
+    assert update == np.max(np.abs(delta))
 
 
 def test_linear_solve_permutation_invariance(rng):
@@ -191,8 +193,8 @@ def test_linear_solve_permutation_invariance(rng):
     permuted = DiscreteSystem(
         residual=P @ system.residual, jacobian=(P @ system.jacobian @ P.T).tocsr(),
     )
-    d_perm = P.T @ linear_solve(permuted, solvers.factorize(permuted.jacobian))
-    assert np.allclose(d_perm, linear_solve(system, solvers.factorize(system.jacobian)), atol=1e-10)
+    d_perm = P.T @ linear_solve(permuted, solvers.factorize(permuted.jacobian))[0]
+    assert np.allclose(d_perm, linear_solve(system, solvers.factorize(system.jacobian))[0], atol=1e-10)
 
 
 def test_nested_dissection_fills_less_than_mmd():
@@ -549,12 +551,13 @@ def test_non_finite_update_is_never_accepted(tmp_path, monkeypatch, capsys, bad,
     solve, used, corrupted = solvers.linear_solve, [], []
 
     def corrupting(system, lu):
-        delta = solve(system, lu)
+        delta, update = solve(system, lu)
         if any(lu is seen for seen in used):
             delta[0] = bad
+            update = float(np.max(np.abs(delta)))
             corrupted.append(lu)
         used.append(lu)
-        return delta
+        return delta, update
 
     monkeypatch.setattr(solvers, "linear_solve", corrupting)
     out = tmp_path / "run"
