@@ -28,6 +28,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,12 +96,18 @@ class TermMask:
 ALL_TERMS = TermMask()
 
 
-@dataclass(frozen=True)
-class RateWeights:
-    """BDF rate representation: theta_dot = coeff * theta + rhs."""
+class RateWeights(NamedTuple):
+    """BDF rate representation: theta_dot = coeff * theta + rhs.
+
+    Immutable as a named tuple, which a BDF run builds once per step in
+    about two thirds of a frozen dataclass's time.
+    """
 
     coeff: float
-    rhs: np.ndarray = field(repr=False)
+    rhs: np.ndarray
+
+    def __repr__(self):
+        return f"RateWeights(coeff={self.coeff!r})"
 
 
 @dataclass(eq=False)
@@ -147,9 +154,10 @@ class ThermalProblem:
 
         They depend only on the mesh, bcs and coolant.
         """
-        with _CACHE_LOCK:
-            if self._constraints is None:
-                self._constraints = _build_constraints(self)
+        if self._constraints is None:  # built once, so only a build takes the lock
+            with _CACHE_LOCK:
+                if self._constraints is None:
+                    self._constraints = _build_constraints(self)
         return self._constraints
 
 
@@ -361,11 +369,13 @@ _CACHE_LOCK = threading.RLock()
 
 def plan_for(mesh: ChannelMesh) -> AssemblyPlan:
     """The mesh's assembly plan, built on first use and shared by all callers."""
-    with _CACHE_LOCK:
-        plan = _PLAN_CACHE.get(mesh)
-        if plan is None:
-            plan = _build_plan(mesh)
-            _PLAN_CACHE[mesh] = plan
+    plan = _PLAN_CACHE.get(mesh)
+    if plan is None:  # built once, so only a build takes the lock
+        with _CACHE_LOCK:
+            plan = _PLAN_CACHE.get(mesh)
+            if plan is None:
+                plan = _build_plan(mesh)
+                _PLAN_CACHE[mesh] = plan
     return plan
 
 
@@ -403,16 +413,16 @@ def assemble_raw(
     channel term is applied through the chain's rows only. Every table is
     scaled and summed in place, in the order of the formulas written out
     beside each step, so no operation is added or reordered; theta and
-    rate.rhs are only read.
+    rate.rhs are only read. The plan is looked up once per call and shared
+    with the load and flux tables.
     """
-    mesh = problem.mesh
+    plan = plan_for(problem.mesh)
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (mesh.n_nodes,):
-        raise ValueError(f"theta must have shape ({mesh.n_nodes},)")
-    plan = plan_for(mesh)
+    if theta.shape != (plan.n,):
+        raise ValueError(f"theta must have shape ({plan.n},)")
     basis = plan.basis
     nodes = plan.tri_nodes  # (nen, T)
-    d = mesh.domain.thickness
+    d = problem.mesh.domain.thickness
     surf = problem.surface
     nen, T = nodes.shape
     N = basis.qp_N  # (nq, nen)
@@ -431,7 +441,7 @@ def assemble_raw(
             wdkp = curve_derivative(problem.solid.conductivity, th_q)
             wdkp *= wdk  # w d k'(theta_q)
             gw = np.einsum("gcit,gct->git", G, grad)  # grad N_i . grad theta
-        wdk *= eval_curve(problem.solid.conductivity, th_q)  # w d k(theta_q)
+        wdk *= _property_at(problem.solid.conductivity, th_q)  # w d k(theta_q)
         wbar = basis.gp_map.T @ wdk  # (ng, T)
         grad *= wbar[:, None]
         R_e = np.einsum("gcit,gct->it", G, grad)
@@ -445,7 +455,7 @@ def assemble_raw(
     # (Jacobian). Each term is built in its own table, added to the sum of the
     # terms before it (_add), and the sum is weighted by w once; a constant load
     # stays a scalar, so no table is ever zero-filled.
-    coef_N = -problem.load_at_qp(time)
+    coef_N = -_at_points(problem.load, basis.qp_xy, time)  # load_at_qp on the plan in hand
     coef_NN = 0.0
 
     if surf.h_T != 0.0:
@@ -467,7 +477,7 @@ def assemble_raw(
         coef_N = _add(coef_N, th2)
 
     if rate is not None and terms.mass:
-        c_q = eval_curve(problem.solid.specific_heat, th_q)
+        c_q = _property_at(problem.solid.specific_heat, th_q)
         rd = rate.coeff * theta
         rd += rate.rhs
         thdot_q = N @ rd.take(nodes)
@@ -484,7 +494,7 @@ def assemble_raw(
         coef_N = _add(coef_N, c_q)
 
     R_e += N.T @ _weighted(coef_N, w)
-    R = np.bincount(nodes.ravel(), weights=R_e.ravel(), minlength=mesh.n_nodes)
+    R = np.bincount(nodes.ravel(), weights=R_e.ravel(), minlength=plan.n)
     if jacobian:
         J_e += plan.qp_NN @ _weighted(coef_NN, w)
         data = np.bincount(plan.tri_slots, weights=J_e.ravel(), minlength=plan.nnz)
@@ -498,9 +508,22 @@ def assemble_raw(
             data[plan.chan_slots] += chi * plan.chain_op.data
 
     if not zero_flux(problem):
-        R += _neumann_flux_vector(problem, time)
+        R += _neumann_flux_vector(problem, plan, time)
 
     return DiscreteSystem(residual=R, jacobian=_csr(data, plan) if jacobian else None)
+
+
+def _property_at(curve, th_q: np.ndarray):
+    """The curve at the temperatures th_q; a constant curve (CMP) is its value, a float.
+
+    A product with the float has the bits of a product with eval_curve's
+    table of copies, without its clamp and Horner passes. A NaN
+    temperature still makes the residual NaN: grad theta, theta - theta_amb
+    and theta_dot read theta directly.
+    """
+    if curve.degree == 0:
+        return curve.coefficients[0]
+    return eval_curve(curve, th_q)
 
 
 def _add(total, term: np.ndarray) -> np.ndarray:
@@ -524,19 +547,18 @@ def _weighted(coef, w: np.ndarray) -> np.ndarray:
 
 
 def zero_flux(problem: ThermalProblem) -> bool:
-    """q_p is the constant zero (the adiabatic default)."""
-    return np.isscalar(problem.bcs.q_p) and float(problem.bcs.q_p) == 0.0
+    """q_p is the constant zero (the adiabatic default); a q_p that is not callable is a constant."""
+    q_p = problem.bcs.q_p
+    return not callable(q_p) and float(q_p) == 0.0
 
 
-def _neumann_flux_vector(problem: ThermalProblem, time: float) -> np.ndarray:
-    """int_Gq w_i q_p dGamma."""
-    mesh = problem.mesh
-    plan = plan_for(mesh)
-    N, _ = edge_shape(mesh.element_order, GAUSS_1D_2[0])  # (2, k)
-    scale = plan.neu_w * problem.qp_at(time)  # (2, E)
+def _neumann_flux_vector(problem: ThermalProblem, plan: AssemblyPlan, time: float) -> np.ndarray:
+    """int_Gq w_i q_p dGamma on the plan's neumann edges."""
+    N, _ = edge_shape(problem.mesh.element_order, GAUSS_1D_2[0])  # (2, k)
+    scale = plan.neu_w * _at_points(problem.bcs.q_p, plan.neu_xy, time)  # (2, E): qp_at on the plan in hand
     contrib = scale[:, None, :] * N[:, :, None]  # (2, k, E)
     nodes = np.broadcast_to(plan.neu_nodes, contrib.shape)
-    return np.bincount(nodes.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes)
+    return np.bincount(nodes.ravel(), weights=contrib.ravel(), minlength=plan.n)
 
 
 def apply_constraints(system: DiscreteSystem, constraints: Constraints) -> DiscreteSystem:

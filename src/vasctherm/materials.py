@@ -138,9 +138,9 @@ def eval_curve(curve: PropertyCurve, theta):
     fitted range, constant extrapolation outside. Total (never raises).
     """
     out = _horner(curve.coefficients, _clamp(curve, theta))
-    if np.isscalar(theta):
-        return float(out)
-    return out
+    if isinstance(theta, np.ndarray):  # assembly's case, returned before the scalar test
+        return out
+    return float(out) if np.isscalar(theta) else out
 
 
 def curve_derivative(curve: PropertyCurve, theta):
@@ -153,10 +153,10 @@ def curve_derivative(curve: PropertyCurve, theta):
     t = _clamp(curve, theta)
     out = _horner(tuple(k * c[k] for k in range(1, len(c))) or (0.0,), t)
     clamped = t != theta  # outside the fitted range, or NaN
-    if np.ndim(out) == 0:
-        return 0.0 if clamped else float(out)
-    out[clamped] = 0.0
-    return out
+    if isinstance(out, np.ndarray) and out.ndim:
+        out[clamped] = 0.0
+        return out
+    return 0.0 if clamped else float(out)
 
 
 def _extreme_values(curve: PropertyCurve) -> np.ndarray:

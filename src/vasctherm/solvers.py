@@ -156,6 +156,12 @@ def factorize(jacobian) -> spla.SuperLU:
     numbers its DOFs in nested-dissection order (Constraints.free). At
     n=80 P2 that factor holds 1.82 M L+U nonzeros, against 2.07 M with
     SuperLU's MMD_AT_PLUS_A ordering of the DOFs in ascending order.
+
+    A factor whose smallest pivot is at most 1e-13 of its largest is
+    refused. The pivots are read off lu.U, and scipy's first read of U
+    converts both L and U to CSC and keeps the two copies on the factor
+    for its lifetime: 22 MB at n=80 P2. No public SuperLU accessor gives
+    the pivots without them.
     """
     try:
         lu = spla.splu(jacobian.tocsc(), permc_spec="NATURAL")
@@ -185,8 +191,8 @@ def linear_solve(system: DiscreteSystem, lu: spla.SuperLU) -> tuple[np.ndarray, 
 
 
 def _norm(residual: np.ndarray) -> float:
-    """The residual's 2-norm as np.linalg.norm computes it: the square root of its dot product."""
-    return math.sqrt(residual @ residual)
+    """The residual's 2-norm as np.linalg.norm computes it: the square root of residual.dot(residual)."""
+    return math.sqrt(residual.dot(residual))
 
 
 def solve_steady(
@@ -266,13 +272,15 @@ def solve_steady(
     for it in range(1, settings.max_iters + 1):
         if not fresh:
             delta, update = linear_solve(system, factors.lu)
-            lam, trial = 1.0, theta.copy()
-            trial[free] += delta
-            if rate is not None and update <= STEP_TOL:
-                theta = _accept(trial)
+            lam = 1.0
+            if rate is not None and update <= STEP_TOL:  # accepted on its update: theta is not kept
+                theta[free] += delta
+                theta = _accept(theta)
                 if log is not None:
                     log.append(NewtonIteration(step_index, it, np.nan, update, lam, 0))
                 return theta
+            trial = theta.copy()
+            trial[free] += delta
             trial_system = assemble(trial, jacobian=False)
             trial_norm = _norm(trial_system.residual)
             fresh = not (math.isfinite(trial_norm) and trial_norm < rnorm)
@@ -321,7 +329,7 @@ def solve_steady(
 
 def _accept(theta: np.ndarray) -> np.ndarray:
     """The converged iterate; a non-finite value is a Newton failure, never a solution."""
-    lo, hi = float(theta.min()), float(theta.max())  # NaN propagates into both
+    lo, hi = np.minimum.reduce(theta), np.maximum.reduce(theta)  # NaN propagates into both
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NewtonError("converged iterate holds non-finite temperatures", theta=theta)
     if not lo > 0.0:
@@ -360,22 +368,33 @@ def solve_transient(
     tsettings = tsettings or TransientSettings()
     nsettings = nsettings or NewtonSettings()
     dt = tsettings.dt
+    bdf2 = tsettings.bdf_order == 2
     series = np.empty((tsettings.n_steps + 1, problem.n_dofs))
     series[0] = problem.surface.theta_amb
     factors = ChordFactor()
     start = 0  # the oldest row the predictor may read
 
+    # Each vector below takes the operations of the formula beside it in their order,
+    # summed in place in one new array per formula. Each constant factor is a 0-d
+    # float64 array, which numpy applies without first converting a Python float:
+    # at 9 DOFs a product then takes 0.35 us against 0.56 us.
+    by_points = [[np.array(w) for w in weights] for weights in PREDICTOR_WEIGHTS]
+    minus_two, half, step, minus_step = (np.array(c) for c in (-2.0, 0.5, dt, -dt))
+    coeff1, coeff2 = 1.0 / dt, 1.5 / dt
     for k in range(tsettings.n_steps):
         t_next = (k + 1) * dt
-        if tsettings.bdf_order == 1 or k == 0:
-            rate = RateWeights(coeff=1.0 / dt, rhs=-series[k] / dt)
+        now = series[k]
+        if bdf2 and k:
+            rhs = now * minus_two
+            rhs += series[k - 1] * half
+            rhs /= step  # (-2.0 theta_n + 0.5 theta_{n-1}) / dt
+            rate = RateWeights(coeff2, rhs)
         else:
-            rate = RateWeights(coeff=1.5 / dt, rhs=(-2.0 * series[k] + 0.5 * series[k - 1]) / dt)
-        past = series[max(start, k + 1 - PREDICTOR_POINTS):k + 1][::-1]  # newest first
-        weights = PREDICTOR_WEIGHTS[len(past) - 1]
-        guess = weights[0] * past[0]
-        for w, state in zip(weights[1:], past[1:]):
-            guess += w * state
+            rate = RateWeights(coeff1, now / minus_step)  # -theta_n / dt: negating a quotient is exact
+        weights = by_points[min(k - start, PREDICTOR_POINTS - 1)]
+        guess = now * weights[0]
+        for j in range(1, len(weights)):
+            guess += series[k - j] * weights[j]  # sum_j weights[j] theta_{n-j}, newest first
         builds = factors.builds
         try:
             series[k + 1] = solve_steady(

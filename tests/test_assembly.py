@@ -28,6 +28,7 @@ from vasctherm.geometry import LAYOUT_KINDS, Domain2D, LayoutParams, Vasculature
 from vasctherm.materials import (
     Coolant,
     SolidMaterial,
+    builtin_material,
     constant_curve,
     curve_derivative,
     eval_curve,
@@ -446,6 +447,25 @@ def test_assembly_only_reads_its_inputs_and_repeats_bitwise(make, order, transie
             assert again.jacobian.data is not first.jacobian.data
             assert np.array_equal(again.jacobian.data, first.jacobian.data)
     assert all(np.array_equal(a, c) for a, c in zip(given, copies))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("transient", [False, True])
+def test_constant_property_scales_as_its_table_would(monkeypatch, order, transient, rng):
+    # a constant curve enters as its float, eval_curve's table of copies gives the same bits,
+    # and a NaN temperature leaves the same rows NaN
+    prob = channel_problem(n=4, order=order, material=builtin_material("cfrp_like", "CMP"))
+    theta = random_state(prob, rng, True)
+    broken = theta.copy()
+    broken[prob.n_dofs // 2] = np.nan
+    rate = RateWeights(coeff=1.5, rhs=-rng.uniform(300.0, 360.0, prob.n_dofs)) if transient else None
+    as_float = [assemble_raw(prob, th, time=2.0, rate=rate) for th in (theta, broken)]
+    monkeypatch.setattr(assembly, "_property_at", eval_curve)
+    as_table = [assemble_raw(prob, th, time=2.0, rate=rate) for th in (theta, broken)]
+    assert np.array_equal(as_float[0].residual, as_table[0].residual)
+    assert np.array_equal(as_float[0].jacobian.data, as_table[0].jacobian.data)
+    assert np.isnan(as_float[1].residual).any()
+    assert np.array_equal(np.isnan(as_float[1].residual), np.isnan(as_table[1].residual))
 
 
 def dense_reference_jacobian(prob, theta, rate):

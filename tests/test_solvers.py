@@ -247,6 +247,18 @@ def test_singular_system_reported():
         linear_solve(system, solvers.factorize(system.jacobian))
 
 
+@pytest.mark.parametrize("small, refused", [(1e-14, True), (1e-12, False)])
+def test_factorize_refuses_a_pivot_ratio_of_at_most_1e_13(small, refused):
+    # finite and regular, with pivots 1 and small: only the pivot-ratio test can refuse it
+    jacobian = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, small]]))
+    if refused:
+        with pytest.raises(SingularSystemError, match="pivot ratio"):
+            solvers.factorize(jacobian)
+    else:
+        lu = solvers.factorize(jacobian)
+        assert np.array_equal(np.sort(np.abs(lu.U.diagonal())), [small, 1.0])
+
+
 def test_solver_log_rows_have_step_and_damping():
     prob = channel_problem(n=5)
     log = []
@@ -365,6 +377,32 @@ def test_steps_start_from_the_four_point_predictor(monkeypatch, bdf_order):
     assert len(guesses) == len(fields) - 1 == 8
     for k, guess in enumerate(guesses, 1):
         assert np.array_equal(guess, _predictor(fields, k)), f"step {k}"
+
+
+def _capture_rates(monkeypatch):
+    rates = []
+    step = solvers.solve_steady
+
+    def capturing(*args, rate=None, **kwargs):
+        rates.append(RateWeights(rate.coeff, np.array(rate.rhs, copy=True)))
+        return step(*args, rate=rate, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_steady", capturing)
+    return rates
+
+
+@pytest.mark.parametrize("bdf_order", [1, 2])
+def test_steps_take_the_bdf_rate_bitwise(monkeypatch, bdf_order):
+    # dt = 0.7 makes the division by dt round, so the rate's operations and their order show
+    rates = _capture_rates(monkeypatch)
+    dt = 0.7
+    fields = solve_transient(channel_problem(n=6),
+                             TransientSettings(dt=dt, t_end=8 * dt, bdf_order=bdf_order))
+    assert len(rates) == len(fields) - 1 == 8
+    for k, rate in enumerate(rates, 1):
+        want = _rate(fields, k, dt, bdf_order)
+        assert rate.coeff == want.coeff, f"step {k}"
+        assert np.array_equal(rate.rhs, want.rhs), f"step {k}"
 
 
 def _previous_predictor(fields, k, bdf_order):
