@@ -136,18 +136,6 @@ class ThermalProblem:
     def n_dofs(self) -> int:
         return self.mesh.n_nodes
 
-    def load_at_qp(self, t) -> float | np.ndarray:
-        """f at the volume quadrature points of the assembly.
-
-        A constant load is returned as a float, which broadcasts against any
-        (nq, T) table; only a callable one is tabulated, (nq, T).
-        """
-        return _at_points(self.load, plan_for(self.mesh).basis.qp_xy, t)
-
-    def qp_at(self, t) -> float | np.ndarray:
-        """q_p at the plan's neumann quadrature points: a float if constant, else (2, E)."""
-        return _at_points(self.bcs.q_p, plan_for(self.mesh).neu_xy, t)
-
     @property
     def constraints(self) -> Constraints:
         """The problem's constraints, built on first use and shared by all callers.
@@ -161,7 +149,7 @@ class ThermalProblem:
         return self._constraints
 
 
-def _at_points(data, xy: np.ndarray, *t) -> float | np.ndarray:
+def at_points(data, xy: np.ndarray, *t) -> float | np.ndarray:
     """Prescribed data at the points xy (..., 2): a float if constant, else data(x, y, *t) in their shape."""
     if not callable(data):
         return float(data)
@@ -203,7 +191,7 @@ def _build_constraints(problem: ThermalProblem) -> Constraints:
     if ids.size:
         if problem.bcs.theta_p is None:
             raise ValueError("mesh has dirichlet edges but bcs.theta_p is unset")
-        vals = np.full(ids.shape, _at_points(problem.bcs.theta_p, mesh.nodes[ids]))
+        vals = np.full(ids.shape, at_points(problem.bcs.theta_p, mesh.nodes[ids]))
     if mesh.has_channel and problem.chi > 0.0:
         inlet = int(mesh.inlet_node)
         theta_inlet = float(problem.bcs.theta_inlet)
@@ -455,7 +443,7 @@ def assemble_raw(
     # (Jacobian). Each term is built in its own table, added to the sum of the
     # terms before it (_add), and the sum is weighted by w once; a constant load
     # stays a scalar, so no table is ever zero-filled.
-    coef_N = -_at_points(problem.load, basis.qp_xy, time)  # load_at_qp on the plan in hand
+    coef_N = -at_points(problem.load, basis.qp_xy, time)
     coef_NN = 0.0
 
     if surf.h_T != 0.0:
@@ -555,7 +543,7 @@ def zero_flux(problem: ThermalProblem) -> bool:
 def _neumann_flux_vector(problem: ThermalProblem, plan: AssemblyPlan, time: float) -> np.ndarray:
     """int_Gq w_i q_p dGamma on the plan's neumann edges."""
     N, _ = edge_shape(problem.mesh.element_order, GAUSS_1D_2[0])  # (2, k)
-    scale = plan.neu_w * _at_points(problem.bcs.q_p, plan.neu_xy, time)  # (2, E): qp_at on the plan in hand
+    scale = plan.neu_w * at_points(problem.bcs.q_p, plan.neu_xy, time)  # (2, E)
     contrib = scale[:, None, :] * N[:, :, None]  # (2, k, E)
     nodes = np.broadcast_to(plan.neu_nodes, contrib.shape)
     return np.bincount(nodes.ravel(), weights=contrib.ravel(), minlength=plan.n)

@@ -137,11 +137,7 @@ class ScenarioConfig:
         check_types(data, CONFIG_TYPES["config"], "config")
         cfg = cls()
         for key, value in data.items():
-            if key in SECTIONS:  # a custom channel replaces the generated layout's defaults
-                base = {} if key == "layout" and "vertices" in value else getattr(cfg, key)
-                value = {**base, **value}
-            setattr(cfg, key, value)
-        cfg.layout = _margin_alias(cfg.layout)
+            setattr(cfg, key, _merge(key, getattr(cfg, key), value) if key in SECTIONS else value)
         cfg.validate()
         return cfg
 
@@ -177,17 +173,25 @@ class ScenarioConfig:
     def replace(self, **groups) -> "ScenarioConfig":
         data = self.to_dict()
         for key, val in groups.items():
-            if key in SECTIONS and isinstance(val, dict):
-                if key == "layout":  # so an override's margins replaces the margin set before
-                    val = _margin_alias(val)
-                data[key] = {**data[key], **val}
-            else:
-                data[key] = val
+            data[key] = _merge(key, data[key], val) if key in SECTIONS and isinstance(val, dict) else val
         return ScenarioConfig.from_dict(data)
 
     @property
     def theta_inlet(self) -> float:
         return float(self.inlet.get("theta_inlet", self.surface["theta_amb"]))
+
+
+def _merge(section: str, base: dict, override: dict) -> dict:
+    """A config section with override laid over base, for both from_dict and replace.
+
+    In a layout, the alias margins is renamed margin before the merge, so
+    it replaces a margin set before, and a custom channel (vertices)
+    replaces the generated layout instead of merging into it.
+    """
+    if section != "layout":
+        return {**base, **override}
+    override = _margin_alias(override)
+    return dict(override) if "vertices" in override else {**base, **override}
 
 
 def _margin_alias(layout: dict) -> dict:

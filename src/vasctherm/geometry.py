@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .materials import check_finite
+
 LAYOUT_KINDS = ("u_shape", "serpentine", "asymmetric")
 
 
@@ -25,6 +27,7 @@ class Domain2D:
     thickness: float = 0.005  # m
 
     def __post_init__(self):
+        check_finite(self, "width", "height", "thickness")
         if min(self.width, self.height, self.thickness) <= 0:
             raise ValueError("domain dimensions must be positive")
 
@@ -52,6 +55,8 @@ class VasculaturePath:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
             raise ValueError("path needs at least two 2D vertices")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("VasculaturePath.vertices must be finite")
         seg = np.diff(v, axis=0)
         if np.any(np.all(seg == 0.0, axis=1)):
             raise ValueError("consecutive path vertices must be distinct")
@@ -92,6 +97,7 @@ class LayoutParams:
     def __post_init__(self):
         if self.kind not in LAYOUT_KINDS:
             raise ValueError(f"kind must be one of {LAYOUT_KINDS}, got {self.kind!r}")
+        check_finite(self, "spacing", "margin", "offset")
         if self.spacing <= 0 or self.margin <= 0:
             raise ValueError("spacing and margin must be positive")
         if self.kind == "serpentine" and self.pass_count < 1:

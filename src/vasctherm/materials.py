@@ -48,6 +48,14 @@ def is_kind(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def check_finite(record, *names: str) -> None:
+    """Refuse a NaN or infinite value in any of the named fields of record, naming the field."""
+    for name in names:
+        value = getattr(record, name)
+        if not np.isfinite(value):
+            raise ValueError(f"{type(record).__name__}.{name} must be finite, got {value}")
+
+
 def check_types(d, spec: dict, where: str):
     """Reject d unless it is an object whose every key spec names, holding a value of its kind."""
     if not isinstance(d, dict):
@@ -203,6 +211,7 @@ class Coolant:
     flow_rate: float  # m^3/s
 
     def __post_init__(self):
+        check_finite(self, "density", "specific_heat", "flow_rate")
         if self.density <= 0 or self.specific_heat <= 0:
             raise ValueError("coolant density and specific heat must be positive")
         if self.flow_rate < 0:

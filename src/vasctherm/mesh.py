@@ -6,6 +6,10 @@ snapped onto grid nodes and realized as a chain of element edges, which
 is what makes the channel line integral assemblable edge-by-edge.
 Second-order elements add shared midside nodes on every edge.
 
+ChannelMesh is the one mesh type: build_structured_mesh gives it with no
+channel and all-neumann tags, embed_vasculature and mesh_without_channel
+set only its channel fields, and tag_boundary only its tags.
+
 Numbering contract: corners and cells run row by row from the lower left,
 and midside nodes follow the corners in the order the triangles first use
 them. Every output file and run-to-run determinism depend on it. LU fill
@@ -31,40 +35,13 @@ MAX_MESH_N = 640
 
 
 @dataclass(frozen=True, eq=False)
-class BaseGrid:
-    """Uniform right-triangle grid before channel embedding.
-
-    Corner (ix, iy) is node iy*(n+1) + ix; cells run row by row from the
-    lower left, two triangles each; P2 midside nodes follow the corners in
-    first-use order.
-    """
-
-    domain: Domain2D
-    n: int  # subdivisions per direction
-    element_order: int
-    nodes: np.ndarray = field(repr=False)  # (N, 2)
-    triangles: np.ndarray = field(repr=False)  # (T, 3) or (T, 6)
-    boundary_edges: np.ndarray = field(repr=False)  # (E, 2) or (E, 3)
-
-    @property
-    def hx(self) -> float:
-        return self.domain.width / self.n
-
-    @property
-    def hy(self) -> float:
-        return self.domain.height / self.n
-
-    def corner_id(self, ix: int, iy: int) -> int:
-        return iy * (self.n + 1) + ix
-
-
-@dataclass(frozen=True, eq=False)
 class ChannelMesh:
     """Triangulation of the domain whose edge subset realizes the channel.
 
-    channel_nodes is the ordered corner-node chain from inlet to outlet;
-    tangents/lengths describe each chain edge in flow direction. For
-    second-order elements channel_mids holds the midside node of each
+    Corner (ix, iy) of the n x n grid is node iy*(n+1) + ix. channel_nodes
+    is the ordered corner-node chain from inlet to outlet, empty without a
+    channel; tangents/lengths describe each chain edge in flow direction.
+    For second-order elements channel_mids holds the midside node of each
     chain edge. boundary_tags partition the boundary into dirichlet and
     neumann pieces.
     """
@@ -121,8 +98,8 @@ def structured_node_count(n: int, element_order: int = 1) -> int:
     return (element_order * n + 1) ** 2
 
 
-def build_structured_mesh(domain: Domain2D, n: int, element_order: int = 1) -> BaseGrid:
-    """(n+1)^2 corner nodes, 2n^2 right triangles (fixed lower-left diagonal).
+def build_structured_mesh(domain: Domain2D, n: int, element_order: int = 1) -> ChannelMesh:
+    """(n+1)^2 corner nodes, 2n^2 right triangles (fixed lower-left diagonal), all-neumann, no channel.
 
     Cells run row by row from the lower left; the cell with lower-left
     corner c gives (c, c+1, c+n+2) and then (c, c+n+2, c+n+1). Second-order
@@ -155,7 +132,9 @@ def build_structured_mesh(domain: Domain2D, n: int, element_order: int = 1) -> B
         triangles = np.column_stack([triangles, mids.reshape(-1, 3)])
         nodes = np.vstack([nodes, 0.5 * (ends[:, 0] + ends[:, 1])])
         boundary_edges = np.column_stack([boundary_edges, _midside_nodes(triangles, boundary_edges)])
-    return BaseGrid(domain, n, element_order, nodes, triangles, boundary_edges)
+    tags = np.full(len(boundary_edges), NEUMANN, dtype=object)
+    return ChannelMesh(domain, n, element_order, nodes, triangles, boundary_edges, tags,
+                       **_channel_fields(nodes, triangles, np.empty(0, dtype=int), 0.0))
 
 
 # Corner columns of a triangle's edges (a, b), (b, c), (c, a): the edges whose
@@ -182,20 +161,22 @@ def _snap_index(value: float, h: float, n: int) -> int:
     return int(min(max(round(value / h), 0), n))
 
 
-def embed_vasculature(grid: BaseGrid, path: VasculaturePath) -> ChannelMesh:
-    """Snap the path onto grid nodes and trace it as an edge chain.
+def embed_vasculature(mesh: ChannelMesh, path: VasculaturePath) -> ChannelMesh:
+    """mesh with its channel along path, snapped onto grid nodes and traced as an edge chain.
 
-    Every vertex must lie in the domain, to 1e-12 m. Vertices snap to the
-    nearest grid node (reported error is at most half a cell); the snapped
-    geometry replaces the requested path everywhere downstream, including
-    arc lengths. The path is simple and axis-aligned (VasculaturePath
-    checks that), but snapping can still collapse it to one node, tilt a
-    segment up to 1e-12 m off its axis by rounding its ends apart, fold it
-    back onto itself or move an end off the boundary; each is refused.
+    Only the channel fields change: a channel mesh already holds is
+    dropped, its boundary tags are kept. Every vertex must lie in the
+    domain, to 1e-12 m. Vertices snap to the nearest grid node (reported
+    error is at most half a cell); the snapped geometry replaces the
+    requested path everywhere downstream, including arc lengths. The path
+    is simple and axis-aligned (VasculaturePath checks that), but snapping
+    can still collapse it to one node, tilt a segment up to 1e-12 m off its
+    axis by rounding its ends apart, fold it back onto itself or move an
+    end off the boundary; each is refused.
     """
-    if not grid.domain.contains(path.vertices):
+    if not mesh.domain.contains(path.vertices):
         raise ValueError("channel path leaves the domain: every vertex must lie on the plate")
-    n, hx, hy = grid.n, grid.hx, grid.hy
+    n, hx, hy = mesh.n, mesh.domain.width / mesh.n, mesh.domain.height / mesh.n
     snapped = []
     snap_error = 0.0
     for x, y in path.vertices:
@@ -206,7 +187,7 @@ def embed_vasculature(grid: BaseGrid, path: VasculaturePath) -> ChannelMesh:
     if len(snapped) < 2:
         raise ValueError("path collapses to a single node at this resolution")
 
-    chain: list[int] = [grid.corner_id(*snapped[0])]
+    chain: list[int] = [snapped[0][1] * (n + 1) + snapped[0][0]]
     for (ix0, iy0), (ix1, iy1) in zip(snapped[:-1], snapped[1:]):
         if ix0 != ix1 and iy0 != iy1:
             raise ValueError("snapped path segment is not axis-aligned")
@@ -215,7 +196,7 @@ def embed_vasculature(grid: BaseGrid, path: VasculaturePath) -> ChannelMesh:
         ix, iy = ix0, iy0
         while (ix, iy) != (ix1, iy1):
             ix, iy = ix + dx, iy + dy
-            chain.append(grid.corner_id(int(ix), int(iy)))
+            chain.append(iy * (n + 1) + ix)
     if len(set(chain)) != len(chain):
         raise ValueError("snapped path self-overlaps")
 
@@ -223,38 +204,25 @@ def embed_vasculature(grid: BaseGrid, path: VasculaturePath) -> ChannelMesh:
         if not {ix, iy} & {0, n}:
             raise ValueError(f"channel {label} does not lie on the domain boundary")
 
-    return _channel_mesh(grid, np.array(chain, dtype=int), snap_error)
+    return replace(mesh, **_channel_fields(mesh.nodes, mesh.triangles, np.array(chain, dtype=int), snap_error))
 
 
-def mesh_without_channel(grid: BaseGrid) -> ChannelMesh:
-    """Plain triangulation (no channel, no inlet constraint)."""
-    return _channel_mesh(grid, np.empty(0, dtype=int), 0.0)
+def mesh_without_channel(mesh: ChannelMesh) -> ChannelMesh:
+    """mesh with its channel removed (so no inlet constraint); boundary tags are kept."""
+    return replace(mesh, **_channel_fields(mesh.nodes, mesh.triangles, np.empty(0, dtype=int), 0.0))
 
 
-def _channel_mesh(grid: BaseGrid, chain: np.ndarray, snap_error: float) -> ChannelMesh:
-    """All-neumann mesh of grid whose channel runs along the corner ids of chain, inlet first."""
-    vecs = np.diff(grid.nodes[chain], axis=0)
+def _channel_fields(nodes: np.ndarray, triangles: np.ndarray, chain: np.ndarray, snap_error: float) -> dict:
+    """ChannelMesh's channel fields for a channel along the corner ids of chain, inlet first (none if empty)."""
+    vecs = np.diff(nodes[chain], axis=0)
     lengths = np.hypot(vecs[:, 0], vecs[:, 1])
-    if grid.element_order == 2:
-        mids = _midside_nodes(grid.triangles, np.column_stack([chain[:-1], chain[1:]]))
+    if chain.size and triangles.shape[1] == 6:  # P2; without a chain, skip the sort of every edge
+        mids = _midside_nodes(triangles, np.column_stack([chain[:-1], chain[1:]]))
     else:
         mids = np.empty(0, dtype=int)
-    return ChannelMesh(
-        domain=grid.domain,
-        n=grid.n,
-        element_order=grid.element_order,
-        nodes=grid.nodes,
-        triangles=grid.triangles,
-        boundary_edges=grid.boundary_edges,
-        boundary_tags=np.full(len(grid.boundary_edges), NEUMANN, dtype=object),
-        channel_nodes=chain,
-        channel_mids=mids,
-        channel_tangents=vecs / lengths[:, None],
-        channel_lengths=lengths,
-        inlet_node=int(chain[0]) if chain.size else None,
-        outlet_node=int(chain[-1]) if chain.size else None,
-        snap_error=snap_error,
-    )
+    ends = (int(chain[0]), int(chain[-1])) if chain.size else (None, None)
+    return dict(channel_nodes=chain, channel_mids=mids, channel_tangents=vecs / lengths[:, None],
+                channel_lengths=lengths, inlet_node=ends[0], outlet_node=ends[1], snap_error=snap_error)
 
 
 def tag_boundary(mesh: ChannelMesh, spec) -> ChannelMesh:

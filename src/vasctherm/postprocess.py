@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import TermMask, ThermalProblem, assemble_raw, plan_for
+from .assembly import TermMask, ThermalProblem, assemble_raw, at_points, plan_for
 from .elements import edge_shape, grad_shape, tri_shape
 from .materials import eval_curve
 from .mesh import ChannelMesh
@@ -142,18 +142,20 @@ def energy_balance(theta: np.ndarray, problem: ThermalProblem, time: float = 0.0
 
 def total_load(problem: ThermalProblem, time: float = 0.0) -> float:
     """int_Omega f dOmega with the assembly quadrature."""
-    return float(np.sum(plan_for(problem.mesh).basis.qp_dA * problem.load_at_qp(time)))
+    basis = plan_for(problem.mesh).basis
+    return float(np.sum(basis.qp_dA * at_points(problem.load, basis.qp_xy, time)))
 
 
 def _load_sign_range(problem: ThermalProblem, time: float) -> tuple[float, float]:
-    f_q = problem.load_at_qp(time)
+    f_q = at_points(problem.load, plan_for(problem.mesh).basis.qp_xy, time)
     return float(np.min(f_q)), float(np.max(f_q))
 
 
 def _qp_sign_range(problem: ThermalProblem, time: float) -> tuple[float, float]:
-    if not plan_for(problem.mesh).neu_w.size:
+    plan = plan_for(problem.mesh)
+    if not plan.neu_w.size:
         return 0.0, 0.0
-    qv = problem.qp_at(time)
+    qv = at_points(problem.bcs.q_p, plan.neu_xy, time)
     return float(np.min(qv)), float(np.max(qv))
 
 

@@ -940,6 +940,21 @@ def test_margin_override_replaces_either_spelling(given, override):
         cfg.replace(layout={"margin": 0.01, "margins": 0.03})
 
 
+def test_vertex_layout_replaces_the_generated_one_in_replace_as_in_from_dict(tmp_path):
+    vertices = [[0.05, 0.1], [0.05, 0.0]]
+    read = ScenarioConfig.from_dict({"layout": {"vertices": vertices}})
+    assert ScenarioConfig().replace(layout={"vertices": vertices}).layout == read.layout == {"vertices": vertices}
+    assert ScenarioConfig.from_dict({"layout": {"kind": "serpentine", "margins": 0.01}}).replace(
+        layout={"vertices": vertices}).layout == {"vertices": vertices}
+    # a generated layout's key merged into a custom channel is still refused
+    with pytest.raises(ConfigError, match=r"unknown keys \['kind'\] in vertex layout"):
+        read.replace(layout={"kind": "serpentine"})
+    cfg = tmp_path / "vertices.json"
+    cfg.write_text(json.dumps({"layout": {"vertices": vertices}, "mesh": {"n": 4}, "steady_only": True}))
+    code = main(["solve", "--config", str(cfg), "--layout", "serpentine", "--out", str(tmp_path / "run")])
+    assert code == EXIT_INVALID_INPUT
+
+
 @pytest.mark.parametrize("data, message", [
     ({"surface": {"h_T": 1e300}}, "heat transfer coefficient"),
     ({"surface": {"h_T": 1e20}}, "heat transfer coefficient"),

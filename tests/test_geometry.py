@@ -10,6 +10,7 @@ from vasctherm.geometry import (
     arc_length,
     generate_layout,
 )
+from vasctherm.materials import Coolant
 
 DOM = Domain2D()
 
@@ -18,6 +19,24 @@ def test_domain_defaults_and_validation():
     assert (DOM.width, DOM.height, DOM.thickness) == (0.1, 0.1, 0.005)
     with pytest.raises(ValueError):
         Domain2D(width=-1.0)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: Coolant(1000.0, 4183.0, np.nan), "Coolant.flow_rate"),
+    (lambda: Coolant(1000.0, np.inf, 1e-8), "Coolant.specific_heat"),
+    (lambda: Coolant(-np.inf, 4183.0, 1e-8), "Coolant.density"),
+    (lambda: Domain2D(width=np.nan), "Domain2D.width"),
+    (lambda: Domain2D(thickness=np.inf), "Domain2D.thickness"),
+    (lambda: LayoutParams(spacing=np.nan), "LayoutParams.spacing"),
+    (lambda: LayoutParams(kind="asymmetric", offset=np.inf), "LayoutParams.offset"),
+    (lambda: VasculaturePath(np.array([[np.nan, 0.1], [np.nan, 0.0]])), "VasculaturePath.vertices"),
+], ids=["coolant-flow-nan", "coolant-c-inf", "coolant-rho-minus-inf", "domain-width-nan",
+        "domain-thickness-inf", "layout-spacing-nan", "layout-offset-inf", "path-nan"])
+def test_non_finite_inputs_refused_where_built(build, field):
+    # accepted, they failed later with a misleading message: a non-finite
+    # residual norm, a node off the element grid, or a NaN snapped to an int
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        build()
 
 
 def test_u_shape_arc_length_hand_sum():

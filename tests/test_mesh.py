@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vasctherm.assembly import ThermalProblem
 from vasctherm.cli import export_mesh_csv
 from vasctherm.geometry import Domain2D, LayoutParams, VasculaturePath, arc_length, generate_layout
+from vasctherm.materials import Coolant, builtin_material
 from vasctherm.mesh import (
     DIRICHLET,
     NEUMANN,
+    ChannelMesh,
     build_structured_mesh,
     embed_vasculature,
     mesh_stats,
@@ -15,6 +20,7 @@ from vasctherm.mesh import (
     tag_boundary,
     triangle_areas,
 )
+from vasctherm.solvers import solve_steady
 
 DOM = Domain2D()
 
@@ -145,6 +151,47 @@ def test_default_tags_all_neumann():
     mesh = mesh_without_channel(grid)
     assert np.all(mesh.boundary_tags == NEUMANN)
     assert len(mesh.boundary_edges) == 4 * 6
+
+
+def _assert_same_mesh(a, b):
+    """a and b agree in every ChannelMesh field, arrays in dtype and value."""
+    for f in dataclasses.fields(ChannelMesh):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_structured_mesh_is_a_channel_mesh_without_channel(order):
+    grid = build_structured_mesh(DOM, 4, order)
+    assert isinstance(grid, ChannelMesh)
+    assert not grid.has_channel and grid.inlet_node is None and grid.outlet_node is None
+    assert len(grid.boundary_tags) == len(grid.boundary_edges) and np.all(grid.boundary_tags == NEUMANN)
+    plain = mesh_without_channel(grid)
+    _assert_same_mesh(plain, grid)
+    thetas = [solve_steady(ThermalProblem(mesh=mesh, solid=builtin_material("cfrp_like", "TDMP"),
+                                          coolant=Coolant(1000.0, 4183.0, 0.0)))
+              for mesh in (grid, plain)]
+    assert thetas[0].tobytes() == thetas[1].tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_embedding_again_carries_only_the_new_path(order):
+    grid = build_structured_mesh(DOM, 10, order)
+    u_shape = embed_vasculature(grid, generate_layout(DOM, LayoutParams(kind="u_shape")))
+    straight = VasculaturePath(np.array([[0.05, 0.1], [0.05, 0.0]]))
+    _assert_same_mesh(embed_vasculature(u_shape, straight), embed_vasculature(grid, straight))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_removing_the_channel_gives_the_fresh_grid(order):
+    grid = build_structured_mesh(DOM, 10, order)
+    embedded = embed_vasculature(grid, generate_layout(DOM, LayoutParams(kind="serpentine")))
+    _assert_same_mesh(mesh_without_channel(embedded), grid)
+    tagged = tag_boundary(embedded, lambda x, y: DIRICHLET if x < 1e-9 else NEUMANN)
+    assert np.array_equal(mesh_without_channel(tagged).boundary_tags, tagged.boundary_tags)
 
 
 def test_tag_left_edge_dirichlet():
