@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import elements
-from .elements import GAUSS_1D_1, GAUSS_1D_2, ElementBasis, edge_shape
+from .elements import GAUSS_1D_1, GAUSS_1D_2, edge_shape
 from .materials import Coolant, SolidMaterial, curve_derivative, eval_curve, heat_capacity_rate
 from .mesh import NEUMANN, ChannelMesh, nested_dissection
 
@@ -220,45 +220,57 @@ def _build_constraints(problem: ThermalProblem) -> Constraints:
 
 @dataclass(frozen=True, eq=False)
 class AssemblyPlan:
-    """Fixed CSR pattern of one mesh and the maps that fill it.
+    """Element tables, fixed CSR pattern and fill maps of one mesh.
 
-    Every per-triangle table holds the triangle index last, as its long
-    C-contiguous axis, so each element-local sum of assemble_raw is a
-    whole-mesh row operation and each contraction with a constant table is
-    one GEMM. tri_nodes[i, e] is node i of triangle e, and
+    elements.build_basis tabulates the element tables, which
+    postprocessing reuses. qp_N[q, i] is N_i at quadrature point q,
+    qp_xy[q, e] that point of triangle e, qp_dA the rule weights times the
+    areas and lam_grad the barycentric gradients. P1 gradients are
+    constant, so P1 has one gradient point per triangle; P2 uses its
+    quadrature points.
+    gp_map[q, g] = 1 where point q takes its gradient from gradient point
+    g, and gp_gradN holds grad N_i there. qp_NN[(i, j), q] = N_i N_j, and
+    gp_MN[(g, j), q] = gp_map[q, g] N_j moves k' weights onto the gradient
+    points. The stiffness is a reference-tensor GEMM (Kirby & Logg 2006):
+    lam_GG[(a, b), e] = grad lambda_a . grad lambda_b and
+    K_ref[(i, j), (g, a, b)] = dN_i/dlambda_a dN_j/dlambda_b at gradient
+    point g. Every per-triangle table holds the triangle index last, as
+    its long C-contiguous axis, so each element-local sum of assemble_raw
+    is a whole-mesh row operation and each contraction with a constant
+    table is one GEMM. tri_nodes[i, e] is node i of triangle e, and
     tri_slots[(i * nen + j) * T + e] is the CSR data slot of the
     element-local entry (i, j) of triangle e, so a Jacobian's data array is
     one np.bincount over the flattened (nen * nen, T) element table.
-    qp_NN[(i, j), q] = N_i N_j at quadrature point q, and
-    gp_MN[(g, j), q] = gp_map[q, g] N_j moves k' weights onto the basis's
-    gradient points. The stiffness is a reference-tensor GEMM (Kirby &
-    Logg 2006): lam_GG[(a, b), e] = grad lambda_a . grad lambda_b and
-    K_ref[(i, j), (g, a, b)] = dN_i/dlambda_a dN_j/dlambda_b at gradient
-    point g. Postprocessing interpolates through basis.qp_N and tri_nodes
-    as assembly does. chain_op is the one channel operator: the
-    constant matrix of int_Sigma w_i dtheta/ds on the rows and columns of
-    the chain's DOFs, chain (ascending), the only rows the term touches,
-    so the term adds chi * chain_op @ theta[chain] to the rows chain.
-    chan_slots[m] is the data slot of chain_op.data[m], one distinct slot
-    per entry. The neumann edges (boundary_edges tagged neumann, in
-    boundary order) carry the two-point Gauss rule of the boundary flux:
-    neu_xy[g, e] is point g of edge e, neu_w[g, e] its weight times the
-    edge length, and neu_nodes[:, e] the edge's node ids. Every array, the
-    matrix's included, is read-only: all Jacobians and threads of the mesh
-    share them. basis is the mesh's element basis.
+    chain_op is the one channel operator: the constant matrix of
+    int_Sigma w_i dtheta/ds on the rows and columns of the chain's DOFs,
+    chain (ascending), the only rows the term touches, so the term adds
+    chi * chain_op @ theta[chain] to the rows chain. chan_slots[m] is the
+    data slot of chain_op.data[m], one distinct slot per entry. The neumann
+    edges (boundary_edges tagged neumann, in boundary order) carry the
+    two-point Gauss rule of the boundary flux: neu_xy[g, e] is point g of
+    edge e, neu_w[g, e] its weight times the edge length, and
+    neu_nodes[:, e] the edge's node ids. Every array, the matrix's
+    included, is read-only: all Jacobians and threads of the mesh share
+    them.
     """
 
     n: int
-    basis: ElementBasis = field(repr=False)
+    areas: np.ndarray = field(repr=False)  # (T,)
+    qp_N: np.ndarray = field(repr=False)  # (nq, nen)
+    qp_dA: np.ndarray = field(repr=False)  # (nq, T)
+    qp_xy: np.ndarray = field(repr=False)  # (nq, T, 2)
+    lam_grad: np.ndarray = field(repr=False)  # (T, 3, 2)
+    gp_map: np.ndarray = field(repr=False)  # (nq, ng)
+    gp_gradN: np.ndarray = field(repr=False)  # (ng, 2, nen, T)
+    qp_NN: np.ndarray = field(repr=False)  # (nen * nen, nq)
+    gp_MN: np.ndarray = field(repr=False)  # (ng * nen, nq)
+    lam_GG: np.ndarray = field(repr=False)  # (9, T)
+    K_ref: np.ndarray = field(repr=False)  # (nen * nen, ng * 9)
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
     tri_nodes: np.ndarray = field(repr=False)  # (nen, T)
     tri_slots: np.ndarray = field(repr=False)  # (nen * nen * T,)
     chan_slots: np.ndarray = field(repr=False)
-    qp_NN: np.ndarray = field(repr=False)  # (nen * nen, nq)
-    gp_MN: np.ndarray = field(repr=False)  # (ng * nen, nq)
-    lam_GG: np.ndarray = field(repr=False)  # (9, T)
-    K_ref: np.ndarray = field(repr=False)  # (nen * nen, ng * 9)
     chain: np.ndarray = field(repr=False)  # (m,)
     chain_op: sp.csr_matrix = field(repr=False)  # (m, m)
     neu_xy: np.ndarray = field(repr=False)  # (2, E, 2)
@@ -312,7 +324,6 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
     diag = np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1))
     if keys.size == 0 or diag[-1] >= keys.size or np.any(keys[diag] != np.arange(n) * (n + 1)):
         raise ValueError("mesh holds a node that belongs to no triangle")
-    N, M, dNdlam = basis.qp_N, basis.gp_map, basis.gp_dNdlam
     # Every chain edge carries the block B_ij = sum_g w_g N_i dN_j/dxi: the edge
     # length cancels (dGamma = (ell / 2) dxi, d/ds = (2 / ell) d/dxi), and the
     # rule is exact for the integrand's degree (1 for P1, 3 for P2).
@@ -331,16 +342,12 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
     xi, wgt = GAUSS_1D_2
     return AssemblyPlan(
         n=n,
-        basis=basis,
+        **basis,
         indptr=_read_only(_row_pointer(rows, n, idx)),
         indices=_read_only(cols.astype(idx)),
         tri_nodes=_read_only(tri_nodes),
         tri_slots=_read_only(slot_of[:tri_keys.size]),
         chan_slots=_read_only(slot_of[tri_keys.size:]),
-        qp_NN=_read_only(np.einsum("qi,qj->ijq", N, N, order="C").reshape(-1, len(N))),
-        gp_MN=_read_only(np.einsum("qg,qj->gjq", M, N, order="C").reshape(-1, len(N))),
-        lam_GG=_read_only(np.einsum("tac,tbc->abt", basis.lam_grad, basis.lam_grad, order="C").reshape(9, -1)),
-        K_ref=_read_only(np.einsum("gia,gjb->ijgab", dNdlam, dNdlam, order="C").reshape(-1, 9 * len(dNdlam))),
         chain=_read_only(chain),
         chain_op=chain_op,
         neu_xy=_read_only(pa + (0.5 * (1.0 + xi))[:, None, None] * (pb - pa)),
@@ -408,21 +415,20 @@ def assemble_raw(
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (plan.n,):
         raise ValueError(f"theta must have shape ({plan.n},)")
-    basis = plan.basis
     nodes = plan.tri_nodes  # (nen, T)
     d = problem.mesh.domain.thickness
     surf = problem.surface
     nen, T = nodes.shape
-    N = basis.qp_N  # (nq, nen)
+    N = plan.qp_N  # (nq, nen)
 
     theta_e = theta.take(nodes)  # (nen, T)
     th_q = N @ theta_e  # (nq, T)
-    w = basis.qp_dA  # (nq, T)
+    w = plan.qp_dA  # (nq, T)
     R_e = J_e = 0.0  # the conduction part of the element tables
 
     if terms.conduction:
         # grad theta at the gradient points, and their weights sum_q w d k(theta_q)
-        G = basis.gp_gradN  # (ng, 2, nen, T)
+        G = plan.gp_gradN  # (ng, 2, nen, T)
         grad = np.einsum("gcit,it->gct", G, theta_e)
         wdk = w * d
         if jacobian:
@@ -430,7 +436,7 @@ def assemble_raw(
             wdkp *= wdk  # w d k'(theta_q)
             gw = np.einsum("gcit,gct->git", G, grad)  # grad N_i . grad theta
         wdk *= _property_at(problem.solid.conductivity, th_q)  # w d k(theta_q)
-        wbar = basis.gp_map.T @ wdk  # (ng, T)
+        wbar = plan.gp_map.T @ wdk  # (ng, T)
         grad *= wbar[:, None]
         R_e = np.einsum("gcit,gct->it", G, grad)
         if jacobian:
@@ -443,7 +449,7 @@ def assemble_raw(
     # (Jacobian). Each term is built in its own table, added to the sum of the
     # terms before it (_add), and the sum is weighted by w once; a constant load
     # stays a scalar, so no table is ever zero-filled.
-    coef_N = -at_points(problem.load, basis.qp_xy, time)
+    coef_N = -at_points(problem.load, plan.qp_xy, time)
     coef_NN = 0.0
 
     if surf.h_T != 0.0:

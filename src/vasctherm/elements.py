@@ -1,15 +1,12 @@
 """Lagrange triangle basis and quadrature shared by assembly and postprocessing.
 
 P1 uses the 3-point midpoint rule (degree 2), P2 the 6-point rule
-(degree 4). build_basis tabulates a mesh's basis at the quadrature
-points and its shape gradients at the gradient points (ElementBasis); it
-caches nothing, and the mesh's assembly plan (assembly.plan_for) holds
-the result.
+(degree 4). build_basis tabulates a mesh's element tables and caches
+nothing; the mesh's assembly plan (assembly.plan_for) holds them, one
+field each, and documents them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,29 +54,6 @@ def edge_shape(order: int, xi: np.ndarray):
     return N, dN
 
 
-@dataclass(eq=False)
-class ElementBasis:
-    """Per-mesh shape values at the quadrature points, shape gradients at the gradient points.
-
-    P1 gradients are constant, so P1 has one gradient point per triangle;
-    P2 uses its quadrature points. gp_map[q, g] = 1 where point q takes its
-    gradient from gradient point g: all ones for P1, the identity for P2.
-    The tables that assembly reads per triangle (qp_dA, gp_gradN) hold the
-    triangle index last, as the long contiguous axis, so each element-local
-    sum runs over whole-mesh rows. The arrays are read-only.
-    """
-
-    areas: np.ndarray  # (T,)
-    qp_weights: np.ndarray  # (nq,)
-    qp_N: np.ndarray  # (nq, nen)
-    qp_dA: np.ndarray = field(repr=False)  # (nq, T): rule weights times areas
-    qp_xy: np.ndarray = field(repr=False)  # (nq, T, 2)
-    lam_grad: np.ndarray = field(repr=False)  # (T, 3, 2): barycentric gradients
-    gp_map: np.ndarray = field(repr=False)  # (nq, ng)
-    gp_dNdlam: np.ndarray = field(repr=False)  # (ng, nen, 3): dN_i/dlambda_a
-    gp_gradN: np.ndarray = field(repr=False)  # (ng, 2, nen, T)
-
-
 def _grad_lambda(corners: np.ndarray, areas: np.ndarray) -> np.ndarray:
     """Barycentric gradients per triangle -> (T, 3, 2)."""
     x, y = corners[..., 0], corners[..., 1]
@@ -106,7 +80,8 @@ def grad_shape(order: int, lam_point, glam: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_basis(mesh) -> ElementBasis:
+def build_basis(mesh) -> dict[str, np.ndarray]:
+    """The mesh's element tables by their assembly.AssemblyPlan field names, read-only."""
     corners = mesh.nodes[mesh.triangles[:, :3]]
     areas = triangle_areas(mesh)
     if np.any(areas <= 0):
@@ -117,13 +92,17 @@ def build_basis(mesh) -> ElementBasis:
     lam, w = TRI_RULE_DEG2 if order == 1 else TRI_RULE_DEG4
     gp_lam, gp_map = (lam[:1], np.ones((len(w), 1))) if order == 1 else (lam, np.eye(len(w)))
     dNdlam = np.stack([grad_shape(order, g, np.eye(3)[None])[0] for g in gp_lam])  # grad lambda = I: dN/dlambda
-    basis = ElementBasis(
-        areas=areas, qp_weights=w, qp_N=tri_shape(order, lam),
-        qp_dA=w[:, None] * areas, qp_xy=np.stack([np.einsum("tic,i->tc", corners, q) for q in lam]),
-        lam_grad=glam, gp_map=gp_map, gp_dNdlam=dNdlam,
-        gp_gradN=np.einsum("gia,tac->gcit", dNdlam, glam, order="C"),
-    )
-    for a in vars(basis).values():
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return basis
+    N = tri_shape(order, lam)
+    tables = {
+        "areas": areas, "qp_N": N, "qp_dA": w[:, None] * areas,
+        "qp_xy": np.stack([np.einsum("tic,i->tc", corners, q) for q in lam]),
+        "lam_grad": glam, "gp_map": gp_map,
+        "gp_gradN": np.einsum("gia,tac->gcit", dNdlam, glam, order="C"),
+        "qp_NN": np.einsum("qi,qj->ijq", N, N, order="C").reshape(-1, len(N)),
+        "gp_MN": np.einsum("qg,qj->gjq", gp_map, N, order="C").reshape(-1, len(N)),
+        "lam_GG": np.einsum("tac,tbc->abt", glam, glam, order="C").reshape(9, -1),
+        "K_ref": np.einsum("gia,gjb->ijgab", dNdlam, dNdlam, order="C").reshape(-1, 9 * len(dNdlam)),
+    }
+    for a in tables.values():
+        a.flags.writeable = False
+    return tables

@@ -97,7 +97,7 @@ class LayoutParams:
     def __post_init__(self):
         if self.kind not in LAYOUT_KINDS:
             raise ValueError(f"kind must be one of {LAYOUT_KINDS}, got {self.kind!r}")
-        check_finite(self, "spacing", "margin", "offset")
+        check_finite(self, "spacing", "margin", "offset", "pass_count")
         if self.spacing <= 0 or self.margin <= 0:
             raise ValueError("spacing and margin must be positive")
         if self.kind == "serpentine" and self.pass_count < 1:

@@ -61,8 +61,8 @@ class BoundsReport:
 def mean_surface_temperature(theta: np.ndarray, mesh: ChannelMesh) -> float:
     """Domain average of theta via element quadrature, interpolated as the assembly does."""
     plan = plan_for(mesh)
-    th_q = plan.basis.qp_N @ theta.take(plan.tri_nodes)  # (nq, T)
-    return float(np.sum(plan.basis.qp_dA * th_q)) / float(np.sum(plan.basis.areas))
+    th_q = plan.qp_N @ theta.take(plan.tri_nodes)  # (nq, T)
+    return float(np.sum(plan.qp_dA * th_q)) / float(np.sum(plan.areas))
 
 
 def outlet_temperature(theta: np.ndarray, mesh: ChannelMesh) -> float:
@@ -97,7 +97,7 @@ def heat_flux_field(theta: np.ndarray, problem: ThermalProblem) -> np.ndarray:
     N = tri_shape(mesh.element_order, centroid[None, :])[0]
     theta_e = theta[mesh.triangles]
     theta_c = theta_e @ N
-    gradN = grad_shape(mesh.element_order, centroid, plan_for(mesh).basis.lam_grad)
+    gradN = grad_shape(mesh.element_order, centroid, plan_for(mesh).lam_grad)
     grad_theta = np.einsum("tnc,tn->tc", gradN, theta_e)
     k = eval_curve(problem.solid.conductivity, theta_c)
     return -k[:, None] * grad_theta
@@ -142,12 +142,12 @@ def energy_balance(theta: np.ndarray, problem: ThermalProblem, time: float = 0.0
 
 def total_load(problem: ThermalProblem, time: float = 0.0) -> float:
     """int_Omega f dOmega with the assembly quadrature."""
-    basis = plan_for(problem.mesh).basis
-    return float(np.sum(basis.qp_dA * at_points(problem.load, basis.qp_xy, time)))
+    plan = plan_for(problem.mesh)
+    return float(np.sum(plan.qp_dA * at_points(problem.load, plan.qp_xy, time)))
 
 
 def _load_sign_range(problem: ThermalProblem, time: float) -> tuple[float, float]:
-    f_q = at_points(problem.load, plan_for(problem.mesh).basis.qp_xy, time)
+    f_q = at_points(problem.load, plan_for(problem.mesh).qp_xy, time)
     return float(np.min(f_q)), float(np.max(f_q))
 
 

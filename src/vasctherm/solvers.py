@@ -39,6 +39,7 @@ from .assembly import (
     assemble_raw,
     apply_constraints,
 )
+from .materials import check_finite
 
 
 # Chord Newton refactors once an accepted iterate cuts the residual by less than
@@ -95,6 +96,7 @@ class NewtonSettings:
     max_iters: int = 25
 
     def __post_init__(self):
+        check_finite(self, "abs_tol", "rel_tol", "max_iters")
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
@@ -108,6 +110,7 @@ class TransientSettings:
     bdf_order: int = 2
 
     def __post_init__(self):
+        check_finite(self, "dt", "t_end")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:

@@ -42,6 +42,7 @@ from vasctherm.mesh import (
     mesh_without_channel,
     nested_dissection,
     tag_boundary,
+    triangle_areas,
 )
 from vasctherm.postprocess import energy_balance
 from vasctherm.solvers import solve_steady
@@ -302,7 +303,8 @@ def test_dirichlet_everywhere_constrained_count():
     assert len(ids) == len(np.unique(ids)) == len(vals) == boundary_nodes
 
 
-def test_conflicting_inlet_prescription_rejected():
+@pytest.mark.parametrize("theta_p", [350.0, 296.42 + 1e-6])  # the values may differ by at most 1e-9 K
+def test_conflicting_inlet_prescription_rejected(theta_p):
     grid = build_structured_mesh(Domain2D(), 6)
     mesh = tag_boundary(
         embed_vasculature(grid, VasculaturePath(np.array([[0.05, 0.1], [0.05, 0.0]]))),
@@ -312,7 +314,7 @@ def test_conflicting_inlet_prescription_rejected():
     prob = ThermalProblem(
         mesh=mesh, solid=base.solid, coolant=base.coolant, load=base.load,
         surface=base.surface,
-        bcs=BoundaryData(theta_inlet=296.42, theta_p=350.0),
+        bcs=BoundaryData(theta_inlet=296.42, theta_p=theta_p),
     )
     with pytest.raises(ValueError, match="conflicting"):
         prob.constraints
@@ -471,21 +473,23 @@ def test_constant_property_scales_as_its_table_would(monkeypatch, order, transie
 def dense_reference_jacobian(prob, theta, rate):
     """Element-by-element accumulation of the exact linearization.
 
-    Shape gradients come from elements.grad_shape at every quadrature point,
-    not from the basis's gradient-point table.
+    Rule, shape values and gradients come from elements.TRI_RULE_DEG2/DEG4,
+    elements.tri_shape and elements.grad_shape at every quadrature point, and
+    the areas from mesh.triangle_areas; nothing is read from the plan's tables.
     """
     mesh, solid, surf = prob.mesh, prob.solid, prob.surface
-    basis = plan_for(mesh).basis
-    lam, _ = elements.TRI_RULE_DEG2 if mesh.element_order == 1 else elements.TRI_RULE_DEG4
+    lam, weights = elements.TRI_RULE_DEG2 if mesh.element_order == 1 else elements.TRI_RULE_DEG4
+    areas = triangle_areas(mesh)
     glam = barycentric_gradients(mesh)
     d, es = mesh.domain.thickness, surf.emissivity * assembly.STEFAN_BOLTZMANN
     J = np.zeros((prob.n_dofs, prob.n_dofs))
     thdot = rate.coeff * theta + rate.rhs
     for e, nodes in enumerate(mesh.triangles):
         th_e, J_e = theta[nodes], np.zeros((len(nodes), len(nodes)))
-        for q, weight in enumerate(basis.qp_weights):
-            N, G = basis.qp_N[q], elements.grad_shape(mesh.element_order, lam[q], glam[e:e + 1])[0]
-            w = weight * basis.areas[e]
+        for q, weight in enumerate(weights):
+            N = elements.tri_shape(mesh.element_order, lam[q:q + 1])[0]
+            G = elements.grad_shape(mesh.element_order, lam[q], glam[e:e + 1])[0]
+            w = weight * areas[e]
             th, thd = N @ th_e, N @ thdot[nodes]
             gw = G @ (G.T @ th_e)
             J_e += w * d * eval_curve(solid.conductivity, th) * (G @ G.T)
@@ -599,11 +603,10 @@ def test_cached_index_arrays_read_only(rng):
     prob = mixed_boundary_problem()
     system = apply_constraints(assemble_raw(prob, random_state(prob, rng, True)), prob.constraints)
     plan, cut = plan_for(prob.mesh), prob.constraints
-    basis = plan.basis
     for arr in (plan.indptr, plan.indices, plan.tri_nodes, plan.tri_slots, plan.chan_slots, plan.chain,
                 plan.chain_op.data, plan.chain_op.indices, plan.chain_op.indptr,
                 plan.qp_NN, plan.gp_MN, plan.lam_GG, plan.K_ref, plan.neu_xy, plan.neu_w, plan.neu_nodes,
-                basis.qp_N, basis.qp_dA, basis.qp_xy, basis.gp_map, basis.gp_gradN,
+                plan.areas, plan.qp_N, plan.qp_dA, plan.qp_xy, plan.lam_grad, plan.gp_map, plan.gp_gradN,
                 cut.ids, cut.values, cut.free, cut.slots, cut.indptr, cut.indices):
         assert not arr.flags.writeable
     J = system.jacobian
@@ -711,18 +714,17 @@ def test_element_tables_put_the_triangle_last(order):
     """Every per-triangle table that assemble_raw reads runs over the triangles last, contiguously."""
     mesh = mixed_boundary_problem(order=order).mesh
     plan = plan_for(mesh)
-    basis = plan.basis
     T, nen = mesh.triangles.shape
-    nq, ng = basis.gp_map.shape
+    nq, ng = plan.gp_map.shape
     per_triangle = {
         "tri_nodes": (plan.tri_nodes, (nen, T)),
-        "qp_dA": (basis.qp_dA, (nq, T)),
-        "gp_gradN": (basis.gp_gradN, (ng, 2, nen, T)),
+        "qp_dA": (plan.qp_dA, (nq, T)),
+        "gp_gradN": (plan.gp_gradN, (ng, 2, nen, T)),
         "lam_GG": (plan.lam_GG, (9, T)),
     }
     constant = {  # contracted against a per-triangle table by one GEMM
-        "qp_N": (basis.qp_N, (nq, nen)),
-        "gp_map": (basis.gp_map, (nq, ng)),
+        "qp_N": (plan.qp_N, (nq, nen)),
+        "gp_map": (plan.gp_map, (nq, ng)),
         "qp_NN": (plan.qp_NN, (nen * nen, nq)),
         "gp_MN": (plan.gp_MN, (ng * nen, nq)),
         "K_ref": (plan.K_ref, (nen * nen, ng * 9)),

@@ -350,6 +350,35 @@ def test_flow_reversal_cmp_mode_also_invariant(tmp_path):
     assert summary["passed"]
 
 
+@pytest.mark.parametrize("steady_gap, transient_gap, passed", [
+    (0.1, 0.0, False), (0.0, 0.3, False), (0.04, 0.15, True)])
+def test_flow_reversal_gaps_are_judged_against_0_05_and_0_2_K(tmp_path, monkeypatch, steady_gap,
+                                                              transient_gap, passed):
+    # the reverse run is the forward one with its MST shifted: the check sees only the gaps
+    forward = execute_run(fast_config(transient={"t_end": 2.0}))
+
+    def shifted(obs, gap):
+        return dataclasses.replace(obs, mst=obs.mst + gap)
+
+    reverse = dataclasses.replace(forward, steady_obs=shifted(forward.steady_obs, steady_gap),
+                                  series_obs=[shifted(obs, transient_gap) for obs in forward.series_obs])
+    monkeypatch.setattr(cli, "execute_run",
+                        lambda config: reverse if config.flow_direction == "reverse" else forward)
+    summary = flow_reversal_experiment(forward.config, str(tmp_path / "fr"))
+    assert summary["steady_abs_dmst"] == pytest.approx(steady_gap, abs=1e-9)
+    assert summary["transient_max_abs_dmst"] == pytest.approx(transient_gap, abs=1e-9)
+    assert summary["passed"] is passed
+
+
+def test_cooling_load_keeps_a_positive_efficiency(tmp_path):
+    # f0 < 0: the coolant leaves colder than it entered and int f < 0, so eta > 0
+    out = tmp_path / "cool"
+    assert main(["solve", "--steady-only", "--mesh-n", "10", "--flux", "-2000", "--out", str(out)]) == EXIT_OK
+    steady = json.loads((out / "summary.json").read_text())["steady"]
+    assert steady["theta_outlet"] < ScenarioConfig().theta_inlet
+    assert steady["eta"] == pytest.approx(0.1766, abs=5e-4)
+
+
 def test_compare_props_control_is_zero_delta(tmp_path):
     # CMP vs CMP: force both runs into constant-property mode via a custom
     # TDMP material whose curves are already constant

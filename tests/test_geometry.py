@@ -39,6 +39,13 @@ def test_non_finite_inputs_refused_where_built(build, field):
         build()
 
 
+@pytest.mark.parametrize("kind, bad", [("serpentine", np.nan), ("serpentine", np.inf), ("u_shape", np.nan)])
+def test_layout_params_refuse_a_non_finite_pass_count(kind, bad):
+    # accepted before; a serpentine then failed inside np.arange in generate_layout
+    with pytest.raises(ValueError, match=r"^LayoutParams\.pass_count must be finite"):
+        generate_layout(DOM, LayoutParams(kind=kind, pass_count=bad))
+
+
 def test_u_shape_arc_length_hand_sum():
     # legs at x = 0.035 / 0.065, bottom leg at y = 0.02, ports on the top edge
     path = generate_layout(DOM, LayoutParams(kind="u_shape", spacing=0.03, margin=0.02))

@@ -7,8 +7,9 @@ from conftest import (
     barycentric_gradients, channel_problem, mixed_boundary_problem, no_channel_problem, wide_material,
 )
 from vasctherm import elements
-from vasctherm.assembly import STEFAN_BOLTZMANN, RateWeights, assemble_raw, plan_for
-from vasctherm.mesh import NEUMANN, build_structured_mesh, mesh_without_channel
+from vasctherm.assembly import STEFAN_BOLTZMANN, RateWeights, assemble_raw
+from vasctherm.materials import eval_curve
+from vasctherm.mesh import NEUMANN, build_structured_mesh, mesh_without_channel, triangle_areas
 from vasctherm.geometry import Domain2D
 from vasctherm.postprocess import (
     _load_sign_range,
@@ -230,6 +231,52 @@ def test_observables_eta_undefined_without_load():
     assert obs.mst == pytest.approx(AMB)
 
 
+@pytest.mark.parametrize("side", ["min", "max"])
+def test_check_bounds_fails_a_state_0_01_K_beyond_its_bound(side):
+    # phi_min = phi_max = ambient here; the tolerance is 1e-6 * theta_amb, about 0.3 mK
+    prob = channel_problem(n=5)
+    fld = np.full(prob.n_dofs, AMB)
+    fld[7] += -0.01 if side == "min" else 0.01
+    rep = check_bounds(fld, prob)
+    assert rep.tolerance == 1e-6 * AMB
+    assert getattr(rep, f"{side}_violation") == pytest.approx(0.01)
+    assert not getattr(rep, f"pass_{side}")
+    fld[7] = AMB + (-0.5 if side == "min" else 0.5) * rep.tolerance
+    assert getattr(check_bounds(fld, prob), f"pass_{side}")
+
+
+def test_arc_profile_has_101_rows_from_inlet_to_outlet_by_default():
+    prob = channel_problem(n=8)
+    profile = arc_length_profile(np.full(prob.n_dofs, AMB), prob.mesh)
+    ends = prob.mesh.nodes[prob.mesh.channel_nodes]
+    assert profile.shape == (101, 2)
+    assert profile[0, 0] == 0.0
+    assert profile[-1, 0] == pytest.approx(np.sum(np.linalg.norm(np.diff(ends, axis=0), axis=1)), rel=1e-14)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_heat_flux_takes_the_conductivity_at_the_centroid_temperature(order):
+    # a temperature-dependent k_s on a linear field: q = -k_s(theta_c) grad theta per triangle
+    material = wide_material()
+    prob = no_channel_problem(n=4, order=order, material=material)
+    grad = np.array([150.0, 80.0])
+    theta = 300.0 + prob.mesh.nodes @ grad
+    centroids = prob.mesh.nodes[prob.mesh.triangles[:, :3]].mean(axis=1)
+    k = eval_curve(material.conductivity, 300.0 + centroids @ grad)
+    assert np.ptp(k) > 0.01  # the conductivity varies across the plate
+    assert np.allclose(heat_flux_field(theta, prob), -k[:, None] * grad, rtol=1e-12, atol=0.0)
+
+
+def test_channel_peclet_of_one_edge_by_hand():
+    prob = channel_problem(n=10)  # TDMP: k_s depends on the temperature it is sampled at
+    mesh = prob.mesh
+    a, b = mesh.nodes[mesh.channel_nodes[:2]]
+    chi = prob.coolant.density * prob.coolant.flow_rate * prob.coolant.specific_heat
+    k_amb = eval_curve(prob.solid.conductivity, AMB)
+    expected = chi * np.linalg.norm(b - a) / (2.0 * mesh.domain.thickness * k_amb)
+    assert channel_peclet(prob)[0] == pytest.approx(expected, rel=1e-12)
+
+
 def test_bound_structure_orders_mst():
     # phi_min <= MST <= max nodal theta for a heated solution
     prob = channel_problem(n=10)
@@ -247,16 +294,22 @@ def test_channel_peclet_small_at_desk_scale():
 
 
 def per_point_reference(problem, theta, time):
-    """MST, supplied power, energy residual and sign ranges, one quadrature point at a time."""
+    """MST, supplied power, energy residual and sign ranges, one quadrature point at a time.
+
+    The rule comes from elements.TRI_RULE_DEG2/DEG4 and the areas from
+    mesh.triangle_areas; nothing is read from the plan's tables.
+    """
     mesh, surf = problem.mesh, problem.surface
-    basis = plan_for(mesh).basis
+    lam, weights = elements.TRI_RULE_DEG2 if mesh.element_order == 1 else elements.TRI_RULE_DEG4
+    areas = triangle_areas(mesh)
+    corners = mesh.nodes[mesh.triangles[:, :3]]
     theta_e = theta[mesh.triangles]
     integral = supplied = convected = radiated = 0.0
     f_lo, f_hi = np.inf, -np.inf
-    for q in range(len(basis.qp_weights)):
-        w = basis.qp_weights[q] * basis.areas
-        th_q = theta_e @ basis.qp_N[q]
-        x, y = basis.qp_xy[q, :, 0], basis.qp_xy[q, :, 1]
+    for q, weight in enumerate(weights):
+        w = weight * areas
+        th_q = theta_e @ elements.tri_shape(mesh.element_order, lam[q:q + 1])[0]
+        x, y = (corners * lam[q][None, :, None]).sum(axis=1).T
         f_q = np.broadcast_to(problem.load(x, y, time), x.shape)
         integral += np.sum(w * th_q)
         supplied += np.sum(w * f_q)
@@ -276,7 +329,7 @@ def per_point_reference(problem, theta, time):
             q_lo, q_hi = min(q_lo, qv), max(q_hi, qv)
     extracted = problem.chi * (theta[mesh.outlet_node] - problem.bcs.theta_inlet)
     return {
-        "mst": integral / np.sum(basis.areas),
+        "mst": integral / np.sum(areas),
         "supplied": supplied,
         "energy": supplied - convected - radiated - extracted - boundary,
         "energy_scale": abs(supplied) + abs(convected) + abs(radiated) + abs(extracted) + abs(boundary),

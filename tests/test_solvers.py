@@ -169,6 +169,21 @@ def test_accept_rejects_non_finite_iterates(bad):
         solvers._accept(np.array([AMB, bad, AMB]))
 
 
+@pytest.mark.parametrize("field, bad", [("dt", np.nan), ("t_end", np.nan), ("dt", np.inf), ("t_end", -np.inf)])
+def test_transient_settings_refuse_non_finite_times(field, bad):
+    # a NaN dt or t_end failed converting the step count to an int
+    with pytest.raises(ValueError, match=rf"^TransientSettings\.{field} must be finite"):
+        TransientSettings(**{field: bad})
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("abs_tol", np.nan), ("rel_tol", np.nan), ("max_iters", np.nan), ("max_iters", np.inf)])
+def test_newton_settings_refuse_non_finite_values(field, bad):
+    # accepted before: every comparison with NaN is false
+    with pytest.raises(ValueError, match=rf"^NewtonSettings\.{field} must be finite"):
+        NewtonSettings(**{field: bad})
+
+
 def test_transient_requires_integer_step_count():
     with pytest.raises(ValueError):
         TransientSettings(dt=7.0, t_end=100.0).n_steps
