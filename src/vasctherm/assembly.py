@@ -110,9 +110,12 @@ class RateWeights(NamedTuple):
         return f"RateWeights(coeff={self.coeff!r})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ThermalProblem:
-    """Full scenario: mesh, materials, coolant, loads and BCs; it starts at ambient."""
+    """Full scenario: mesh, materials, coolant, loads and BCs; it starts at ambient.
+
+    A problem is a value: dataclasses.replace gives a changed one, with caches of its own.
+    """
 
     mesh: ChannelMesh
     solid: SolidMaterial
@@ -120,7 +123,6 @@ class ThermalProblem:
     load: object = 1000.0  # W/m^2, constant or callable(x, y, t)
     surface: SurfaceExchange = SurfaceExchange()
     bcs: BoundaryData = BoundaryData()
-    _constraints: Constraints | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if np.isscalar(self.load) and not np.isfinite(self.load):
@@ -138,15 +140,8 @@ class ThermalProblem:
 
     @property
     def constraints(self) -> Constraints:
-        """The problem's constraints, built on first use and shared by all callers.
-
-        They depend only on the mesh, bcs and coolant.
-        """
-        if self._constraints is None:  # built once, so only a build takes the lock
-            with _CACHE_LOCK:
-                if self._constraints is None:
-                    self._constraints = _build_constraints(self)
-        return self._constraints
+        """The problem's constraints, built once and shared; they depend only on its mesh, bcs and coolant."""
+        return _cached(_CONSTRAINTS_CACHE, self, _build_constraints)
 
 
 def at_points(data, xy: np.ndarray, *t) -> float | np.ndarray:
@@ -356,22 +351,27 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
     )
 
 
-_PLAN_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-# Guards _PLAN_CACHE and ThermalProblem.constraints; reentrant
+# mesh -> AssemblyPlan and problem -> Constraints. One lock guards both, reentrant
 # because building a problem's constraints takes its mesh's plan.
+_PLAN_CACHE = weakref.WeakKeyDictionary()
+_CONSTRAINTS_CACHE = weakref.WeakKeyDictionary()
 _CACHE_LOCK = threading.RLock()
+
+
+def _cached(cache: weakref.WeakKeyDictionary, key, build):
+    """cache[key], made by build(key) on first use; only a build takes the lock."""
+    value = cache.get(key)
+    if value is None:
+        with _CACHE_LOCK:
+            value = cache.get(key)
+            if value is None:
+                value = cache[key] = build(key)
+    return value
 
 
 def plan_for(mesh: ChannelMesh) -> AssemblyPlan:
     """The mesh's assembly plan, built on first use and shared by all callers."""
-    plan = _PLAN_CACHE.get(mesh)
-    if plan is None:  # built once, so only a build takes the lock
-        with _CACHE_LOCK:
-            plan = _PLAN_CACHE.get(mesh)
-            if plan is None:
-                plan = _build_plan(mesh)
-                _PLAN_CACHE[mesh] = plan
-    return plan
+    return _cached(_PLAN_CACHE, mesh, _build_plan)
 
 
 @dataclass(eq=False)

@@ -287,14 +287,30 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_history_fits(config: ScenarioConfig, ts: TransientSettings) -> None:
-    """A transient stores every state: refuse one whose history alone outgrows physical memory."""
-    nodes = structured_node_count(int(config.mesh["n"]), int(config.mesh["element_order"]))
-    need, have = (ts.n_steps + 1) * nodes * 8, _physical_memory()
+def _transient_settings(config: ScenarioConfig) -> TransientSettings | None:
+    """The run's transient settings, checked as they are built; None for a steady-only run."""
+    return None if config.steady_only else TransientSettings(
+        dt=float(config.transient["dt"]),
+        t_end=float(config.transient["t_end"]),
+        bdf_order=int(config.transient["bdf_order"]),
+    )
+
+
+def _check_history_fits(*configs: ScenarioConfig) -> None:
+    """Refuse runs whose stored transient histories together outgrow physical memory.
+
+    A transient stores every state, and both runs of an experiment hold theirs at once.
+    """
+    need = 0
+    for config in configs:
+        ts = _transient_settings(config)
+        if ts is not None:
+            nodes = structured_node_count(int(config.mesh["n"]), int(config.mesh["element_order"]))
+            need += (ts.n_steps + 1) * nodes * 8
+    have = _physical_memory()
     if need > have:
-        raise ConfigError(
-            f"the transient's {ts.n_steps + 1} stored states of {nodes} nodes need "
-            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory")
+        raise ConfigError(f"the stored transient states need {need / 2**30:.3g} GiB, "
+                          f"more than the {have / 2**30:.3g} GiB of physical memory")
 
 
 def execute_run(config: ScenarioConfig) -> RunResult:
@@ -305,13 +321,8 @@ def execute_run(config: ScenarioConfig) -> RunResult:
     the transient steps run solve_steady's one Newton policy, chord Newton.
     """
     t0 = time.perf_counter()
-    ts = None if config.steady_only else TransientSettings(
-        dt=float(config.transient["dt"]),
-        t_end=float(config.transient["t_end"]),
-        bdf_order=int(config.transient["bdf_order"]),
-    )
-    if ts is not None:
-        _check_history_fits(config, ts)
+    _check_history_fits(config)
+    ts = _transient_settings(config)
     problem = build_problem(config)
     log: list = []
     steady = solve_steady(problem, log=log)
@@ -473,8 +484,10 @@ def _paired_experiment(config: ScenarioConfig, outdir: str, configs: dict[str, S
     With thresholds, the summary passes when every steady difference is
     within thresholds["steady"] and every transient one within
     thresholds["transient"]; non-finite differences are skipped in the
-    transient maxima.
+    transient maxima. Both runs' stored histories must fit in physical
+    memory together, which is checked before either run starts.
     """
+    _check_history_fits(*configs.values())
     runs = _paired_runs(configs)
     os.makedirs(outdir, exist_ok=True)
     for name, run in runs.items():
@@ -573,12 +586,8 @@ def _verify_problem() -> ThermalProblem:
 
 
 def _scalar_problem() -> ThermalProblem:
-    from .mesh import mesh_without_channel
-
-    dom = Domain2D()
-    mesh = mesh_without_channel(build_structured_mesh(dom, 2))
     return ThermalProblem(
-        mesh=mesh, solid=builtin_material("cfrp_like", "CMP"),
+        mesh=build_structured_mesh(Domain2D(), 2), solid=builtin_material("cfrp_like", "CMP"),
         coolant=water_coolant(0.0), load=1000.0,
     )
 

@@ -43,7 +43,8 @@ class ChannelMesh:
     channel; tangents/lengths describe each chain edge in flow direction.
     For second-order elements channel_mids holds the midside node of each
     chain edge. boundary_tags partition the boundary into dirichlet and
-    neumann pieces.
+    neumann pieces. Every array is read-only: the mesh keys its assembly
+    plan, so it must not change under the plan.
     """
 
     domain: Domain2D
@@ -60,6 +61,11 @@ class ChannelMesh:
     inlet_node: int | None
     outlet_node: int | None
     snap_error: float
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def n_nodes(self) -> int:

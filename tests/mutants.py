@@ -46,6 +46,11 @@ MUTANTS = {
     "flux_k_at_ambient": (
         "postprocess.py", "k = eval_curve(problem.solid.conductivity, theta_c)",
         "k = eval_curve(problem.solid.conductivity, np.full_like(theta_c, problem.surface.theta_amb))"),
+    "problem_not_frozen": ("assembly.py", "@dataclass(frozen=True, eq=False)\nclass ThermalProblem:",
+                           "@dataclass(eq=False)\nclass ThermalProblem:"),
+    "pair_memory_one_history": ("cli.py", "need += (ts.n_steps + 1) * nodes * 8",
+                                "need = max(need, (ts.n_steps + 1) * nodes * 8)"),
+    "mesh_arrays_writable": ("mesh.py", "value.flags.writeable = False", "pass"),
 }
 
 

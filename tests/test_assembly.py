@@ -275,7 +275,35 @@ def test_assembly_and_energy_audit_build_no_constraints():
     assemble_raw(prob, theta)
     assemble_raw(prob, theta, jacobian=False)
     energy_balance(theta, prob)
-    assert prob._constraints is None
+    assert prob not in assembly._CONSTRAINTS_CACHE
+    prob.constraints
+    assert prob in assembly._CONSTRAINTS_CACHE
+    changed = dataclasses.replace(prob, load=500.0)  # a new value, with no constraints yet
+    assert changed not in assembly._CONSTRAINTS_CACHE
+
+
+def test_problem_fields_cannot_be_assigned():
+    prob = channel_problem(n=4)
+    prob.constraints
+    for f in dataclasses.fields(prob):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(prob, f.name, getattr(prob, f.name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.load = float("nan")
+    assert {f.name for f in dataclasses.fields(prob)} == {"mesh", "solid", "coolant", "load", "surface", "bcs"}
+
+
+def test_replaced_problem_pins_its_own_inlet():
+    # the inlet temperature is a constraint: a changed problem must not solve with the old one
+    prob = channel_problem(n=10)
+    old = prob.constraints
+    hot = dataclasses.replace(prob, bcs=BoundaryData(theta_inlet=330.0))
+    assert hot.constraints is not old and old.values.tolist() == [296.42]
+    theta = solve_steady(hot)
+    assert theta[hot.mesh.inlet_node] == 330.0
+    fresh = ThermalProblem(mesh=prob.mesh, solid=prob.solid, coolant=prob.coolant, load=prob.load,
+                           surface=prob.surface, bcs=BoundaryData(theta_inlet=330.0))
+    assert np.array_equal(theta, solve_steady(fresh))
 
 
 def test_zero_flow_removes_inlet_constraint():

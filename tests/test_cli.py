@@ -479,6 +479,23 @@ def test_history_beyond_physical_memory_exits_2_before_the_mesh(tmp_path, monkey
     assert main(argv) == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["flow-reversal", "compare-props"])
+def test_pair_histories_beyond_physical_memory_exit_2_before_the_mesh(tmp_path, monkeypatch, capsys, command):
+    # both runs hold their 21 stored states of 81 nodes (n=4 P2) at once: 27,216 bytes together
+    built = []
+    build = cli.build_structured_mesh
+    monkeypatch.setattr(cli, "build_structured_mesh", lambda *args: built.append(args) or build(*args))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 27_215)
+    argv = [command, "--out", str(tmp_path / "pair"), "--mesh-n", "4", "--order", "2", "--t-end", "20"]
+    assert main(argv) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "error: invalid input:" in err and "physical memory" in err and "Traceback" not in err
+    assert built == [] and not (tmp_path / "pair").exists()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 27_216)
+    assert main(argv) == EXIT_OK
+    assert len(built) == 2
+
+
 def test_zero_load_summary_is_strict_json(tmp_path):
     out = tmp_path / "zl"
     run_scenario(fast_config(load={"f0": 0.0}), str(out))

@@ -35,6 +35,25 @@ def test_grid_counts_n2():
 
 
 @pytest.mark.parametrize("order", [1, 2])
+def test_mesh_arrays_are_read_only(order):
+    # the mesh keys its assembly plan: an array changed after a solve would disagree with the plan
+    grid = build_structured_mesh(DOM, 4, order)
+    channel = embed_vasculature(grid, generate_layout(DOM, LayoutParams()))
+    fields = {f.name: getattr(channel, f.name) for f in dataclasses.fields(ChannelMesh)}
+    by_hand = ChannelMesh(**{name: np.array(v) if isinstance(v, np.ndarray) else v for name, v in fields.items()})
+    meshes = [grid, channel, mesh_without_channel(channel), tag_boundary(channel, lambda x, y: DIRICHLET), by_hand]
+    for mesh in meshes:
+        arrays = {f.name: getattr(mesh, f.name) for f in dataclasses.fields(mesh)
+                  if isinstance(getattr(mesh, f.name), np.ndarray)}
+        assert len(arrays) == 8
+        for name, arr in arrays.items():
+            assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.nodes[:] *= 2
+        assert mesh_stats(mesh).total_area == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_structured_node_count_matches_the_grid(n, order):
     assert structured_node_count(n, order) == len(build_structured_mesh(DOM, n, order).nodes)

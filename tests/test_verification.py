@@ -188,7 +188,6 @@ def test_scalar_reference_clamp_matches_the_builtin_clamp(make):
 def test_scalar_reference_rejects_nonuniform_scenarios():
     with pytest.raises(ValueError):
         scalar_reference(channel_problem(n=4))
-    prob = no_channel_problem(n=2)
-    prob.load = lambda x, y, t: 1000.0 + x
+    prob = dataclasses.replace(no_channel_problem(n=2), load=lambda x, y, t: 1000.0 + x)
     with pytest.raises(ValueError):
         scalar_reference(prob)
