@@ -44,6 +44,8 @@ COMMANDS = {
     # a TDMP serpentine cooled at 10 mL/min under a negative load: eta of a
     # cooling load, and a steady max bound that fails (exit 1)
     "serpentine_cooling": ["solve", "--config", "{golden}/serpentine_cooling.json", "--out", "{out}"],
+    # an asymmetric U shifted left of centre whose coolant enters through the bottom edge
+    "mesh_asymmetric_bottom": ["mesh", "--config", "{golden}/asymmetric_bottom.json", "--out", "{out}"],
 }
 
 _WALL_TIME = re.compile(rb'^ *"wall_time_s": [^\n]*\n', re.MULTILINE)
