@@ -217,8 +217,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> ScenarioConf
     return cfg
 
 
-def build_problem(config: ScenarioConfig) -> ThermalProblem:
-    """Materialize the scenario: layout, mesh, materials, boundary data."""
+def build_mesh(config: ScenarioConfig) -> ChannelMesh:
+    """Materialize the scenario's geometry: layout, flow direction, grid, embedded channel."""
     dom = Domain2D(**config.domain)
     if "vertices" in config.layout:
         path = VasculaturePath(np.asarray(config.layout["vertices"], dtype=float))
@@ -234,8 +234,12 @@ def build_problem(config: ScenarioConfig) -> ThermalProblem:
     if config.flow_direction == "reverse":
         path = path.reversed()
     grid = build_structured_mesh(dom, int(config.mesh["n"]), int(config.mesh["element_order"]))
-    mesh = embed_vasculature(grid, path)
+    return embed_vasculature(grid, path)
 
+
+def build_problem(config: ScenarioConfig) -> ThermalProblem:
+    """Materialize the scenario: the mesh of build_mesh, materials, boundary data."""
+    mesh = build_mesh(config)
     mode = config.material["mode"]
     if config.material.get("file"):
         solid = load_material_file(config.material["file"], config.material.get("name"), mode)
@@ -671,10 +675,10 @@ def main(argv=None) -> int:
                 raise ConfigError("no output directory: pass --out or set output_dir")
             args.out = config.output_dir
         if args.command == "mesh":
-            problem = build_problem(config)
-            export_mesh_csv(problem.mesh, args.out)
-            stats = dataclasses.asdict(mesh_stats(problem.mesh))
-            stats["snap_error"] = problem.mesh.snap_error
+            mesh = build_mesh(config)
+            export_mesh_csv(mesh, args.out)
+            stats = dataclasses.asdict(mesh_stats(mesh))
+            stats["snap_error"] = mesh.snap_error
             _write_json(os.path.join(args.out, "mesh_stats.json"), stats)
             return EXIT_OK
         if args.command == "solve":

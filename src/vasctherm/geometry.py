@@ -2,9 +2,9 @@
 
 The coolant channel is a simple axis-aligned polyline, parameterized by
 arc length with the inlet at s = 0; VasculaturePath refuses any other.
-Layout generators emit such polylines (U-shape, serpentine, asymmetric
-U) with their endpoints on the domain boundary, so they can later be
-embedded exactly into a structured triangulation.
+generate_layout emits such polylines, each a run of vertical passes
+(U-shape, serpentine, asymmetric U), with their endpoints on the domain
+boundary, so they embed exactly into a structured triangulation.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ class LayoutParams:
         check_finite(self, "spacing", "margin", "offset", "pass_count")
         if self.spacing <= 0 or self.margin <= 0:
             raise ValueError("spacing and margin must be positive")
+        if self.kind == "serpentine" and not isinstance(self.pass_count, (int, np.integer)):
+            raise ValueError(f"serpentine needs an integer pass_count, got {self.pass_count!r}")
         if self.kind == "serpentine" and self.pass_count < 1:
             raise ValueError("serpentine needs pass_count >= 1")
         if self.inlet_edge not in ("top", "bottom"):
@@ -120,50 +122,27 @@ def _check_inside(domain: Domain2D, verts: np.ndarray, kind: str):
 def generate_layout(domain: Domain2D, params: LayoutParams) -> VasculaturePath:
     """Axis-aligned polyline for one of the three canonical layouts.
 
-    u_shape: down one leg, across the bottom, up the other leg.
-    serpentine: pass_count vertical passes joined by horizontal links
-    (pass_count=1 degenerates to a single straight channel).
-    asymmetric: a U whose legs sit at unequal offsets from the centerline
-    (offset=0 reproduces u_shape exactly).
+    Every layout is p vertical passes, spacing apart and centred on the
+    plate: pass_count for a serpentine (1: a straight channel), 2 for a U,
+    whose link is its bottom leg; asymmetric shifts the U by offset. The
+    first pass enters at the top, each later one starts where the previous
+    one turned (margin or height - margin), and the last leaves through the
+    edge it heads for. inlet_edge="bottom" mirrors the layout vertically.
     """
     w, h = domain.width, domain.height
-    cx = 0.5 * w
-    if params.kind in ("u_shape", "asymmetric"):
-        off = params.offset if params.kind == "asymmetric" else 0.0
-        x_left = cx - 0.5 * params.spacing + off
-        x_right = cx + 0.5 * params.spacing + off
-        y_bottom = params.margin
-        verts = np.array([
-            [x_left, h],
-            [x_left, y_bottom],
-            [x_right, y_bottom],
-            [x_right, h],
-        ])
-    else:
-        p = params.pass_count
-        if (p - 1) * params.spacing >= w:  # before the passes are built: p may be huge
-            raise ValueError(f"serpentine leaves the plate: {p} passes {params.spacing} m apart "
-                             f"span at least its width {w} m")
-        xs = cx + (np.arange(p) - 0.5 * (p - 1)) * params.spacing
-        y_lo, y_hi = params.margin, h - params.margin
-        verts = [[xs[0], h]]
-        if p == 1:
-            verts.append([xs[0], 0.0])
-        else:
-            for i in range(p):
-                going_down = i % 2 == 0
-                if i > 0:
-                    # horizontal link at the level where the previous pass ended
-                    verts.append([xs[i], y_hi if going_down else y_lo])
-                if i == p - 1:
-                    verts.append([xs[i], 0.0 if going_down else h])
-                else:
-                    verts.append([xs[i], y_lo if going_down else y_hi])
-        verts = np.array(verts, dtype=float)
-
+    p = params.pass_count if params.kind == "serpentine" else 2
+    if params.kind == "serpentine" and (p - 1) * params.spacing >= w:  # before the passes are built: p may be huge
+        raise ValueError(f"serpentine leaves the plate: {p} passes {params.spacing} m apart "
+                         f"span at least its width {w} m")
+    off = params.offset if params.kind == "asymmetric" else 0.0
+    xs = 0.5 * w + (np.arange(p) - 0.5 * (p - 1)) * params.spacing + off
+    # pass i runs from where pass i - 1 turned (the top for i = 0) down to margin, or up to h - margin if odd
+    turns = np.where(np.arange(p) % 2 == 0, params.margin, h - params.margin)
+    turns[-1] = 0.0 if p % 2 else h
+    ys = np.concatenate([[h], np.repeat(turns, 2)[:-1]])
     if params.inlet_edge == "bottom":
-        verts = verts.copy()
-        verts[:, 1] = h - verts[:, 1]
+        ys = h - ys
+    verts = np.stack([np.repeat(xs, 2), ys], axis=1)
     _check_inside(domain, verts, params.kind)
     return VasculaturePath(verts)
 

@@ -67,6 +67,11 @@ class ChannelMesh:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
+    def __setstate__(self, state):
+        # copy.copy, copy.deepcopy and pickle restore the fields without __post_init__
+        self.__dict__.update(state)
+        self.__post_init__()
+
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]

@@ -177,10 +177,9 @@ def check_bounds(theta: np.ndarray, problem: ThermalProblem, time: float = 0.0) 
 
     f_lo, f_hi = _load_sign_range(problem, time)
     q_lo, q_hi = _qp_sign_range(problem, time)
-    amb_ok = problem.surface.theta_amb > 0.0
     nonneg_ok = problem.surface.emissivity == 0.0 or theta_min >= 0.0
-    min_hyp = f_lo >= 0.0 and q_hi <= 0.0 and amb_ok and nonneg_ok
-    max_hyp = f_hi <= 0.0 and q_lo >= 0.0 and amb_ok and nonneg_ok
+    min_hyp = f_lo >= 0.0 and q_hi <= 0.0 and nonneg_ok
+    max_hyp = f_hi <= 0.0 and q_lo >= 0.0 and nonneg_ok
 
     return BoundsReport(
         phi_min=phi_min,

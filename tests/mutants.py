@@ -51,6 +51,12 @@ MUTANTS = {
     "pair_memory_one_history": ("cli.py", "need += (ts.n_steps + 1) * nodes * 8",
                                 "need = max(need, (ts.n_steps + 1) * nodes * 8)"),
     "mesh_arrays_writable": ("mesh.py", "value.flags.writeable = False", "pass"),
+    "copied_mesh_writable": ("mesh.py", "self.__dict__.update(state)\n        self.__post_init__()",
+                             "self.__dict__.update(state)"),
+    "u_three_passes": ("geometry.py", 'p = params.pass_count if params.kind == "serpentine" else 2',
+                       'p = params.pass_count if params.kind == "serpentine" else 3'),
+    "turn_margins_swapped": ("geometry.py", "% 2 == 0, params.margin, h - params.margin)",
+                             "% 2 == 0, h - params.margin, params.margin)"),
 }
 
 

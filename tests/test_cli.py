@@ -925,6 +925,18 @@ def test_main_mesh_subcommand(tmp_path):
     assert (out / "channel_chain.csv").exists()
 
 
+def test_mesh_subcommand_reads_no_material(tmp_path):
+    # the mesh command writes no material data, so a missing coefficients file does not stop it
+    cfg = tmp_path / "missing_material.json"
+    cfg.write_text(json.dumps({"mesh": {"n": 6}, "material": {"file": str(tmp_path / "absent.json")}}))
+    assert main(["mesh", "--config", str(cfg), "--out", str(tmp_path / "missing")]) == EXIT_OK
+    assert main(["mesh", "--mesh-n", "6", "--out", str(tmp_path / "builtin")]) == EXIT_OK
+    assert len(list((tmp_path / "missing").iterdir())) == 5
+    _files_match(tmp_path / "missing", tmp_path / "builtin")
+    with pytest.raises(OSError):
+        build_problem(load_config(str(cfg)))
+
+
 @pytest.mark.parametrize("flux, plain", [("-2e3", "-2000"), ("-2.5e3", "-2500")])
 def test_negative_flux_in_scientific_notation(tmp_path, flux, plain):
     # argparse reads -2000 as a value but would take -2e3 for an option

@@ -46,6 +46,13 @@ def test_layout_params_refuse_a_non_finite_pass_count(kind, bad):
         generate_layout(DOM, LayoutParams(kind=kind, pass_count=bad))
 
 
+@pytest.mark.parametrize("passes", [2.0, 2.5, 1.0])
+def test_serpentine_refuses_a_fractional_pass_count(passes):
+    # np.arange would build ceil(passes) passes, off the plate's centre
+    with pytest.raises(ValueError, match="^serpentine needs an integer pass_count"):
+        LayoutParams(kind="serpentine", pass_count=passes)
+
+
 def test_u_shape_arc_length_hand_sum():
     # legs at x = 0.035 / 0.065, bottom leg at y = 0.02, ports on the top edge
     path = generate_layout(DOM, LayoutParams(kind="u_shape", spacing=0.03, margin=0.02))
@@ -82,6 +89,23 @@ def test_asymmetric_default_legs_unequal_offsets():
     x_left, x_right = path.vertices[0, 0], path.vertices[-1, 0]
     center = 0.5 * DOM.width
     assert abs(x_left - center) != pytest.approx(abs(x_right - center))
+
+
+@given(spacing=st.floats(1e-3, 0.099), margin=st.floats(1e-3, 0.099), offset=st.floats(-0.06, 0.06),
+       edge=st.sampled_from(["top", "bottom"]))
+def test_a_u_is_a_two_pass_serpentine_and_asymmetric_its_shift(spacing, margin, offset, edge):
+    # one pass construction builds all three kinds; a U ignores pass_count
+    shared = dict(spacing=spacing, margin=margin, inlet_edge=edge)
+    u = generate_layout(DOM, LayoutParams(kind="u_shape", pass_count=7, **shared)).vertices
+    two = generate_layout(DOM, LayoutParams(kind="serpentine", pass_count=2, **shared)).vertices
+    assert u.tobytes() == two.tobytes()
+    shifted = u + [offset, 0.0]
+    asymmetric = LayoutParams(kind="asymmetric", offset=offset, **shared)
+    if 0.0 < shifted[:, 0].min() and shifted[:, 0].max() < DOM.width:
+        assert generate_layout(DOM, asymmetric).vertices.tobytes() == shifted.tobytes()
+    else:
+        with pytest.raises(ValueError, match="^asymmetric layout (leaves|touches)"):
+            generate_layout(DOM, asymmetric)
 
 
 def test_layout_regeneration_is_pure():

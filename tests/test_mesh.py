@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -51,6 +53,25 @@ def test_mesh_arrays_are_read_only(order):
         with pytest.raises(ValueError, match="read-only"):
             mesh.nodes[:] *= 2
         assert mesh_stats(mesh).total_area == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copied_meshes_stay_read_only(order, duplicate):
+    # deepcopy and unpickling skip __post_init__, which marks the arrays read-only; __setstate__ runs it
+    mesh = embed_vasculature(build_structured_mesh(DOM, 4, order), generate_layout(DOM, LayoutParams()))
+    twin = duplicate(mesh)
+    for f in dataclasses.fields(ChannelMesh):
+        value = getattr(twin, f.name)
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, f.name
+    with pytest.raises(ValueError, match="read-only"):
+        twin.nodes[:] *= 2
+    problem = ThermalProblem(mesh=mesh, solid=builtin_material("cfrp_like", "TDMP"),
+                             coolant=Coolant(1000.0, 4183.0, 1e-8), load=1000.0)
+    theta = solve_steady(problem)
+    assert solve_steady(dataclasses.replace(problem, mesh=twin)).tobytes() == theta.tobytes()
 
 
 @pytest.mark.parametrize("order", [1, 2])
