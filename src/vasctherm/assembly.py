@@ -162,13 +162,15 @@ class Constraints:
     coolant actually flows (chi > 0); with the flow off there is no fluid
     entering whose temperature could be prescribed, and the zero-flow
     limit must not depend on the nominal flow direction. free holds the
-    unconstrained DOF ids in elimination order, the mesh's
-    nested_dissection order without the constrained ids: restricted DOF k
-    is node free[k], so the residual is R[free] and the LU factor needs no
-    fill-reducing ordering of its own. slots[k] is the plan's data slot of
-    entry k of the restricted CSR pattern (indptr, indices; each row
-    sorted), so the restricted Jacobian's data is J.data[slots]. The
-    arrays are read-only.
+    unconstrained DOF ids in elimination order, the plan's nested-dissection
+    order with the constrained ids dropped: restricted DOF k is node
+    free[k], so the residual is R[free] and the LU factor needs no
+    fill-reducing ordering of its own. Problems on one mesh read that
+    order off its one plan, so it is computed once per mesh. slots[k] is
+    the plan's data slot of entry k of the restricted CSR pattern (indptr,
+    indices; each row sorted), so the restricted Jacobian's data is
+    J.data[slots]. The pattern is structurally symmetric: the rows of
+    column k are the columns of row k. The arrays are read-only.
     """
 
     ids: np.ndarray = field(repr=False)
@@ -203,8 +205,7 @@ def _build_constraints(problem: ThermalProblem) -> Constraints:
     plan = plan_for(mesh)
     keep = np.ones(plan.n, dtype=bool)
     keep[ids] = False
-    order = nested_dissection(mesh)
-    free = order[keep[order]]
+    free = plan.order[keep[plan.order]]
     # The plan's data slots on its pattern, rows and columns taken in the order free.
     slots = sp.csr_matrix((np.arange(plan.nnz), plan.indices, plan.indptr), shape=(plan.n,) * 2)[free][:, free]
     slots.has_sorted_indices = False  # the column selection permutes each row
@@ -244,9 +245,11 @@ class AssemblyPlan:
     edges (boundary_edges tagged neumann, in boundary order) carry the
     two-point Gauss rule of the boundary flux: neu_xy[g, e] is point g of
     edge e, neu_w[g, e] its weight times the edge length, and
-    neu_nodes[:, e] the edge's node ids. Every array, the matrix's
-    included, is read-only: all Jacobians and threads of the mesh share
-    them.
+    neu_nodes[:, e] the edge's node ids. order lists every node id once,
+    in the mesh's nested_dissection elimination order; each problem's
+    Constraints.free is this order without its constrained ids. Every
+    array, the matrix's included, is read-only: all Jacobians and threads
+    of the mesh share them.
     """
 
     n: int
@@ -271,6 +274,7 @@ class AssemblyPlan:
     neu_xy: np.ndarray = field(repr=False)  # (2, E, 2)
     neu_w: np.ndarray = field(repr=False)  # (2, E)
     neu_nodes: np.ndarray = field(repr=False)  # (k, E)
+    order: np.ndarray = field(repr=False)  # (n,)
 
     @property
     def nnz(self) -> int:
@@ -348,6 +352,7 @@ def _build_plan(mesh: ChannelMesh) -> AssemblyPlan:
         neu_xy=_read_only(pa + (0.5 * (1.0 + xi))[:, None, None] * (pb - pa)),
         neu_w=_read_only((wgt * 0.5)[:, None] * np.linalg.norm(pb - pa, axis=1)),
         neu_nodes=_read_only(np.ascontiguousarray(neumann.T)),
+        order=_read_only(nested_dissection(mesh)),
     )
 
 

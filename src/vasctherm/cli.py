@@ -539,8 +539,8 @@ def run_verify(outdir: str, full: bool = False, seed: int = 0) -> int:
     os.makedirs(outdir, exist_ok=True)
     sizes = (8, 16, 32, 64) if full else (8, 16, 32)
     failures = []
-    for case in (mms_case_cmp(), mms_case_tdmp()):
-        table = mms_convergence(case, mesh_sizes=sizes)
+    cases = (mms_case_cmp(), mms_case_tdmp())
+    for case, table in zip(cases, mms_convergence(cases, mesh_sizes=sizes)):
         _write_csv(os.path.join(outdir, f"convergence_{case.name}.csv"), ["h", "l2_error", "max_error"],
                    np.array([(r.h, r.l2_error, r.max_error) for r in table.rows], dtype=float).tolist())
         ok = abs(table.slope - 2.0) <= 0.2

@@ -128,6 +128,10 @@ def generate_layout(domain: Domain2D, params: LayoutParams) -> VasculaturePath:
     first pass enters at the top, each later one starts where the previous
     one turned (margin or height - margin), and the last leaves through the
     edge it heads for. inlet_edge="bottom" mirrors the layout vertically.
+    A serpentine of three or more passes whose margin is half the height
+    is refused: its middle passes would have no length. A margin above
+    half the height is accepted; its links then lie height - margin from
+    the edges.
     """
     w, h = domain.width, domain.height
     p = params.pass_count if params.kind == "serpentine" else 2
@@ -144,6 +148,9 @@ def generate_layout(domain: Domain2D, params: LayoutParams) -> VasculaturePath:
         ys = h - ys
     verts = np.stack([np.repeat(xs, 2), ys], axis=1)
     _check_inside(domain, verts, params.kind)
+    if np.any(ys[::2] == ys[1::2]):  # inside the plate, only a middle pass can start where it turns
+        raise ValueError(f"serpentine's middle passes have no length: with pass_count {p}, each turns at "
+                         f"margin {params.margin} m and at height {h} m minus margin, which coincide")
     return VasculaturePath(verts)
 
 

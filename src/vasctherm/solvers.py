@@ -219,9 +219,14 @@ def solve_steady(
     never accepts one.
 
     Newton is chord Newton on factors, or on a private ChordFactor when
-    none is passed (solve_transient shares one across its steps). The
-    first residual is assembled residual-only and the stored factor is
-    reused; a fresh one is built when none exists for rate.coeff, when
+    none is passed (solve_transient shares one across its steps). When
+    the stored factor is keyed by rate.coeff, the first residual is
+    assembled residual-only and that factor is reused. When none is, the
+    start is fresh: the stale factor is freed, the first system is
+    assembled with its Jacobian, and iteration 1 factors that system
+    instead of assembling the same iterate again (a Jacobian assembly's
+    residual is bitwise the residual-only one, so the log is the same).
+    A fresh factor is also built when
     the last accepted iterate cut the residual by a ratio rho above
     REFACTOR_RATIO, when REFACTOR_ITERS more iterations at that rate
     would still leave the residual above the tolerance
@@ -255,7 +260,11 @@ def solve_steady(
         )
 
     factors = factors or ChordFactor()
-    system = assemble(theta, jacobian=False)
+    key = None if rate is None else rate.coeff
+    fresh = factors.lu is None or factors.key != key
+    if fresh:
+        factors.lu = None  # free the stale factor before the Jacobian and its factor are built
+    system = assemble(theta, jacobian=fresh)
     free = constraints.free
     rnorm = _norm(system.residual)
     r0 = rnorm
@@ -270,8 +279,6 @@ def solve_steady(
         return _accept(theta)
     target = max(settings.abs_tol, settings.rel_tol * r0)
 
-    key = None if rate is None else rate.coeff
-    fresh = factors.lu is None or factors.key != key
     for it in range(1, settings.max_iters + 1):
         if not fresh:
             delta, update = linear_solve(system, factors.lu)
@@ -288,8 +295,9 @@ def solve_steady(
             trial_norm = _norm(trial_system.residual)
             fresh = not (math.isfinite(trial_norm) and trial_norm < rnorm)
         if fresh:
-            factors.lu = None  # free the stale factor before the Jacobian and its factor are built
-            system = assemble(theta)
+            if system.jacobian is None:  # only the first system of a fresh start holds one
+                factors.lu = None  # free the stale factor before the Jacobian and its factor are built
+                system = assemble(theta)
             factors.lu, factors.key = factorize(system.jacobian), key
             factors.builds += 1
             delta, update = linear_solve(system, factors.lu)

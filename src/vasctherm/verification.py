@@ -3,6 +3,9 @@
 Manufactured solutions verify the spatial discretization order, central
 finite differences verify the hand-coded Jacobian blocks term by term,
 and a scalar RK4/bisection reference pins the spatially uniform limit.
+The manufactured cases of one study share each mesh size's mesh, and the
+finite differences perturb groups of columns that share no row, so one
+pair of residuals serves a whole group.
 The sources f* below were derived by hand from the steady balance
   -d div(k_s(theta) grad theta) + h_T (theta - amb) = f*
 for the stated exact fields; the derivations are reproduced in the
@@ -20,6 +23,7 @@ from .assembly import (
     ALL_TERMS,
     STEFAN_BOLTZMANN,
     BoundaryData,
+    Constraints,
     RateWeights,
     SurfaceExchange,
     TermMask,
@@ -33,6 +37,7 @@ from .geometry import Domain2D, VasculaturePath
 from .materials import PropertyCurve, SolidMaterial, constant_curve, water_coolant
 from .mesh import (
     DIRICHLET,
+    ChannelMesh,
     build_structured_mesh,
     embed_vasculature,
     mesh_without_channel,
@@ -188,15 +193,20 @@ def mms_case_channel() -> MMSCase:
     )
 
 
-def _mms_problem(case: MMSCase, n: int, element_order: int) -> ThermalProblem:
+def _mms_mesh(n: int, element_order: int, with_channel: bool) -> ChannelMesh:
+    """The all-Dirichlet n x n MMS mesh, with the straight mid-plane channel if with_channel."""
     grid = build_structured_mesh(_DOMAIN, n, element_order)
-    if case.with_channel:
+    if with_channel:
         path = VasculaturePath(np.array([[0.5 * _DOMAIN.width, _DOMAIN.height],
                                          [0.5 * _DOMAIN.width, 0.0]]))
         mesh = embed_vasculature(grid, path)
     else:
         mesh = mesh_without_channel(grid)
-    mesh = tag_boundary(mesh, lambda x, y: DIRICHLET)
+    return tag_boundary(mesh, lambda x, y: DIRICHLET)
+
+
+def _mms_problem(case: MMSCase, mesh: ChannelMesh) -> ThermalProblem:
+    """The manufactured problem of case on mesh, a _mms_mesh of its channel flag."""
     solid = SolidMaterial(
         name=case.name,
         density=1600.0,
@@ -229,15 +239,31 @@ def _l2_and_max_error(mesh, theta_h: np.ndarray, exact) -> tuple[float, float]:
     return float(np.sqrt(acc)), max_err
 
 
-def mms_convergence(case: MMSCase, mesh_sizes=(8, 16, 32, 64), element_order: int = 1) -> ConvergenceTable:
-    """Solve the manufactured problem on each mesh and fit the L2 slope."""
-    rows = []
+def mms_convergence(cases, mesh_sizes=(8, 16, 32, 64), element_order: int = 1) -> list[ConvergenceTable]:
+    """Solve each manufactured case on each mesh; its table, in the order of cases, fits its L2 slope.
+
+    The mesh sizes run in the outer loop. Each mesh, keyed by (n,
+    element_order, channel flag), is built once and every case of that
+    flag is solved on it, so the cases share its assembly plan. Only one
+    mesh is alive at a time.
+    """
+    cases = tuple(cases)
+    rows = [[] for _ in cases]
     for n in mesh_sizes:
-        problem = _mms_problem(case, n, element_order)
-        theta = solve_steady(problem, NewtonSettings(abs_tol=1e-10, max_iters=40))
-        l2, mx = _l2_and_max_error(problem.mesh, theta, case.theta_exact)
         h = float(np.hypot(_DOMAIN.width / n, _DOMAIN.height / n))
-        rows.append(ConvergenceRow(h=h, l2_error=l2, max_error=mx))
+        for with_channel in dict.fromkeys(case.with_channel for case in cases):
+            mesh = _mms_mesh(n, element_order, with_channel)
+            for case, case_rows in zip(cases, rows):
+                if case.with_channel == with_channel:
+                    problem = _mms_problem(case, mesh)
+                    theta = solve_steady(problem, NewtonSettings(abs_tol=1e-10, max_iters=40))
+                    case_rows.append(ConvergenceRow(h, *_l2_and_max_error(mesh, theta, case.theta_exact)))
+            del mesh, problem  # the next mesh is built without this one alive
+    return [_fitted(case_rows) for case_rows in rows]
+
+
+def _fitted(rows: list[ConvergenceRow]) -> ConvergenceTable:
+    """The table of rows with the least-squares slope of log L2 error against log h."""
     logh = np.log([r.h for r in rows])
     logl2 = np.log([max(r.l2_error, 1e-300) for r in rows])
     slope = float(np.polyfit(logh, logl2, 1)[0])
@@ -252,6 +278,26 @@ def toggle_masks() -> list[TermMask]:
     return masks
 
 
+def column_groups(constraints: Constraints) -> list[np.ndarray]:
+    """The free columns in groups of which no two share a row of the restricted pattern.
+
+    Greedy distance-2 grouping (Curtis, Powell & Reid 1974, IMA J. Appl.
+    Math. 13:117): column j, in elimination order, joins the first group
+    that holds no column of the rows j touches. The pattern is
+    structurally symmetric, so the rows of column j are the columns of
+    row j.
+    """
+    # Python lists: each column reads a few short slices, which lists serve faster than arrays
+    indptr, indices = constraints.indptr.tolist(), constraints.indices.tolist()
+    group = []
+    for j in range(len(indptr) - 1):
+        rows = indices[indptr[j]:indptr[j + 1]]
+        taken = {group[k] for r in rows for k in indices[indptr[r]:indptr[r + 1]] if k < j}
+        group.append(next(g for g in itertools.count() if g not in taken))
+    group = np.array(group, dtype=int)
+    return [np.flatnonzero(group == g) for g in range(group.max(initial=-1) + 1)]
+
+
 def jacobian_check(
     problem: ThermalProblem,
     trials: int = 5,
@@ -264,10 +310,19 @@ def jacobian_check(
     are differenced against the Jacobian restricted to them: the matrix
     that Newton factors. The mass term is probed with a
     backward-difference rate built from a second random state.
+
+    The columns are differenced a group of column_groups at a time: one
+    central difference perturbs every column of a group, and each
+    column's entries are read off its own rows. A row's residual sums
+    only the elements and chain edges that touch it, so no other column
+    of the group moves those rows, and the FD Jacobian is bitwise the one
+    that differencing column by column gives.
     """
     rng = np.random.default_rng(seed)
     n = problem.n_dofs
     constraints = problem.constraints
+    free, indptr, indices = constraints.free, constraints.indptr, constraints.indices
+    groups = column_groups(constraints)
     gaps = []
     for _ in range(trials):
         theta = rng.uniform(*FD_THETA_RANGE, size=n)
@@ -279,19 +334,21 @@ def jacobian_check(
             rate = None
         base = apply_constraints(assemble_raw(problem, theta, rate=rate, terms=terms), constraints)
         J = base.jacobian.toarray()
-        J_fd = np.empty_like(J)
-        for col, j in enumerate(constraints.free):
-            h = FD_STEP * max(1.0, abs(theta[j]))
+        J_fd = np.zeros_like(J)
+        steps = FD_STEP * np.maximum(1.0, np.abs(theta[free]))
+        for cols in groups:
             tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
+            tp[free[cols]] += steps[cols]
+            tm[free[cols]] -= steps[cols]
             rp, rm = (
                 apply_constraints(
                     assemble_raw(problem, state, rate=rate, terms=terms, jacobian=False), constraints
                 ).residual
                 for state in (tp, tm)
             )
-            J_fd[:, col] = (rp - rm) / (2.0 * h)
+            for col in cols:
+                rows = indices[indptr[col]:indptr[col + 1]]
+                J_fd[rows, col] = (rp[rows] - rm[rows]) / (2.0 * steps[col])
         denom = np.linalg.norm(J)  # a non-finite J gives a NaN gap, not ||J_fd||
         gaps.append(np.linalg.norm(J_fd - J) / denom if denom != 0 else np.linalg.norm(J_fd))
     return float(np.max(gaps, initial=0.0))  # np.max, unlike max, keeps a NaN of any trial

@@ -57,6 +57,16 @@ MUTANTS = {
                        'p = params.pass_count if params.kind == "serpentine" else 3'),
     "turn_margins_swapped": ("geometry.py", "% 2 == 0, params.margin, h - params.margin)",
                              "% 2 == 0, h - params.margin, params.margin)"),
+    "mms_mesh_ignores_channel": ("verification.py", "mesh = _mms_mesh(n, element_order, with_channel)",
+                                 "mesh = _mms_mesh(n, element_order, False)"),
+    "column_groups_distance_1": (
+        "verification.py", "for r in rows for k in indices[indptr[r]:indptr[r + 1]] if k < j}",
+        "for k in rows if k < j}"),
+    "fresh_start_residual_only": ("solvers.py", "system = assemble(theta, jacobian=fresh)",
+                                  "system = assemble(theta, jacobian=False)"),
+    "order_per_problem": ("assembly.py", "free = plan.order[keep[plan.order]]",
+                          "free = nested_dissection(mesh)[keep[nested_dissection(mesh)]]"),
+    "flat_serpentine_unnamed": ("geometry.py", "if np.any(ys[::2] == ys[1::2]):", "if False:"),
 }
 
 

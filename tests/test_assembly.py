@@ -261,6 +261,28 @@ def test_constraints_built_once_and_read_only(rng):
         assert not arr.flags.writeable
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_problems_on_one_mesh_compute_its_order_once(order, monkeypatch):
+    orders = []
+
+    def ordering(mesh):
+        orders.append(mesh)
+        return real(mesh)
+
+    real = assembly.nested_dissection
+    monkeypatch.setattr(assembly, "nested_dissection", ordering)
+    prob = mixed_boundary_problem(order=order)
+    other = dataclasses.replace(prob, load=500.0, bcs=dataclasses.replace(prob.bcs, theta_p=310.0))
+    a, b = prob.constraints, other.constraints
+    assert a is not b and orders == [prob.mesh]
+    assert np.array_equal(a.ids, b.ids) and not np.array_equal(a.values, b.values)
+    assert np.array_equal(a.free, b.free)
+    order_of = plan_for(prob.mesh).order
+    assert not order_of.flags.writeable
+    assert np.array_equal(np.sort(order_of), np.arange(prob.n_dofs))
+    assert a.free.tolist() == [i for i in order_of.tolist() if i not in set(a.ids.tolist())]
+
+
 def test_all_neumann_constrains_only_inlet():
     prob = channel_problem(n=6)
     constraints = prob.constraints
@@ -690,7 +712,7 @@ def reference_dissection(mesh):
 
 def _dissection_case(kind, n, order):
     if kind == "mms_dirichlet":
-        return verification._mms_problem(verification.mms_case_cmp(), n, order)
+        return verification._mms_problem(verification.mms_case_cmp(), verification._mms_mesh(n, order, False))
     if kind == "no_channel":
         return no_channel_problem(n=n, order=order)
     return channel_problem(n=n, order=order, layout=LayoutParams(kind=kind))

@@ -680,6 +680,20 @@ def test_oversized_integer_fields_exit_2(tmp_path, capsys, data, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("passes, edge", [(3, "top"), (4, "bottom")])
+def test_serpentine_with_middle_passes_of_no_length_exits_2(tmp_path, capsys, passes, edge):
+    # margin at half the 0.1 m height: every middle pass turns where it starts
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps({"layout": {"kind": "serpentine", "pass_count": passes, "margin": 0.05,
+                                          "spacing": 0.02, "inlet_edge": edge}, "mesh": {"n": 10}}))
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run"), "--steady-only"])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "serpentine's middle passes have no length" in err and "Traceback" not in err
+    assert all(word in err for word in (f"pass_count {passes}", "margin 0.05 m", "height 0.1 m"))
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("vertices", [
     [[1e308, 0.1], [1e308, 0.0]],  # x / h overflows to inf while snapping
     [[1e300, 0.1], [1e300, 0.0]],
@@ -1047,9 +1061,10 @@ def test_output_dir_from_config(tmp_path):
 def test_verify_subcommand(tmp_path, monkeypatch):
     tables = {}
 
-    def recording(case, **kwargs):
-        tables[case.name] = mms_convergence(case, **kwargs)
-        return tables[case.name]
+    def recording(cases, **kwargs):
+        found = mms_convergence(cases, **kwargs)
+        tables.update((case.name, table) for case, table in zip(cases, found))
+        return found
 
     monkeypatch.setattr(cli, "mms_convergence", recording)
     out = tmp_path / "verify"

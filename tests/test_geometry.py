@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -76,6 +78,20 @@ def test_serpentine_passes_alternate_and_end_on_boundary():
     assert xs == [0.02, 0.04, 0.06, 0.08]
     odd = generate_layout(DOM, LayoutParams(kind="serpentine", spacing=0.02, pass_count=3))
     assert odd.vertices[-1, 1] == 0.0  # odd pass count exits at the bottom
+
+
+@pytest.mark.parametrize("passes", [3, 4, 5])
+def test_serpentine_margin_at_half_the_height(passes):
+    half = LayoutParams(kind="serpentine", spacing=0.02, margin=0.5 * DOM.height, pass_count=passes)
+    with pytest.raises(ValueError, match="^serpentine's middle passes have no length"):
+        generate_layout(DOM, half)
+    # two passes turn once, at the margin, so both keep their length
+    two = generate_layout(DOM, dataclasses.replace(half, pass_count=2)).vertices
+    assert two[1:3, 1].tolist() == [0.05, 0.05]
+    # above half the height the middle passes run backwards: the links lie height - margin from the edges
+    deep = generate_layout(DOM, dataclasses.replace(half, margin=0.07)).vertices
+    links = deep[1:-1:2, 1]
+    assert np.allclose(np.minimum(links, DOM.height - links), DOM.height - 0.07)
 
 
 def test_asymmetric_zero_offset_matches_u_shape():

@@ -99,7 +99,7 @@ def test_mesh_sites_are_reached_through_their_modules(monkeypatch):
     assert counts == {"vasctherm.cli.build_structured_mesh": 1, "vasctherm.cli.embed_vasculature": 1}
     counts.clear()
     for case in (verification.mms_case_cmp(), verification.mms_case_channel()):
-        verification._mms_problem(case, 4, 1)
+        verification._mms_problem(case, verification._mms_mesh(4, 1, case.with_channel))
     assert counts == {"vasctherm.verification.build_structured_mesh": 2,
                       "vasctherm.verification.embed_vasculature": 1,
                       "vasctherm.verification.mesh_without_channel": 1,

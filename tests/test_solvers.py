@@ -633,3 +633,68 @@ def test_steady_solve_logs_every_residual(monkeypatch, ratio):
     assert len(log) > 2
     assert all(np.isfinite(rec.residual_norm) for rec in log)
     assert all(np.isfinite(rec.update_norm) for rec in log[1:])
+
+
+def _record_solves(monkeypatch, first_residual_only=False):
+    """Calls of solvers.solve_steady ("solve"), assemble_raw (its jacobian flag) and factorize ("factor").
+
+    With first_residual_only, the first assembly of every solve is
+    residual-only, as it was before a fresh start assembled its Jacobian
+    there: the solve then assembles the same iterate again with it.
+    """
+    calls = []
+    real_solve, real_assemble, real_factorize = solvers.solve_steady, solvers.assemble_raw, solvers.factorize
+
+    def solve(*args, **kwargs):
+        calls.append("solve")
+        return real_solve(*args, **kwargs)
+
+    def assemble(*args, jacobian=True, **kwargs):
+        if first_residual_only and calls[-1] == "solve":
+            jacobian = False
+        calls.append(jacobian)
+        return real_assemble(*args, jacobian=jacobian, **kwargs)
+
+    def factorize(matrix):
+        calls.append("factor")
+        return real_factorize(matrix)
+
+    monkeypatch.setattr(solvers, "solve_steady", solve)
+    monkeypatch.setattr(solvers, "assemble_raw", assemble)
+    monkeypatch.setattr(solvers, "factorize", factorize)
+    return calls
+
+
+def _steady_then_steps(order):
+    prob = channel_problem(n=5, order=order)
+    log = []
+    steady = solvers.solve_steady(prob, log=log)
+    series = solve_transient(prob, TransientSettings(dt=1.0, t_end=4.0), log=log)
+    return steady, series, log
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_fresh_start_assembles_its_first_system_once(order, monkeypatch):
+    calls = _record_solves(monkeypatch)
+    steady, series, log = _steady_then_steps(order)
+    solves = []
+    for call in calls:
+        if call == "solve":
+            solves.append([])
+        else:
+            solves[-1].append(call)
+    assert len(solves) == 5  # the steady solve and 4 BDF steps
+    # The steady solve and BDF steps 1 and 2 (BDF1, then the first BDF2 coefficient) need a
+    # fresh factor: their first assembly carries the Jacobian that they factor next.
+    for calls_of_solve in solves[:3]:
+        assert calls_of_solve[:2] == [True, "factor"]
+    # later steps reuse step 2's factor and start residual-only
+    assert all(calls_of_solve[0] is False and "factor" not in calls_of_solve for calls_of_solve in solves[3:])
+
+    monkeypatch.undo()
+    before = _record_solves(monkeypatch, first_residual_only=True)
+    steady_before, series_before, log_before = _steady_then_steps(order)
+    assert before.count(False) == calls.count(False) + 3  # each first system also residual-only
+    assert before.count(True) == calls.count(True)
+    assert repr(log) == repr(log_before)  # every row, the residual norms to the last bit
+    assert np.array_equal(steady, steady_before) and np.array_equal(series, series_before)
